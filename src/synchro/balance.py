@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cir import _kernel, _iterate
+from .cir import _require_below_types, _sweep
 from .coding import coded
-from .errors import NotBalancedError, PartitionError
+from .errors import NotBalancedError
 from .network import Network
-from .partition import Partition, compose, is_finer
+from .partition import Partition, compose
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,6 @@ class QuotientResult:
     color_cells: tuple[str, ...]  # quotient cell id per color, in color order
 
 
-def _require_below_types(net: Network, partition: Partition) -> None:
-    if len(partition) != net.n:
-        raise PartitionError(
-            f"partition covers {len(partition)} cells, network has {net.n}"
-        )
-    if not is_finer(partition, net.type_partition()):
-        raise PartitionError("partition mixes cells of different types")
-
-
 def _color_types(net: Network, partition: Partition) -> list[int]:
     """Cell type index of each color (well defined below the type partition)."""
     first = [None] * partition.rank
@@ -69,14 +60,13 @@ def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature
     _require_below_types(net, partition)
     view = coded(net)
     row = net.index(cell)
-    codes = view.row_signature_codes(partition.as_array0(), partition.rank, row)
+    codes = view.row_sums(partition.colors, row)
     ctypes = _color_types(net, partition)
     i = net.cell_types[row]
-    sums = []
-    for k, code in enumerate(codes):
-        spec = net.registry.get(i, ctypes[k])
-        sums.append(view.decode(code, spec))
-    return RowSignature(cell=cell, owner_color=partition.colors[row], sums=tuple(sums))
+    sums = tuple(
+        view.decode(codes.get(k + 1, 0), net.registry.get(i, t)) for k, t in enumerate(ctypes)
+    )
+    return RowSignature(cell=cell, owner_color=partition.colors[row], sums=sums)
 
 
 def is_balanced(net: Network, partition: Partition) -> BalanceResult:
@@ -88,21 +78,15 @@ def is_balanced(net: Network, partition: Partition) -> BalanceResult:
     """
     _require_below_types(net, partition)
     view = coded(net)
-    p0 = partition.as_array0()
-    p_new, _, _ = _iterate(view, p0, partition.rank, _kernel)
-    rep_new: dict[int, int] = {}
-    rep_cell: dict[int, int] = {}
-    for idx in range(net.n):
-        old = int(p0[idx])
-        new = int(p_new[idx])
-        if old not in rep_new:
-            rep_new[old] = new
-            rep_cell[old] = idx
-        elif rep_new[old] != new:
-            c = rep_cell[old]
-            sig_c = view.row_signature_codes(p0, partition.rank, c)
-            sig_d = view.row_signature_codes(p0, partition.rank, idx)
-            color = next(k + 1 for k in range(partition.rank) if sig_c[k] != sig_d[k])
+    colors = partition.colors
+    new, _, _ = _sweep(view, colors)
+    first: dict[int, int] = {}  # old color -> its first cell
+    for idx, old in enumerate(colors):
+        c = first.setdefault(old, idx)
+        if new[c] != new[idx]:
+            sums_c = view.row_sums(colors, c)
+            sums_d = view.row_sums(colors, idx)
+            color = min(k for k in sums_c.keys() | sums_d.keys() if sums_c.get(k) != sums_d.get(k))
             return BalanceResult(
                 balanced=False,
                 counterexample=(net.cells[c], net.cells[idx], color),
@@ -128,7 +112,6 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
     if not result.balanced:
         raise NotBalancedError(result.counterexample)
     view = coded(net)
-    p0 = partition.as_array0()
     classes = partition.classes()
     color_cells = tuple(_merged_id(net.cells[i] for i in cls) for cls in classes)
     ctypes = _color_types(net, partition)
@@ -137,13 +120,10 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
     edges = []
     for k, cls in enumerate(classes):
         rep = cls[0]
-        codes = view.row_signature_codes(p0, partition.rank, rep)
         i = net.cell_types[rep]
-        for l, code in enumerate(codes):
-            if code == 0:
-                continue
-            spec = net.registry.require(i, ctypes[l])
-            edges.append((color_cells[k], color_cells[l], view.decode(code, spec)))
+        for l, code in sorted(view.row_sums(partition.colors, rep).items()):
+            spec = net.registry.require(i, ctypes[l - 1])
+            edges.append((color_cells[k], color_cells[l - 1], view.decode(code, spec)))
 
     q = Network.build(color_cells, cell_types, net.type_names, net.registry, edges)
     return QuotientResult(quotient=q, relation=partition, color_cells=color_cells)

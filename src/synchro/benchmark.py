@@ -2,11 +2,11 @@
 
 The adversarial family is a directed chain with unit weights: refining
 from the all-one-color seed peels off one cell per sweep, so the number of
-sweeps grows linearly and the total work cubically in the cell count --
-the worst case the O(|C|^3) bound describes. Operation counts come from
-the kernels themselves (signature slots touched plus edges visited), so a
-regression to pairwise row comparison would show up as a super-cubic
-log-log slope.
+sweeps grows linearly in the cell count -- the most the convergence bound
+allows. A sweep costs |C| + |E|, so the total work grows quadratically on
+the chain, inside the O(|C|^3) bound. Operation counts come from the
+sweeps themselves (rows keyed plus edges visited), so a regression to
+dense or pairwise row comparison would show up as a steeper log-log slope.
 """
 from __future__ import annotations
 
@@ -15,16 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _cirkernel_py
-from .cir import CirTrace, _cir_with_kernel, _kernel, kernel_name
+from .cir import CirTrace, cir
 from .monoid import MonoidRegistry, NaturalAdd
 from .network import Network
 from .partition import Partition
-
-try:
-    from . import _cirkernel  # type: ignore[attr-defined]
-except ImportError:
-    _cirkernel = None
 
 
 def chain_network(n: int) -> Network:
@@ -42,7 +36,7 @@ class RunMeasurement:
     sweeps: int
     total_ops: int
     ops_per_sweep: tuple[int, ...]
-    model_per_sweep: tuple[int, ...]  # |C|*(rank_in + 1) + |E| for each sweep
+    model_per_sweep: tuple[int, ...]  # |C| + |E| for each sweep
     seconds: float
 
     @property
@@ -50,17 +44,15 @@ class RunMeasurement:
         return self.ops_per_sweep == self.model_per_sweep
 
 
-def measure_chain(n: int, kernel=None) -> RunMeasurement:
+def measure_chain(n: int) -> RunMeasurement:
     """Refine the n-cell chain from one color and record the work done."""
     net = chain_network(n)
     seed = Partition.single(n)
-    kernel = kernel or _kernel
     start = time.perf_counter()
-    trace: CirTrace = _cir_with_kernel(net, seed, kernel)
+    trace: CirTrace = cir(net, seed)
     elapsed = time.perf_counter() - start
     edges = net.edge_count()
-    ranks_in = [seed.rank] + [rank for _, rank in trace.iterations[:-1]]
-    model = tuple(net.n * (r + 1) + edges for r in ranks_in)
+    model = (net.n + edges,) * len(trace.iterations)
     return RunMeasurement(
         size=n,
         edges=edges,
@@ -74,7 +66,6 @@ def measure_chain(n: int, kernel=None) -> RunMeasurement:
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    kernel: str
     runs: tuple[RunMeasurement, ...]
     slope: float
 
@@ -84,19 +75,17 @@ class ComplexityReport:
         return self.slope <= 3.2 and all(r.matches_model for r in self.runs)
 
 
-def complexity_suite(sizes=(64, 128, 256, 512, 1024), kernel=None) -> ComplexityReport:
+def complexity_suite(sizes=(64, 128, 256, 512, 1024)) -> ComplexityReport:
     """Measure the chain family across sizes and fit the log-log growth."""
-    kernel = kernel or _kernel
-    runs = tuple(measure_chain(n, kernel) for n in sizes)
+    runs = tuple(measure_chain(n) for n in sizes)
     xs = np.log([r.size for r in runs])
     ys = np.log([r.total_ops for r in runs])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return ComplexityReport(kernel=kernel.KERNEL_NAME, runs=runs, slope=slope)
+    return ComplexityReport(runs=runs, slope=slope)
 
 
 def report_lines(report: ComplexityReport) -> list[str]:
     lines = [
-        f"kernel: {report.kernel}",
         f"{'size':>6} {'edges':>6} {'sweeps':>6} {'total ops':>12} {'seconds':>9}",
     ]
     for r in report.runs:
@@ -104,46 +93,7 @@ def report_lines(report: ComplexityReport) -> list[str]:
             f"{r.size:>6} {r.edges:>6} {r.sweeps:>6} {r.total_ops:>12} {r.seconds:>9.3f}"
         )
     lines.append(f"log-log slope: {report.slope:.3f} (cubic bound 3.2)")
-    lines.append("per-sweep counts match |C|*(rank+1) + |E|: "
+    lines.append("per-sweep counts match |C| + |E|: "
                  + ("yes" if all(r.matches_model for r in report.runs) else "NO"))
     return lines
 
-
-def available_kernels() -> list:
-    kernels = [_cirkernel_py]
-    if _cirkernel is not None:
-        kernels.insert(0, _cirkernel)
-    return kernels
-
-
-def compare_kernels(sizes=(64, 128, 256, 512)) -> list[str]:
-    """Wall-time table for every available kernel on the same inputs.
-
-    Also asserts the kernels agree on the resulting op counts, which is
-    part of their contract.
-    """
-    rows = [f"active kernel: {kernel_name()}"]
-    results = {}
-    for kernel in available_kernels():
-        report = complexity_suite(sizes, kernel)
-        results[kernel.KERNEL_NAME] = report
-        for line in report_lines(report):
-            rows.append(line)
-        rows.append("")
-    names = list(results)
-    if len(names) == 2:
-        a, b = (results[n] for n in names)
-        same = all(
-            ra.total_ops == rb.total_ops and ra.sweeps == rb.sweeps
-            for ra, rb in zip(a.runs, b.runs)
-        )
-        rows.append(f"kernels agree on op counts: {'yes' if same else 'NO'}")
-        speedups = [
-            rb.seconds / ra.seconds if ra.seconds > 0 else float("inf")
-            for ra, rb in zip(a.runs, b.runs)
-        ]
-        rows.append(
-            "speedup ({} over {}): ".format(names[0], names[1])
-            + ", ".join(f"{s:.1f}x" for s in speedups)
-        )
-    return rows

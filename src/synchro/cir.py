@@ -6,34 +6,28 @@ hash table. Ranks strictly increase until one confirming sweep leaves the
 coloring unchanged; the fixed point is balanced and is the coarsest
 balanced partition finer than the seed.
 
-The sweep itself runs in a kernel operating on interned integer codes.
-A compiled kernel is used when the extension module is importable; set
-SYNCHRO_PURE=1 to force the pure-Python twin. Both produce identical
-results, including operation counts.
+A row's key is its old color followed by the sorted (color, combined
+weight code) pairs of its nonzero slots, so one sweep costs |C| + |E|
+dictionary operations whatever the rank. New colors are numbered in
+first-occurrence row order, which makes every sweep's output canonical.
+``cir`` records every sweep; ``top``, the meet and lattice enumeration
+run the converged-only loop on plain int lists and build one Partition
+at the end.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from itertools import chain
 
-from . import _cirkernel_py
-from .coding import coded
+from .coding import CodedNetwork, coded
 from .errors import PartitionError
 from .network import Network
 from .partition import Partition, is_finer
 
-if os.environ.get("SYNCHRO_PURE", "") not in ("", "0"):
-    _kernel = _cirkernel_py
-else:
-    try:
-        from . import _cirkernel as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        _kernel = _cirkernel_py
-
 
 def kernel_name() -> str:
-    """Which refinement kernel is active: "compiled" or "pure"."""
-    return _kernel.KERNEL_NAME
+    """Which refinement engine is active; there is one, in pure Python."""
+    return "pure"
 
 
 @dataclass(frozen=True)
@@ -72,43 +66,64 @@ def _require_below_types(net: Network, partition: Partition) -> None:
         raise PartitionError("partition mixes cells of different types")
 
 
-def _iterate(view, p0, r_old: int, kernel):
-    return kernel.cir_iteration_codes(
-        p0, r_old, view.indptr, view.cols, view.wcodes, view.memo, view.combine_codes
-    )
+def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
+    """One refinement sweep under any hashable, orderable cell labels.
+
+    Returns the new canonical coloring (colors 1..rank), its rank and the
+    work done: one key per row plus one visit per edge, |C| + |E| in total.
+    Rows with at most one edge need no combining and are keyed inline; on
+    sparse inputs such as chains and rings they are most of the rows.
+    """
+    table: dict[tuple, int] = {}
+    new: list[int] = []
+    ops = 0
+    for r, (srcs, codes) in enumerate(view.rows):
+        ops += 1 + len(srcs)
+        if len(srcs) == 1:
+            key = (colors[r], colors[srcs[0]], codes[0])
+        elif not srcs:
+            key = (colors[r],)
+        else:
+            sums = view.row_sums(colors, r)
+            key = (colors[r], *chain.from_iterable(sorted(sums.items())))
+        new.append(table.setdefault(key, len(table) + 1))
+    return new, len(table), ops
+
+
+def _converge(view: CodedNetwork, colors, rank: int) -> tuple[int, ...]:
+    """Sweep until the rank stops growing; the canonical fixed point."""
+    while True:
+        colors, new_rank, _ = _sweep(view, colors)
+        if new_rank == rank:
+            return tuple(colors)
+        rank = new_rank
 
 
 def cir_iteration(net: Network, partition: Partition) -> Partition:
     """One refinement sweep; balanced inputs are fixed points."""
     _require_below_types(net, partition)
-    view = coded(net)
-    p_new, _, _ = _iterate(view, partition.as_array0(), partition.rank, _kernel)
-    return Partition.from_colors(int(c) + 1 for c in p_new)
-
-
-def _cir_with_kernel(net: Network, seed: Partition, kernel) -> CirTrace:
-    _require_below_types(net, seed)
-    view = coded(net)
-    p = seed.as_array0()
-    r = seed.rank
-    iterations: list[tuple[Partition, int]] = []
-    ops: list[int] = []
-    while True:
-        p_new, r_new, sweep_ops = _iterate(view, p, r, kernel)
-        part = Partition.from_colors(int(c) + 1 for c in p_new)
-        iterations.append((part, r_new))
-        ops.append(sweep_ops)
-        if r_new == r:
-            break
-        p, r = p_new, r_new
-    return CirTrace(seed=seed, iterations=tuple(iterations), ops=tuple(ops))
+    new, _, _ = _sweep(coded(net), partition.colors)
+    return Partition._from_canonical(tuple(new))
 
 
 def cir(net: Network, seed: Partition) -> CirTrace:
     """Refine ``seed`` to the coarsest balanced partition finer than it."""
-    return _cir_with_kernel(net, seed, _kernel)
+    _require_below_types(net, seed)
+    view = coded(net)
+    colors, rank = seed.colors, seed.rank
+    iterations: list[tuple[Partition, int]] = []
+    ops: list[int] = []
+    while True:
+        new, new_rank, sweep_ops = _sweep(view, colors)
+        iterations.append((Partition._from_canonical(tuple(new)), new_rank))
+        ops.append(sweep_ops)
+        if new_rank == rank:
+            break
+        colors, rank = new, new_rank
+    return CirTrace(seed=seed, iterations=tuple(iterations), ops=tuple(ops))
 
 
 def top(net: Network) -> Partition:
     """The maximal balanced partition: refinement of the type partition."""
-    return cir(net, net.type_partition()).converged
+    types = net.type_partition()
+    return Partition._from_canonical(_converge(coded(net), types.colors, types.rank))

@@ -1,4 +1,4 @@
-"""Integer-coded sparse view of a network for the refinement kernels.
+"""Integer-coded sparse view of a network for refinement and balance.
 
 Every distinct (monoid, element) pair appearing in a network is interned
 to a dense integer code; code 0 always stands for "no edge", i.e. the
@@ -14,21 +14,16 @@ operation and interns the result.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .network import Network
 
 
 class CodedNetwork:
-    """CSR-style arrays of the non-identity entries plus the intern pool."""
+    """Per-row source and weight-code tuples of the non-identity entries plus the intern pool."""
 
     __slots__ = (
         "n",
         "n_edges",
-        "types",
-        "indptr",
-        "cols",
-        "wcodes",
+        "rows",
         "_pool",
         "_specs",
         "_values",
@@ -37,26 +32,22 @@ class CodedNetwork:
 
     def __init__(self, net: Network):
         self.n = net.n
-        self.types = np.asarray(net.cell_types, dtype=np.int32)
         self._pool: dict[tuple, int] = {}
         self._specs: list = [None]  # spec per code; index 0 is the shared identity
         self._values: list = [None]
         self.memo: dict[tuple[int, int], int] = {}
 
-        indptr = [0]
-        cols: list[int] = []
-        wcodes: list[int] = []
+        # rows[c] = (source indices, weight codes) of cell c, sources ascending
+        self.rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for c in range(net.n):
             i = net.cell_types[c]
-            for d, weight in net.row_items(c):
-                spec = net.registry.require(i, net.cell_types[d])
-                cols.append(d)
-                wcodes.append(self.code(spec, weight))
-            indptr.append(len(cols))
-        self.indptr = np.asarray(indptr, dtype=np.int32)
-        self.cols = np.asarray(cols, dtype=np.int32)
-        self.wcodes = np.asarray(wcodes, dtype=np.int32)
-        self.n_edges = len(cols)
+            items = net.row_items(c)
+            codes = tuple(
+                self.code(net.registry.require(i, net.cell_types[d]), weight)
+                for d, weight in items
+            )
+            self.rows.append((tuple(d for d, _ in items), codes))
+        self.n_edges = sum(len(srcs) for srcs, _ in self.rows)
 
     def code(self, spec, value) -> int:
         """Intern a carrier value; identities of every monoid map to 0."""
@@ -78,7 +69,7 @@ class CodedNetwork:
         return self._values[code]
 
     def combine_codes(self, a: int, b: int) -> int:
-        """Callback for the kernels on a combine-memo miss."""
+        """The code of the parallel sum of two coded values."""
         if a == 0:
             return b
         if b == 0:
@@ -86,25 +77,32 @@ class CodedNetwork:
         spec = self._specs[a]
         return self.code(spec, spec.combine(self._values[a], self._values[b]))
 
-    def row_signature_codes(self, p0: np.ndarray, rank: int, row: int) -> tuple[int, ...]:
-        """Per-color combined weight codes of one row under a 0-based coloring."""
-        v = [0] * rank
+    def row_sums(self, colors, row: int) -> dict:
+        """Per-color combined weight codes of one row, nonzero slots only.
+
+        ``colors`` gives a label per cell; the result maps each label that
+        feeds ``row`` to the code of the parallel sum of its edges. A slot
+        whose sum is the identity (code 0) is dropped, exactly as if the
+        color sent no edge.
+        """
+        acc: dict = {}
         memo = self.memo
-        combine = self.combine_codes
-        for e in range(self.indptr[row], self.indptr[row + 1]):
-            k = int(p0[self.cols[e]])
-            a = v[k]
-            b = int(self.wcodes[e])
-            if a == 0:
-                v[k] = b
+        srcs, codes = self.rows[row]
+        for d, w in zip(srcs, codes):
+            k = colors[d]
+            a = acc.get(k)
+            if a is None:
+                acc[k] = w
+                continue
+            pair = (a, w) if a <= w else (w, a)
+            c = memo.get(pair)
+            if c is None:
+                c = memo[pair] = self.combine_codes(a, w)
+            if c:
+                acc[k] = c
             else:
-                key = (a, b) if a <= b else (b, a)
-                c = memo.get(key)
-                if c is None:
-                    c = combine(a, b)
-                    memo[key] = c
-                v[k] = c
-        return tuple(v)
+                del acc[k]
+        return acc
 
 
 def coded(net: Network) -> CodedNetwork:

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .balance import is_balanced
-from .cir import _iterate, _kernel, cir, top
+from .cir import _converge, _sweep, top
 from .coding import coded
 from .errors import NotBalancedError, SizeLimitError
 from .network import Network
@@ -79,7 +79,8 @@ def meet(net: Network, a: Partition, b: Partition) -> Partition:
     """Greatest lower bound: refine the common refinement until balanced."""
     _require_balanced(net, a, "first")
     _require_balanced(net, b, "second")
-    return cir(net, common_refinement(a, b)).converged
+    seed = common_refinement(a, b)
+    return Partition._from_canonical(_converge(coded(net), seed.colors, seed.rank))
 
 
 def _set_partitions(items: list[int]):
@@ -112,9 +113,7 @@ def brute_force_balanced(net: Network, limit: int = 12) -> set[Partition]:
     for blocks in product(*per_block):
         classes = [cls for block in blocks for cls in block]
         partition = Partition.from_classes(classes, net.n)
-        p0 = partition.as_array0()
-        p_new, r_new, _ = _iterate(view, p0, partition.rank, _kernel)
-        if r_new == partition.rank:
+        if _sweep(view, partition.colors)[1] == partition.rank:
             balanced.add(partition)
     return balanced
 
@@ -130,6 +129,22 @@ def _bipartitions(cls: list[int]):
             else:
                 left.append(cls[pos])
         yield left, right
+
+
+def _split_seeds(parents):
+    """Every parent with one class split in two, as (colors, rank) seeds.
+
+    The split-off part takes the fresh color rank + 1; the seeds only feed
+    the refinement, which is indifferent to how colors are labelled.
+    """
+    for parent in parents:
+        rank = max(parent)
+        for cls in Partition._from_canonical(parent).classes():
+            for _, right in _bipartitions(cls):
+                seed = list(parent)
+                for idx in right:
+                    seed[idx] = rank + 1
+                yield seed, rank + 1
 
 
 @dataclass(frozen=True)
@@ -187,36 +202,25 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     where essentially every partition is balanced; exceeding it returns the
     partial set flagged ``complete=False``.
     """
+    view = coded(net)
     maximal = top(net)
-    seen: set[Partition] = {maximal}
-    frontier = [maximal]
+    seen: set[tuple[int, ...]] = {maximal.colors}
+    frontier = [maximal.colors]
     complete = True
-    while frontier:
+    while frontier and complete:
         next_frontier = []
-        for parent in frontier:
-            classes = parent.classes()
-            for ci, cls in enumerate(classes):
-                if len(cls) < 2:
-                    continue
-                for left, right in _bipartitions(cls):
-                    seeded = classes[:ci] + [left, right] + classes[ci + 1 :]
-                    seed = Partition.from_classes(seeded, net.n)
-                    found = cir(net, seed).converged
-                    if found not in seen:
-                        seen.add(found)
-                        next_frontier.append(found)
-                        if len(seen) > budget:
-                            complete = False
-                            next_frontier = []
-                            frontier = []
-                            break
-                if not complete:
-                    break
-            if not complete:
+        for seed, rank in _split_seeds(frontier):
+            found = _converge(view, seed, rank)
+            if found in seen:
+                continue
+            seen.add(found)
+            next_frontier.append(found)
+            if len(seen) > budget:
+                complete = False
                 break
         frontier = next_frontier
 
-    elements = sorted(seen, key=lambda p: (p.rank, p.colors))
+    elements = [Partition._from_canonical(c) for c in sorted(seen, key=lambda c: (max(c), c))]
     return BalancedLattice(
         elements=tuple(elements),
         covers=tuple(_hasse_covers(elements)),

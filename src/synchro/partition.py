@@ -46,7 +46,16 @@ class Partition:
     @staticmethod
     def from_colors(colors) -> "Partition":
         """Canonicalize an arbitrary color vector (any hashable labels)."""
-        return Partition(_canonical(list(colors)))
+        return Partition._from_canonical(_canonical(colors))
+
+    @staticmethod
+    def _from_canonical(colors: tuple[int, ...]) -> "Partition":
+        """Wrap colors already in canonical form, skipping the re-check."""
+        if not colors:
+            raise PartitionError("partition needs at least one cell")
+        part = object.__new__(Partition)
+        object.__setattr__(part, "colors", colors)
+        return part
 
     @staticmethod
     def from_classes(classes, n: int) -> "Partition":
@@ -91,7 +100,7 @@ class Partition:
         return out
 
     def as_array0(self) -> np.ndarray:
-        """0-based int32 color vector for the kernels."""
+        """0-based int32 color vector, for indexing numpy arrays by color."""
         return np.asarray(self.colors, dtype=np.int32) - 1
 
     def is_finer(self, other: "Partition") -> bool:

@@ -66,7 +66,7 @@ def _random_typing(rng: random.Random, n: int):
     return types, names
 
 
-def build_corpus_network(seed: int) -> Network:
+def build_corpus_network(seed: int, monoids=_MONOIDS, sample=sample_weight) -> Network:
     rng = random.Random(seed)
     n = rng.randint(3, 8)
     cells = [str(i + 1) for i in range(n)]
@@ -74,7 +74,7 @@ def build_corpus_network(seed: int) -> Network:
     tidx = {nm: i for i, nm in enumerate(names)}
     k = len(names)
     table = {
-        (i, j): _MONOIDS[rng.randrange(len(_MONOIDS))]
+        (i, j): monoids[rng.randrange(len(monoids))]
         for i in range(k)
         for j in range(k)
     }
@@ -85,7 +85,7 @@ def build_corpus_network(seed: int) -> Network:
             for d in range(n):
                 if rng.random() < 0.3:
                     spec = table[(tidx[types[c]], tidx[types[d]])]
-                    edges.append((cells[c], cells[d], sample_weight(spec, rng)))
+                    edges.append((cells[c], cells[d], sample(spec, rng)))
     else:
         # planted balanced coloring: same weight bag per (target, source) color pair
         color_of: dict[int, int] = {}
@@ -109,7 +109,7 @@ def build_corpus_network(seed: int) -> Network:
                 i = tidx[types[target_group[0]]]
                 j = tidx[types[source_group[0]]]
                 spec = table[(i, j)]
-                bag = [sample_weight(spec, rng) for _ in range(rng.randint(1, 2))]
+                bag = [sample(spec, rng) for _ in range(rng.randint(1, 2))]
                 for c in target_group:
                     for weight in bag:
                         src = source_group[rng.randrange(len(source_group))]

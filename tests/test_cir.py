@@ -1,4 +1,4 @@
-"""Refinement traces, golden examples and kernel agreement."""
+"""Refinement traces and golden examples."""
 import random
 
 import pytest
@@ -15,13 +15,6 @@ from synchro import (
     parse_partition,
     top,
 )
-from synchro import _cirkernel_py
-from synchro.cir import _cir_with_kernel
-
-try:
-    from synchro import _cirkernel
-except ImportError:
-    _cirkernel = None
 
 
 def test_two_type_resistor_trace(resistor6):
@@ -126,37 +119,3 @@ def test_deterministic_under_cell_relabeling():
             frozenset(permuted.cells[i] for i in cls) for cls in top(permuted).classes()
         }
         assert original == relabeled
-
-
-@pytest.mark.skipif(_cirkernel is None, reason="compiled kernel not built")
-def test_kernels_agree():
-    rng = random.Random(4)
-    for net in corpus.corpus_networks()[:16]:
-        seed = corpus.random_seed_partition(net, rng)
-        fast = _cir_with_kernel(net, seed, _cirkernel)
-        slow = _cir_with_kernel(net, seed, _cirkernel_py)
-        assert [p.colors for p, _ in fast.iterations] == [
-            p.colors for p, _ in slow.iterations
-        ]
-        assert fast.ops == slow.ops
-
-
-@pytest.mark.skipif(_cirkernel is None, reason="compiled kernel not built")
-def test_kernels_agree_on_wide_network():
-    """Many sweeps and ranks past 30: exercises the buffer handling."""
-    from synchro import MonoidRegistry, NaturalAdd, Network
-
-    rng = random.Random(71)
-    n = 60
-    cells = [str(i) for i in range(n)]
-    registry = MonoidRegistry.uniform(NaturalAdd(), 1)
-    edges = [(cells[i + 1], cells[i], 1) for i in range(n - 1)]
-    for _ in range(80):
-        edges.append((cells[rng.randrange(n)], cells[rng.randrange(n)], rng.randint(1, 2)))
-    net = Network.build(cells, ["t"] * n, ["t"], registry, edges)
-    seed = Partition.single(n)
-    fast = _cir_with_kernel(net, seed, _cirkernel)
-    slow = _cir_with_kernel(net, seed, _cirkernel_py)
-    assert fast.converged == slow.converged
-    assert fast.ops == slow.ops
-    assert is_balanced(net, fast.converged).balanced
