@@ -12,6 +12,7 @@ which test triggered the computation first.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -25,6 +26,7 @@ from synchro import (
     ResistorParallel,
     brute_force_balanced,
 )
+from synchro.lattice import _set_partitions
 
 CORPUS_SIZE = 52
 
@@ -121,6 +123,14 @@ def random_seed_partition(net: Network, rng: random.Random) -> Partition:
     """A uniformly sloppy coloring below the type partition."""
     labels = [(net.cell_types[c], rng.randint(0, net.n - 1)) for c in range(net.n)]
     return Partition.from_colors(labels)
+
+
+def all_candidates(net: Network):
+    """Every partition below the type partition (the brute-force candidate set)."""
+    blocks = [list(_set_partitions(cls)) for cls in net.type_partition().classes()]
+    for combo in itertools.product(*blocks):
+        classes = [cls for block in combo for cls in block]
+        yield Partition.from_classes(classes, net.n)
 
 
 _corpus: list[Network] | None = None

@@ -39,7 +39,6 @@ from synchro import (
     unbalance_witness,
 )
 from synchro.benchmark import complexity_suite, report_lines
-from synchro.lattice import _set_partitions
 
 R = ResistorParallel()
 
@@ -57,14 +56,6 @@ def _checked_cir(net, seed):
     trace = cir(net, seed)
     assert trace.refining_iterations <= net.n - seed.rank
     return trace
-
-
-def _all_candidates(net):
-    """Every partition below the type partition (the brute-force candidate set)."""
-    blocks = [list(_set_partitions(cls)) for cls in net.type_partition().classes()]
-    for combo in itertools.product(*blocks):
-        classes = [cls for block in combo for cls in block]
-        yield Partition.from_classes(classes, net.n)
 
 
 def test_criterion_1_golden_refinement_trace():
@@ -255,7 +246,7 @@ def test_criterion_9_witness_soundness():
     balanced_sets, _ = corpus.balanced_sets()
     witnessed = 0
     for net, brute in zip(nets, balanced_sets):
-        for candidate in _all_candidates(net):
+        for candidate in corpus.all_candidates(net):
             if candidate in brute:
                 continue
             oracle, state = unbalance_witness(net, candidate)

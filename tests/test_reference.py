@@ -6,22 +6,13 @@ memo. Both run on the mixed-monoid corpus and on the non-cancellative one
 (absorbing elements: NaturalMul's 0, WithAnnihilator, SHORT), where equal
 sums do not imply equal summands.
 """
-import itertools
 import random
 
 import pytest
 
 import corpus
 import corpus_noncancel
-from synchro import (
-    Partition,
-    brute_force_balanced,
-    cir,
-    enumerate_balanced,
-    is_balanced,
-    top,
-)
-from synchro.lattice import _set_partitions
+from synchro import brute_force_balanced, cir, enumerate_balanced, is_balanced, top
 
 
 def ref_sums(net, colors, c):
@@ -49,13 +40,6 @@ def ref_counterexample(net, colors):
             color = min(k for k in sc.keys() | sd.keys() if sc.get(k) != sd.get(k))
             return net.cells[c], net.cells[d], color
     return None
-
-
-def _candidates(net):
-    """Every coloring below the type partition (products of set partitions)."""
-    per_type = [list(_set_partitions(cls)) for cls in net.type_partition().classes()]
-    for blocks in itertools.product(*per_type):
-        yield Partition.from_classes([cls for block in blocks for cls in block], net.n)
 
 
 CORPORA = {
@@ -89,7 +73,7 @@ def test_every_sweep_matches_reference(name):
 def test_balance_and_lattice_match_reference(name):
     for net in CORPORA[name]():
         balanced = set()
-        for candidate in _candidates(net):
+        for candidate in corpus.all_candidates(net):
             witness = ref_counterexample(net, candidate.colors)
             result = is_balanced(net, candidate)
             assert result.balanced == (witness is None), (net, candidate)
