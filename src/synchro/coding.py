@@ -1,4 +1,4 @@
-"""Integer-coded sparse view of a network for refinement and balance.
+"""Integer-coded storage of a network's merged weights.
 
 Every distinct (monoid, element) pair appearing in a network is interned
 to a dense integer code; code 0 always stands for "no edge", i.e. the
@@ -11,10 +11,13 @@ Code equality is exactly element equality, which is what lets the hot
 refinement loop (and balance checking) run on plain ints. The pairwise
 combine results are memoized; a memo miss falls back to the real monoid
 operation and interns the result.
+
+A ``CodedNetwork`` is the only weight storage a ``Network`` has:
+``Network.build`` interns each weight as it reads the edges and merges
+parallel edges through the combine memo, and every value-level query
+decodes from the codes.
 """
 from __future__ import annotations
-
-from .network import Network
 
 
 class CodedNetwork:
@@ -25,28 +28,32 @@ class CodedNetwork:
         "n_edges",
         "rows",
         "_pool",
-        "_specs",
-        "_values",
+        "specs",
+        "values",
         "memo",
     )
 
-    def __init__(self, net: Network):
-        self.n = net.n
+    def __init__(self):
         self._pool: dict[tuple, int] = {}
-        self._specs: list = [None]  # spec per code; index 0 is the shared identity
-        self._values: list = [None]
+        self.specs: list = [None]  # spec per code; index 0 is the shared identity
+        self.values: list = [None]
         self.memo: dict[tuple[int, int], int] = {}
-
         # rows[c] = (source indices, weight codes) of cell c, sources ascending
         self.rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for c in range(net.n):
-            i = net.cell_types[c]
-            items = net.row_items(c)
-            codes = tuple(
-                self.code(net.registry.require(i, net.cell_types[d]), weight)
-                for d, weight in items
-            )
-            self.rows.append((tuple(d for d, _ in items), codes))
+        self.n = 0
+        self.n_edges = 0
+
+    def set_rows(self, rows: list[dict[int, int]]) -> None:
+        """Store merged ``{source: code}`` rows; code-0 (identity) entries are dropped."""
+        self.rows = []
+        for row in rows:
+            srcs = sorted(row)
+            codes = tuple(map(row.__getitem__, srcs))
+            if 0 in codes:
+                srcs = [d for d in srcs if row[d]]
+                codes = tuple(map(row.__getitem__, srcs))
+            self.rows.append((tuple(srcs), codes))
+        self.n = len(self.rows)
         self.n_edges = sum(len(srcs) for srcs, _ in self.rows)
 
     def code(self, spec, value) -> int:
@@ -56,17 +63,17 @@ class CodedNetwork:
         key = (spec.key(), spec.encode(value))
         code = self._pool.get(key)
         if code is None:
-            code = len(self._values)
+            code = len(self.values)
             self._pool[key] = code
-            self._specs.append(spec)
-            self._values.append(value)
+            self.specs.append(spec)
+            self.values.append(value)
         return code
 
     def decode(self, code: int, spec=None):
         """The carrier value behind a code; 0 decodes to the slot's identity."""
         if code == 0:
             return spec.identity if spec is not None else None
-        return self._values[code]
+        return self.values[code]
 
     def combine_codes(self, a: int, b: int) -> int:
         """The code of the parallel sum of two coded values."""
@@ -74,8 +81,16 @@ class CodedNetwork:
             return b
         if b == 0:
             return a
-        spec = self._specs[a]
-        return self.code(spec, spec.combine(self._values[a], self._values[b]))
+        spec = self.specs[a]
+        return self.code(spec, spec.combine(self.values[a], self.values[b]))
+
+    def merge(self, a: int, b: int) -> int:
+        """``combine_codes`` through the pair memo."""
+        pair = (a, b) if a <= b else (b, a)
+        c = self.memo.get(pair)
+        if c is None:
+            c = self.memo[pair] = self.combine_codes(a, b)
+        return c
 
     def row_sums(self, colors, row: int) -> dict:
         """Per-color combined weight codes of one row, nonzero slots only.
@@ -86,7 +101,7 @@ class CodedNetwork:
         color sent no edge.
         """
         acc: dict = {}
-        memo = self.memo
+        merge = self.merge
         srcs, codes = self.rows[row]
         for d, w in zip(srcs, codes):
             k = colors[d]
@@ -94,10 +109,7 @@ class CodedNetwork:
             if a is None:
                 acc[k] = w
                 continue
-            pair = (a, w) if a <= w else (w, a)
-            c = memo.get(pair)
-            if c is None:
-                c = memo[pair] = self.combine_codes(a, w)
+            c = merge(a, w)
             if c:
                 acc[k] = c
             else:
@@ -105,10 +117,6 @@ class CodedNetwork:
         return acc
 
 
-def coded(net: Network) -> CodedNetwork:
-    """The per-network coded view, built once and cached on the network."""
-    view = net._coded
-    if view is None:
-        view = CodedNetwork(net)
-        net._coded = view
-    return view
+def coded(net) -> CodedNetwork:
+    """The network's coded storage (built by ``Network.build``)."""
+    return net._coded

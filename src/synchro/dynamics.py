@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import _color_types, quotient, row_signature, is_balanced
+from .coding import CodedNetwork, coded
 from .errors import DimensionMismatch, SchemaError, SimulationDiverged, WitnessError
 from .monoid import MonoidRegistry, MonoidSpec
 from .network import Network
@@ -222,18 +223,25 @@ class IndicatorOracle(Oracle):
 # -- admissible evaluation ---------------------------------------------------
 
 
-def _merged_inputs(net: Network, c: int, x) -> list:
-    """Merge same-type same-state inputs of one cell in the exact monoid."""
-    i = net.cell_types[c]
-    groups: dict[tuple[int, float], object] = {}
-    for d, w in net.row_items(c):
-        j = net.cell_types[d]
-        key = (j, x[d])
-        if key in groups:
-            groups[key] = net.registry.require(i, j).combine(groups[key], w)
-        else:
-            groups[key] = w
-    return [(j, groups[(j, s)], s) for (j, s) in sorted(groups)]
+def _merged_inputs(net: Network, view: CodedNetwork, c: int, x) -> list:
+    """Merge same-type same-state inputs of one cell in the exact monoid.
+
+    Weights are merged as codes through the network's combine memo and
+    decoded once per group. ``x`` must hold no -0.0: 0.0 and -0.0 are
+    equal but not the same bits, so same-colored cells could merge under
+    keys of different signs.
+    """
+    cell_types = net.cell_types
+    groups: dict[tuple[int, float], int] = {}
+    srcs, codes = view.rows[c]
+    for d, k in zip(srcs, codes):
+        key = (cell_types[d], x[d])
+        prev = groups.get(key)
+        groups[key] = k if prev is None else view.merge(prev, k)
+    i = cell_types[c]
+    return [
+        (j, view.decode(groups[(j, s)], net.registry.get(i, j)), s) for (j, s) in sorted(groups)
+    ]
 
 
 def admissible_eval(net: Network, oracle: Oracle, x) -> list[float]:
@@ -241,13 +249,17 @@ def admissible_eval(net: Network, oracle: Oracle, x) -> list[float]:
 
     Same-state inputs are merged in the monoid before kappa is applied, so
     two cells with equal per-color sums evaluate through identical float
-    operations.
+    operations. Input states are read with -0.0 normalised to 0.0 (adding
+    0.0 changes no other float), so equal inputs are also bitwise equal;
+    each cell's own state is passed as given.
     """
     x = [float(v) for v in x]
     if len(x) != net.n:
         raise DimensionMismatch(f"state has {len(x)} entries, network has {net.n} cells")
+    inputs = [v + 0.0 for v in x]
+    view = coded(net)
     return [
-        oracle.evaluate(net.cell_types[c], x[c], _merged_inputs(net, c, x))
+        oracle.evaluate(net.cell_types[c], x[c], _merged_inputs(net, view, c, inputs))
         for c in range(net.n)
     ]
 

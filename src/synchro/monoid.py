@@ -141,6 +141,12 @@ def _as_fraction(x) -> Fraction:
     raise MonoidMismatch(f"cannot interpret {x!r} as an exact rational")
 
 
+# Wire resistances with a larger decimal exponent are refused before Fraction
+# expands them: the work grows faster than the exponent, and such values
+# could not be printed back as decimal text anyway.
+_MAX_EXPONENT = 4300
+
+
 @dataclass(frozen=True)
 class ResistorParallel(MonoidSpec):
     """Parallel composition of resistors, carried as exact conductances."""
@@ -193,7 +199,7 @@ class ResistorParallel(MonoidSpec):
     def encode(self, value):
         if value is SHORT:
             return b"R!"
-        return b"R%d/%d" % (value.numerator, value.denominator)
+        return b"R%x/%x" % (value.numerator, value.denominator)
 
     def element_to_json(self, value):
         return {"r": self.resistance_str(value)}
@@ -201,10 +207,16 @@ class ResistorParallel(MonoidSpec):
     def element_from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) != {"r"} or not isinstance(obj["r"], str):
             raise SchemaError(f'resistor weight must be {{"r": "<value>"}}, got {obj!r}')
+        text = obj["r"]
         try:
-            return self.from_resistance(obj["r"])
+            _, e, exponent = text.lower().partition("e")
+            if e and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
+            value = self.from_resistance(text)
+            self.resistance_str(value)  # must print back within the int digit limit
         except (ValueError, ZeroDivisionError, MonoidMismatch) as exc:
-            raise SchemaError(f"bad resistance {obj['r']!r}: {exc}") from exc
+            raise SchemaError(f"bad resistance {text!r}: {exc}") from exc
+        return value
 
     def sample(self, rng):
         pool = ["inf", "inf", 10, 15, 20, 30, 60, Fraction(1, 3), Fraction(45, 2), 0]
@@ -249,7 +261,7 @@ class NaturalAdd(MonoidSpec):
         return str(value)
 
     def encode(self, value):
-        return b"N%d" % value
+        return b"N%x" % value
 
     def element_to_json(self, value):
         return {"n": value}
@@ -296,7 +308,7 @@ class NaturalMul(MonoidSpec):
         return str(value)
 
     def encode(self, value):
-        return b"M%d" % value
+        return b"M%x" % value
 
     def element_to_json(self, value):
         return {"n": value}
@@ -385,7 +397,8 @@ class FreeCommutative(MonoidSpec):
         return "{" + ",".join(f"{label}:{count}" for label, count in value) + "}"
 
     def encode(self, value):
-        return b"F" + ";".join(f"{label}={count}" for label, count in value).encode()
+        # repr quotes and escapes every label, so no label can imitate a separator
+        return b"F" + repr(value).encode()
 
     def element_to_json(self, value):
         return {"gens": {label: count for label, count in value}}
@@ -570,6 +583,8 @@ def spec_from_json(obj) -> MonoidSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(f"monoid spec must be an object with a 'kind', got {obj!r}")
     kind = obj["kind"]
+    if not isinstance(kind, str):
+        raise SchemaError(f"monoid 'kind' must be a string, got {kind!r}")
     if kind in _KINDS:
         return _KINDS[kind]()
     if kind == "free_commutative":

@@ -6,12 +6,18 @@ a monoid registry per ordered type pair, and for every ordered cell pair
 Absent pairs mean the identity ("no edge"); only non-identity entries are
 stored, so iteration over in-neighborhoods is proportional to the number
 of edges.
+
+The merged sums are stored once, as interned integer codes
+(``coding.CodedNetwork``): per row, the ascending source indices and the
+weight codes. Refinement, balance and quotients read the codes directly;
+the value-level queries below decode them.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 
+from .coding import CodedNetwork
 from .errors import MonoidMismatch, PartitionError, SchemaError
 from .monoid import MonoidRegistry, MonoidSpec, spec_from_json
 from .partition import Partition
@@ -28,16 +34,15 @@ class RowView:
 class Network:
     """Immutable weighted multi-edge network over a family of monoids."""
 
-    __slots__ = ("cells", "type_names", "cell_types", "registry", "_rows", "_index", "_coded")
+    __slots__ = ("cells", "type_names", "cell_types", "registry", "_index", "_coded")
 
-    def __init__(self, cells, type_names, cell_types, registry, rows):
+    def __init__(self, cells, type_names, cell_types, registry, view: CodedNetwork):
         self.cells: tuple[str, ...] = tuple(cells)
         self.type_names: tuple[str, ...] = tuple(type_names)
         self.cell_types: tuple[int, ...] = tuple(cell_types)  # 0-based indices
         self.registry: MonoidRegistry = registry
-        self._rows: tuple[dict[int, object], ...] = tuple(dict(r) for r in rows)
         self._index = {cell: i for i, cell in enumerate(self.cells)}
-        self._coded = None
+        self._coded = view
 
     @classmethod
     def build(cls, cells, cell_types, type_names, registry: MonoidRegistry, edges) -> "Network":
@@ -45,6 +50,8 @@ class Network:
 
         ``edges`` holds (target id, source id, weight) triples; repeated
         (target, source) pairs merge by the parallel sum of their monoid.
+        Each weight object is checked and interned once per type pair, so
+        edges that share one weight object cost a dictionary lookup.
         """
         cells = [str(c) for c in cells]
         if not cells:
@@ -66,33 +73,39 @@ class Network:
             type_idx.append(name_to_idx[tname])
 
         index = {cell: i for i, cell in enumerate(cells)}
-        rows: list[dict[int, object]] = [dict() for _ in cells]
+        view = CodedNetwork()
+        merge = view.merge
+        # (target type, source type, id(weight)) -> (weight, code); holding
+        # the weight keeps its id from being reused by a later edge's object.
+        accepted: dict[tuple[int, int, int], tuple[object, int]] = {}
+        rows: list[dict[int, int]] = [{} for _ in cells]
         for target, source, weight in edges:
-            if target not in index:
-                raise SchemaError(f"edge targets unknown cell {target!r}")
-            if source not in index:
-                raise SchemaError(f"edge comes from unknown cell {source!r}")
-            c, d = index[target], index[source]
-            spec = registry.get(type_idx[c], type_idx[d])
-            if spec is None:
-                raise SchemaError(
-                    f"no monoid registered for edges {type_names[type_idx[d]]!r} -> "
-                    f"{type_names[type_idx[c]]!r} (edge {source!r} -> {target!r})"
-                )
-            if not spec.contains(weight):
-                raise MonoidMismatch(
-                    f"edge {source!r} -> {target!r}: weight {weight!r} is not in "
-                    f"{spec.describe()}"
-                )
+            try:
+                c, d = index[target], index[source]
+            except KeyError:
+                if target not in index:
+                    raise SchemaError(f"edge targets unknown cell {target!r}") from None
+                raise SchemaError(f"edge comes from unknown cell {source!r}") from None
+            key = (type_idx[c], type_idx[d], id(weight))
+            hit = accepted.get(key)
+            if hit is None:
+                spec = registry.get(type_idx[c], type_idx[d])
+                if spec is None:
+                    raise SchemaError(
+                        f"no monoid registered for edges {type_names[type_idx[d]]!r} -> "
+                        f"{type_names[type_idx[c]]!r} (edge {source!r} -> {target!r})"
+                    )
+                if not spec.contains(weight):
+                    raise MonoidMismatch(
+                        f"edge {source!r} -> {target!r}: weight {weight!r} is not in "
+                        f"{spec.describe()}"
+                    )
+                hit = accepted[key] = (weight, view.code(spec, weight))
             row = rows[c]
-            if d in row:
-                row[d] = spec.combine(row[d], weight)
-            else:
-                row[d] = weight
-        for c, row in enumerate(rows):
-            for d in [d for d, w in row.items() if registry.require(type_idx[c], type_idx[d]).is_identity(w)]:
-                del row[d]  # merged to "no edge"
-        return cls(cells, type_names, type_idx, registry, rows)
+            prev = row.get(d)
+            row[d] = hit[1] if prev is None else merge(prev, hit[1])
+        view.set_rows(rows)  # parallel sums that merged to "no edge" are dropped
+        return cls(cells, type_names, type_idx, registry, view)
 
     # -- basic queries ------------------------------------------------------
 
@@ -115,15 +128,18 @@ class Network:
     def entry(self, target: str, source: str):
         """Merged weight from source into target; identity when no edge."""
         c, d = self.index(target), self.index(source)
-        row = self._rows[c]
-        if d in row:
-            return row[d]
+        srcs, codes = self._coded.rows[c]
+        if d in srcs:
+            return self._coded.values[codes[srcs.index(d)]]
         spec = self.spec_for(c, d)
         return spec.identity if spec is not None else None
 
     def row_items(self, c: int):
-        """Non-identity entries of row ``c`` as (source index, weight) pairs."""
-        return sorted(self._rows[c].items())
+        """Non-identity entries of row ``c`` as (source index, weight) pairs, sources ascending."""
+        view = self._coded
+        srcs, codes = view.rows[c]
+        values = view.values
+        return [(d, values[k]) for d, k in zip(srcs, codes)]
 
     def row_view(self, cell: str) -> RowView:
         c = self.index(cell)
@@ -131,11 +147,11 @@ class Network:
 
     def in_neighborhood(self, cell: str) -> set[str]:
         """Cells with a non-identity merged weight into ``cell``."""
-        c = self.index(cell)
-        return {self.cells[d] for d in self._rows[c]}
+        srcs, _ = self._coded.rows[self.index(cell)]
+        return {self.cells[d] for d in srcs}
 
     def edge_count(self) -> int:
-        return sum(len(r) for r in self._rows)
+        return self._coded.n_edges
 
     def type_partition(self) -> Partition:
         return Partition.from_colors(t + 1 for t in self.cell_types)
@@ -148,7 +164,7 @@ class Network:
             and self.type_names == other.type_names
             and self.cell_types == other.cell_types
             and self.registry == other.registry
-            and self._rows == other._rows
+            and all(self.row_items(c) == other.row_items(c) for c in range(self.n))
         )
 
     def __repr__(self):
@@ -166,7 +182,28 @@ def in_neighborhood(net: Network, cell: str) -> set[str]:
 #   "edges": [{"to","from","weight": <tagged element>}] }
 
 
+_EDGE_KEYS = {"to", "from", "weight"}
+
+
+def _edge_cell_error(pos: int, target, source, cell_type: dict):
+    """Raise the diagnostic for an edge endpoint that names no cell."""
+    for field, cell in (("to", target), ("from", source)):
+        if not isinstance(cell, str):
+            raise SchemaError(f"edges[{pos}].{field} must be a cell id, got {cell!r}")
+    if target not in cell_type:
+        raise SchemaError(f"edges[{pos}]: unknown target cell {target!r}")
+    raise SchemaError(f"edges[{pos}]: unknown source cell {source!r}")
+
+
 def network_from_json(obj) -> Network:
+    """Build a network from a loaded wire-format document.
+
+    Each distinct wire weight of a type pair is parsed and validated once:
+    the parsed element is cached under ``repr`` of the loaded JSON value,
+    which tells ``1``, ``1.0`` and ``true`` apart where ``==`` would not,
+    and repeats reuse the same element object. Invalid weights are never
+    cached, so each one is reported at its own edge.
+    """
     if not isinstance(obj, dict):
         raise SchemaError("network document must be a JSON object")
     for field in ("types", "cells", "monoids", "edges"):
@@ -188,6 +225,8 @@ def network_from_json(obj) -> Network:
             raise SchemaError(f"cells[{pos}] must be {{\"id\", \"type\"}}")
         if not isinstance(entry["id"], str) or not isinstance(entry["type"], str):
             raise SchemaError(f"cells[{pos}]: id and type must be strings")
+        if entry["type"] not in name_to_idx:
+            raise SchemaError(f"cells[{pos}]: unknown type {entry['type']!r}")
         cells.append(entry["id"])
         cell_types.append(entry["type"])
     if not cells:
@@ -203,6 +242,9 @@ def network_from_json(obj) -> Network:
             st = entry.pop("source_type")
         except KeyError as exc:
             raise SchemaError(f"monoids[{pos}] misses {exc.args[0]!r}") from None
+        for field, value in (("target_type", tt), ("source_type", st)):
+            if not isinstance(value, str):
+                raise SchemaError(f"monoids[{pos}].{field} must be a type name, got {value!r}")
         if tt not in name_to_idx or st not in name_to_idx:
             raise SchemaError(f"monoids[{pos}]: unknown type in pair ({tt!r}, {st!r})")
         pair = (name_to_idx[tt], name_to_idx[st])
@@ -214,27 +256,30 @@ def network_from_json(obj) -> Network:
             raise SchemaError(f"monoids[{pos}]: {exc}") from None
     registry = MonoidRegistry(table)
 
-    cell_pos = {cell: pos for pos, cell in enumerate(cells)}
+    cell_type = {cell: name_to_idx[t] for cell, t in zip(cells, cell_types)}
+    parsed: dict[tuple[int, int, str], object] = {}  # (type pair, repr of wire weight) -> element
     edges = []
     for pos, entry in enumerate(obj["edges"]):
-        if not isinstance(entry, dict) or set(entry) != {"to", "from", "weight"}:
+        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
             raise SchemaError(f"edges[{pos}] must be {{\"to\", \"from\", \"weight\"}}")
-        target, source = entry["to"], entry["from"]
-        if target not in cell_pos:
-            raise SchemaError(f"edges[{pos}]: unknown target cell {target!r}")
-        if source not in cell_pos:
-            raise SchemaError(f"edges[{pos}]: unknown source cell {source!r}")
-        t_name = cell_types[cell_pos[target]]
-        s_name = cell_types[cell_pos[source]]
-        spec = registry.get(name_to_idx[t_name], name_to_idx[s_name])
-        if spec is None:
-            raise SchemaError(
-                f"edges[{pos}]: no monoid declared for pair ({t_name!r}, {s_name!r})"
-            )
+        target, source, wire = entry["to"], entry["from"], entry["weight"]
         try:
-            weight = spec.element_from_json(entry["weight"])
-        except SchemaError as exc:
-            raise SchemaError(f"edges[{pos}].weight: {exc}") from None
+            i, j = cell_type[target], cell_type[source]
+        except (KeyError, TypeError):
+            _edge_cell_error(pos, target, source, cell_type)
+        key = (i, j, repr(wire))
+        weight = parsed.get(key)
+        if weight is None:
+            spec = registry.get(i, j)
+            if spec is None:
+                raise SchemaError(
+                    f"edges[{pos}]: no monoid declared for pair "
+                    f"({type_names[i]!r}, {type_names[j]!r})"
+                )
+            try:
+                weight = parsed[key] = spec.element_from_json(wire)
+            except SchemaError as exc:
+                raise SchemaError(f"edges[{pos}].weight: {exc}") from None
         edges.append((target, source, weight))
 
     return Network.build(cells, cell_types, type_names, registry, edges)
@@ -246,27 +291,28 @@ def parse_network(text: str) -> Network:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # over-long integer literal, too deep nesting
+        raise SchemaError(f"invalid JSON: {exc}") from None
     return network_from_json(obj)
 
 
 def network_to_json(net: Network) -> dict:
+    """The wire-format document; edges with equal weights share one weight object."""
     monoids = []
     for (i, j), spec in net.registry.pairs():
         entry = {"target_type": net.type_names[i], "source_type": net.type_names[j]}
         entry.update(spec.to_json())
         monoids.append(entry)
+    view = net._coded
+    wire: dict[int, object] = {}  # code -> its JSON form, built once per distinct code
     edges = []
-    for c in range(net.n):
-        i = net.cell_types[c]
-        for d, weight in net.row_items(c):
-            spec = net.registry.require(i, net.cell_types[d])
-            edges.append(
-                {
-                    "to": net.cells[c],
-                    "from": net.cells[d],
-                    "weight": spec.element_to_json(weight),
-                }
-            )
+    for c, (srcs, codes) in enumerate(view.rows):
+        target = net.cells[c]
+        for d, k in zip(srcs, codes):
+            weight = wire.get(k)
+            if weight is None:
+                weight = wire[k] = view.specs[k].element_to_json(view.values[k])
+            edges.append({"to": target, "from": net.cells[d], "weight": weight})
     return {
         "types": list(net.type_names),
         "cells": [

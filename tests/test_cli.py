@@ -239,3 +239,64 @@ def test_outputs_are_byte_deterministic(runner, net_file):
 def test_pretty_flag_indents(runner, net_file):
     result = invoke(runner, ["validate", "--pretty", net_file(make_triangle3())])
     assert result.stdout.startswith("{\n")
+
+
+# Documents that once crashed the parser with a TypeError (an unhashable
+# value used as a dict key) or a KeyError; each must be one schema error.
+_DOC = {
+    "types": ["t"],
+    "cells": [{"id": "a", "type": "t"}, {"id": "b", "type": "t"}],
+    "monoids": [{"target_type": "t", "source_type": "t", "kind": "natural_add"}],
+    "edges": [{"to": "a", "from": "b", "weight": {"n": 1}}],
+}
+
+
+def _schema_error(runner, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["validate", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "schema"
+    return err["detail"]
+
+
+def test_edge_to_list_is_schema_error(runner, tmp_path):
+    doc = dict(_DOC, edges=[{"to": ["a"], "from": "b", "weight": {"n": 1}}])
+    assert "edges[0].to" in _schema_error(runner, tmp_path, doc)
+
+
+def test_edge_from_object_is_schema_error(runner, tmp_path):
+    doc = dict(_DOC, edges=[{"to": "a", "from": {"id": "b"}, "weight": {"n": 1}}])
+    assert "edges[0].from" in _schema_error(runner, tmp_path, doc)
+
+
+def test_monoid_target_type_list_is_schema_error(runner, tmp_path):
+    doc = dict(_DOC, monoids=[{"target_type": ["t"], "source_type": "t", "kind": "natural_add"}])
+    assert "monoids[0].target_type" in _schema_error(runner, tmp_path, doc)
+
+
+def test_monoid_source_type_list_is_schema_error(runner, tmp_path):
+    doc = dict(_DOC, monoids=[{"target_type": "t", "source_type": [], "kind": "natural_add"}])
+    assert "monoids[0].source_type" in _schema_error(runner, tmp_path, doc)
+
+
+def test_monoid_kind_list_is_schema_error(runner, tmp_path):
+    doc = dict(_DOC, monoids=[{"target_type": "t", "source_type": "t", "kind": ["natural_add"]}])
+    detail = _schema_error(runner, tmp_path, doc)
+    assert "monoids[0]" in detail and "'kind'" in detail
+
+
+def test_cell_of_undeclared_type_with_edges_is_schema_error(runner, tmp_path):
+    doc = dict(_DOC, cells=[{"id": "a", "type": "t"}, {"id": "b", "type": "zz"}])
+    assert "cells[1]: unknown type 'zz'" in _schema_error(runner, tmp_path, doc)
+
+
+def test_unloadable_json_is_schema_error(runner, tmp_path):
+    for text in ("[" * 100_000, '{"n": 1' + "0" * 5000 + "}"):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = invoke(runner, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == "schema"

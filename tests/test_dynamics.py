@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corpus
 from synchro import (
     Coupling,
     DimensionMismatch,
@@ -19,6 +22,7 @@ from synchro import (
     WitnessError,
     admissible_eval,
     coupling_oracle,
+    enumerate_balanced,
     linear_oracle,
     linearity_check,
     oracle_consistency_check,
@@ -30,6 +34,7 @@ from synchro import (
     unbalance_witness,
 )
 from synchro.dynamics import Oracle, parse_oracle
+from synchro.partition import lift
 
 
 def unit_oracle(net):
@@ -184,6 +189,18 @@ class TestSimulation:
         for state in traj.states:
             assert state[0].hex() == state[1].hex()
 
+    def test_signed_zero_inputs_keep_bitwise_synchrony(self):
+        # a and b share a color, but a reads (0.0, -0.0) and b reads (-0.0, 0.0)
+        net = Network.build(
+            list("abpqrs"), ["t"] * 6, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1),
+            [("a", "p", 1), ("a", "q", 1), ("b", "r", 1), ("b", "s", 1)],
+        )
+        part = parse_partition("a,b;p,s;q,r", net.cells)
+        x0 = lift(part, [0.0, 0.0, -0.0])
+        traj = simulate_map(net, linear_oracle(net), x0, 1)
+        a, b = traj.states[1][0], traj.states[1][1]
+        assert a.hex() == b.hex()
+
     def test_ode_smoke_decays(self, triangle3):
         oracle = linear_oracle(triangle3)
         traj = simulate_ode(triangle3, oracle, [1.0, 2.0, 3.0], 5.0, 1e-2)
@@ -314,3 +331,39 @@ class TestPlumbing:
             parse_oracle('{"h": [{"target_type": "t", "source_type": "t", "kind": "??"}]}', triangle3)
         with pytest.raises(SchemaError):
             parse_oracle("not json", triangle3)
+
+
+# Finite doubles on which float arithmetic is least forgiving; signed
+# zeros are drawn half of the time, as they are what cells can disagree on.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1e-310,
+            1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]
+_STATES = st.sampled_from([0.0, -0.0]) | st.sampled_from(_SPECIAL)
+_LATTICES: dict = {}
+
+
+def _balanced_colorings(k):
+    if k not in _LATTICES:
+        net = corpus.corpus_networks()[k]
+        _LATTICES[k] = (net, enumerate_balanced(net).elements)
+    return _LATTICES[k]
+
+
+def _sign_oracle(net):
+    """Couples through the sign bit of each input state, so -0.0 and 0.0 differ."""
+    n_types = len(net.type_names)
+    sign = Coupling("custom", fn=lambda x, y: math.copysign(1.0, y))
+    return OracleSpec(net.registry, n_types, h={pair: sign for pair, _ in net.registry.pairs()})
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, corpus.CORPUS_SIZE - 1), st.data())
+def test_balanced_colorings_stay_bitwise_synchronous_on_special_states(k, data):
+    net, elements = _balanced_colorings(k)
+    values = data.draw(st.lists(_STATES, min_size=net.n, max_size=net.n))
+    oracles = (linear_oracle(net), _sign_oracle(net))
+    for part in elements:
+        x = lift(part, values[:part.rank])
+        for oracle in oracles:
+            first = {}
+            for color, value in zip(part.colors, admissible_eval(net, oracle, x)):
+                assert first.setdefault(color, value.hex()) == value.hex()

@@ -118,6 +118,10 @@ class TestFreeCommutative:
         right = open_free.from_counts({"a": 1, "bc": 1})
         assert left != right
         assert open_free.encode(left) != open_free.encode(right)
+        # a label that spells out a separator and a count
+        left = open_free.from_counts({"a=1;b": 1})
+        right = open_free.from_counts({"a": 1, "b": 1})
+        assert open_free.encode(left) != open_free.encode(right)
 
 
 class TestProduct:

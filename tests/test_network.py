@@ -1,15 +1,22 @@
 """Network construction, validation, serialization and DOT export."""
+import copy
+import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import corpus
+import corpus_noncancel
 
 from synchro import (
     MonoidMismatch,
     MonoidRegistry,
     NaturalAdd,
+    NaturalMul,
     Network,
     PartitionError,
     ResistorParallel,
@@ -19,6 +26,7 @@ from synchro import (
     parse_partition,
     serialize_network,
     to_dot,
+    top,
 )
 
 NA = NaturalAdd()
@@ -244,3 +252,158 @@ def test_row_view(triangle3):
     view = triangle3.row_view("3")
     assert view.cell == "3"
     assert view.entries == (("1", 1), ("2", 1), ("3", 1))
+
+
+# -- parse-time weight cache and coded storage --------------------------------
+
+
+def _doc(kind, weights):
+    """A 2-cell, 1-type document with one edge per weight."""
+    return {
+        "types": ["t"],
+        "cells": [{"id": "a", "type": "t"}, {"id": "b", "type": "t"}],
+        "monoids": [{"target_type": "t", "source_type": "t", **kind}],
+        "edges": [{"to": "a", "from": "b", "weight": w} for w in weights],
+    }
+
+
+_PAIR = {"kind": "product", "parts": [{"kind": "natural_add"}, {"kind": "natural_add"}]}
+
+
+@pytest.mark.parametrize(
+    "kind, valid, invalid",
+    [
+        ({"kind": "natural_add"}, {"n": 1}, {"n": True}),
+        ({"kind": "natural_add"}, {"n": 1}, {"n": 1.0}),
+        (_PAIR, {"tuple": [{"n": 1}, {"n": 1}]}, {"tuple": [{"n": 1}, {"n": True}]}),
+    ],
+)
+def test_weight_equal_to_a_cached_one_is_still_validated(kind, valid, invalid):
+    # {"n": true} and {"n": 1.0} are == and hash-equal to {"n": 1}
+    assert valid == invalid
+    with pytest.raises(SchemaError) as err:
+        parse_network(json.dumps(_doc(kind, [valid, valid, invalid, valid])))
+    assert str(err.value).startswith("edges[2].weight:")
+
+
+def test_build_from_generator_of_fresh_weights_equals_list_build():
+    cells = [str(i) for i in range(7)]
+    registry = MonoidRegistry.uniform(R, 1)
+
+    def edges():
+        for i in range(300):
+            # a fresh object per edge; freed ones may hand their id to the next
+            yield cells[i % 7], cells[(3 * i) % 7], Fraction(1, 1 + i % 5) + 0
+    built = Network.build(cells, ["t"] * 7, ["t"], registry, edges())
+    assert built == Network.build(cells, ["t"] * 7, ["t"], registry, list(edges()))
+    assert built.entry("0", "0") == sum(Fraction(1, 1 + i % 5) for i in range(0, 300, 7))
+
+
+def test_bool_weight_after_equal_int_is_rejected():
+    registry = MonoidRegistry.uniform(NA, 1)
+    with pytest.raises(MonoidMismatch):
+        Network.build(["a", "b"], ["t", "t"], ["t"], registry, [("a", "b", 1), ("b", "a", True)])
+
+
+def test_parallel_edges_summing_to_identity_vanish_from_codes():
+    registry = MonoidRegistry.uniform(NA, 1)
+    net = Network.build(["a", "b"], ["t", "t"], ["t"], registry, [("a", "b", 0), ("a", "b", 0)])
+    assert net.edge_count() == 0 and net.row_items(0) == []
+    assert net.entry("a", "b") == 0
+
+
+@pytest.mark.parametrize("r", ["1e5000", "1e-4300", "1e100000000", "1e" + "9" * 5000])
+def test_resistance_too_large_to_print_is_rejected_at_its_edge(r):
+    kind = {"kind": "resistor_parallel"}
+    with pytest.raises(SchemaError) as err:
+        parse_network(json.dumps(_doc(kind, [{"r": "30"}, {"r": r}])))
+    assert str(err.value).startswith("edges[1].weight: bad resistance")
+
+
+def test_integer_weights_beyond_the_decimal_digit_limit_are_interned():
+    big = 10**4000  # its square has more digits than int-to-str conversion allows
+    registry = MonoidRegistry.uniform(NaturalMul(), 1)
+    net = Network.build(["a", "b"], ["t", "t"], ["t"], registry,
+                        [("a", "b", big), ("a", "b", big), ("b", "a", big * big)])
+    assert net.entry("a", "b") == net.entry("b", "a")
+    assert top(net).rank == 1
+
+
+# sha256 over the compact serialization of each corpus network, one per
+# line; pinned so that a change of storage cannot change the wire text.
+_CORPUS_SERIALIZATION_SHA256 = {
+    "mixed": "944fd328d1ec336ea1cd30b5d07817d466a3f00a767d337835b3027877d50cee",
+    "noncancel": "1ac590c6546200e0b1f3fc07b63313e3caa881c16b971e6681e2f6fc4cdcaddb",
+}
+
+
+@pytest.mark.parametrize("name, nets", [
+    ("mixed", corpus.corpus_networks),
+    ("noncancel", corpus_noncancel.corpus_networks),
+])
+def test_corpus_round_trip_and_pinned_serialization(name, nets):
+    digest = hashlib.sha256()
+    for net in nets():
+        text = serialize_network(net)
+        assert parse_network(text) == net
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == _CORPUS_SERIALIZATION_SHA256[name]
+
+
+# -- parser fuzzing -------------------------------------------------------------
+
+_FUZZ_DOC = {
+    "types": ["t", "u"],
+    "cells": [{"id": "a", "type": "t"}, {"id": "b", "type": "t"}, {"id": "c", "type": "u"}],
+    "monoids": [
+        {"target_type": "t", "source_type": "t", "kind": "resistor_parallel"},
+        {"target_type": "t", "source_type": "u", "kind": "product",
+         "parts": [{"kind": "natural_add"}, {"kind": "free_commutative", "generators": ["x", "y"]}]},
+        {"target_type": "u", "source_type": "t", "kind": "with_annihilator",
+         "inner": {"kind": "natural_mul"}},
+    ],
+    "edges": [
+        {"to": "a", "from": "b", "weight": {"r": "30"}},
+        {"to": "a", "from": "b", "weight": {"r": "1/3"}},
+        {"to": "b", "from": "c", "weight": {"tuple": [{"n": 2}, {"gens": {"x": 1}}]}},
+        {"to": "c", "from": "a", "weight": {"annihilator": True}},
+        {"to": "c", "from": "b", "weight": {"n": 3}},
+    ],
+}
+
+
+def _fields(node, path=()):
+    """Paths to every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+_WORDS = st.sampled_from(["t", "u", "a", "c", "r", "n", "gens", "tuple", "kind", "natural_add",
+                          "product", "annihilator", "0", "inf", "1/0", "-1", "x"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False) | _WORDS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_WORDS | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def test_fuzz_document_is_valid():
+    assert parse_network(json.dumps(_FUZZ_DOC)).edge_count() == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_fields(_FUZZ_DOC))), _JSON)
+def test_parser_fuzz_returns_network_or_schema_error(path, value):
+    doc = copy.deepcopy(_FUZZ_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        net = parse_network(json.dumps(doc))
+    except SchemaError:
+        return
+    assert isinstance(net, Network)
