@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 
 import click
@@ -182,9 +181,8 @@ def quotient_command(partition_text, network_file, pretty):
 
 
 @main.command(name="lattice")
-@click.option("--budget", type=int, default=None,
-              help="Abort after this many balanced partitions "
-                   "(default SYNCHRO_BUDGET or 100000).")
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
+              help="Abort after this many balanced partitions.")
 @click.option("--dot", "as_dot", is_flag=True, help="Emit a Hasse diagram instead of JSON.")
 @click.argument("network_file")
 @_pretty
@@ -192,9 +190,6 @@ def quotient_command(partition_text, network_file, pretty):
 def lattice_command(budget, as_dot, network_file, pretty):
     """Enumerate every balanced partition and the refinement covers."""
     net = _load(network_file)
-    if budget is None:
-        env = os.environ.get("SYNCHRO_BUDGET", "")
-        budget = int(env) if env else DEFAULT_BUDGET
     lat = enumerate_balanced(net, budget=budget)
     if as_dot:
         click.echo(lattice_dot(lat, net.cells), nl=False)

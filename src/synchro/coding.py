@@ -1,11 +1,14 @@
 """Integer-coded storage of a network's merged weights.
 
-Every distinct (monoid, element) pair appearing in a network is interned
-to a dense integer code; code 0 always stands for "no edge", i.e. the
-identity of whichever monoid a signature slot lives in. Slots are only
-ever compared within one column of the weighted adjacency structure, and
-one column lives in one monoid, so sharing code 0 across monoids can
-never make unequal values look equal.
+Every distinct (spec, value) pair appearing in a network is interned to a
+dense integer code. The pool is a dictionary keyed on that pair itself:
+specs are frozen values that compare and hash structurally, and carrier
+values compare with exact monoid equality, so two weights share a code
+exactly when they are the same element of the same monoid. Code 0 always
+stands for "no edge", i.e. the identity of whichever monoid a signature
+slot lives in. Slots are only ever compared within one column of the
+weighted adjacency structure, and one column lives in one monoid, so
+sharing code 0 across monoids can never make unequal values look equal.
 
 Code equality is exactly element equality, which is what lets the hot
 refinement loop (and balance checking) run on plain ints. The pairwise
@@ -57,10 +60,16 @@ class CodedNetwork:
         self.n_edges = sum(len(srcs) for srcs, _ in self.rows)
 
     def code(self, spec, value) -> int:
-        """Intern a carrier value; identities of every monoid map to 0."""
+        """Intern a carrier value; identities of every monoid map to 0.
+
+        ``value`` must already be in the carrier of ``spec``: ``Network.build``
+        checks ``contains`` before it interns a weight, and combine results
+        stay in the carrier. Only then does ``==`` mean monoid equality (a
+        ``True`` would otherwise share the code of a ``1``).
+        """
         if value == spec.identity:
             return 0
-        key = (spec.key(), spec.encode(value))
+        key = (spec, value)
         code = self._pool.get(key)
         if code is None:
             code = len(self.values)

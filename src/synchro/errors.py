@@ -32,7 +32,7 @@ class NotBalancedError(SynchroError):
 
 
 class SizeLimitError(SynchroError):
-    """Exhaustive enumeration refused because the instance is too large."""
+    """Too large to handle: an exhaustive enumeration, or a weight too long to print."""
 
 
 class DimensionMismatch(SynchroError):

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MonoidMismatch, SchemaError
+from .errors import MonoidMismatch, SchemaError, SizeLimitError
 
 
 class _Short:
@@ -51,7 +52,12 @@ ANNIHILATOR = _Annihilator()
 
 
 class MonoidSpec:
-    """A computable commutative monoid: identity, combine, exact equality."""
+    """A computable commutative monoid: identity, combine, exact equality.
+
+    A spec is a hashable value: equal specs describe the same monoid. Its
+    carrier values are hashable too, and ``==`` on them is monoid equality,
+    so a weight is identified by the pair (spec, value) and nothing else.
+    """
 
     kind: str = "abstract"
 
@@ -91,18 +97,10 @@ class MonoidSpec:
         """The absorbing element, or None if this monoid has none."""
         return None
 
-    def key(self) -> tuple:
-        """Hashable canonical identity of the spec (equal specs share codes)."""
-        raise NotImplementedError
-
     def describe(self) -> str:
         return self.kind
 
     def display(self, value) -> str:
-        raise NotImplementedError
-
-    def encode(self, value) -> bytes:
-        """Canonical injective byte serialization, used as interning key."""
         raise NotImplementedError
 
     def element_to_json(self, value):
@@ -125,7 +123,7 @@ class MonoidSpec:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind}
 
     def __repr__(self):
         return self.describe()
@@ -139,6 +137,20 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise MonoidMismatch(f"cannot interpret {x!r} as an exact rational")
+
+
+def _natural_ok(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _printable(n: int) -> int:
+    """``n`` itself, or SizeLimitError if it has more decimal digits than Python prints."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+        raise SizeLimitError(
+            f"a {n.bit_length()}-bit weight has more than {limit} decimal digits to print"
+        )
+    return n
 
 
 # Wire resistances with a larger decimal exponent are refused before Fraction
@@ -183,23 +195,18 @@ class ResistorParallel(MonoidSpec):
         return Fraction(1) / r
 
     def resistance_str(self, value) -> str:
+        """The resistance as text; SizeLimitError if it has too many digits to print."""
         self.check(value)
         if value is SHORT:
             return "0"
         if value == 0:
             return "inf"
+        _printable(value.numerator)
+        _printable(value.denominator)
         return str(Fraction(1) / value)
-
-    def key(self):
-        return ("resistor_parallel",)
 
     def display(self, value):
         return self.resistance_str(value)
-
-    def encode(self, value):
-        if value is SHORT:
-            return b"R!"
-        return b"R%x/%x" % (value.numerator, value.denominator)
 
     def element_to_json(self, value):
         return {"r": self.resistance_str(value)}
@@ -214,7 +221,7 @@ class ResistorParallel(MonoidSpec):
                 raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
             value = self.from_resistance(text)
             self.resistance_str(value)  # must print back within the int digit limit
-        except (ValueError, ZeroDivisionError, MonoidMismatch) as exc:
+        except (ValueError, ZeroDivisionError, MonoidMismatch, SizeLimitError) as exc:
             raise SchemaError(f"bad resistance {text!r}: {exc}") from exc
         return value
 
@@ -230,16 +237,27 @@ class ResistorParallel(MonoidSpec):
 
         return kappa
 
-    def to_json(self):
-        return {"kind": self.kind}
 
+class _Natural(MonoidSpec):
+    """The ``{"n": <int >= 0>}`` codec shared by both natural-number monoids."""
 
-def _natural_ok(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    def contains(self, value):
+        return _natural_ok(value)
+
+    def display(self, value):
+        return str(_printable(value))
+
+    def element_to_json(self, value):
+        return {"n": _printable(value)}
+
+    def element_from_json(self, obj):
+        if not isinstance(obj, dict) or set(obj) != {"n"} or not _natural_ok(obj["n"]):
+            raise SchemaError(f'natural weight must be {{"n": <int >= 0>}}, got {obj!r}')
+        return obj["n"]
 
 
 @dataclass(frozen=True)
-class NaturalAdd(MonoidSpec):
+class NaturalAdd(_Natural):
     """Nonnegative integers under addition; 0 means no edge."""
 
     kind = "natural_add"
@@ -248,28 +266,8 @@ class NaturalAdd(MonoidSpec):
     def identity(self):
         return 0
 
-    def contains(self, value):
-        return _natural_ok(value)
-
     def _combine(self, a, b):
         return a + b
-
-    def key(self):
-        return ("natural_add",)
-
-    def display(self, value):
-        return str(value)
-
-    def encode(self, value):
-        return b"N%x" % value
-
-    def element_to_json(self, value):
-        return {"n": value}
-
-    def element_from_json(self, obj):
-        if not isinstance(obj, dict) or set(obj) != {"n"} or not _natural_ok(obj["n"]):
-            raise SchemaError(f'natural weight must be {{"n": <int >= 0>}}, got {obj!r}')
-        return obj["n"]
 
     def sample(self, rng):
         return rng.randrange(0, 9)
@@ -277,12 +275,9 @@ class NaturalAdd(MonoidSpec):
     def default_kappa(self):
         return float
 
-    def to_json(self):
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
-class NaturalMul(MonoidSpec):
+class NaturalMul(_Natural):
     """Nonnegative integers under multiplication; the identity is 1."""
 
     kind = "natural_mul"
@@ -291,32 +286,12 @@ class NaturalMul(MonoidSpec):
     def identity(self):
         return 1
 
-    def contains(self, value):
-        return _natural_ok(value)
-
     def _combine(self, a, b):
         return a * b
 
     @property
     def annihilator(self):
         return 0
-
-    def key(self):
-        return ("natural_mul",)
-
-    def display(self, value):
-        return str(value)
-
-    def encode(self, value):
-        return b"M%x" % value
-
-    def element_to_json(self, value):
-        return {"n": value}
-
-    def element_from_json(self, obj):
-        if not isinstance(obj, dict) or set(obj) != {"n"} or not _natural_ok(obj["n"]):
-            raise SchemaError(f'natural weight must be {{"n": <int >= 0>}}, got {obj!r}')
-        return obj["n"]
 
     def sample(self, rng):
         return rng.choice([0, 1, 1, 2, 2, 3, 5, 7])
@@ -328,9 +303,6 @@ class NaturalMul(MonoidSpec):
             return math.log(value)
 
         return kappa
-
-    def to_json(self):
-        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -383,9 +355,6 @@ class FreeCommutative(MonoidSpec):
         self.check(value)
         return value
 
-    def key(self):
-        return ("free_commutative", self.generators)
-
     def describe(self):
         if self.generators is None:
             return "free_commutative"
@@ -394,14 +363,10 @@ class FreeCommutative(MonoidSpec):
     def display(self, value):
         if not value:
             return "{}"
-        return "{" + ",".join(f"{label}:{count}" for label, count in value) + "}"
-
-    def encode(self, value):
-        # repr quotes and escapes every label, so no label can imitate a separator
-        return b"F" + repr(value).encode()
+        return "{" + ",".join(f"{label}:{_printable(count)}" for label, count in value) + "}"
 
     def element_to_json(self, value):
-        return {"gens": {label: count for label, count in value}}
+        return {"gens": {label: _printable(count) for label, count in value}}
 
     def element_from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) != {"gens"} or not isinstance(obj["gens"], dict):
@@ -459,18 +424,11 @@ class ProductMonoid(MonoidSpec):
     def _combine(self, a, b):
         return tuple(p._combine(x, y) for p, x, y in zip(self.parts, a, b))
 
-    def key(self):
-        return ("product", tuple(p.key() for p in self.parts))
-
     def describe(self):
         return "product(" + ", ".join(p.describe() for p in self.parts) + ")"
 
     def display(self, value):
         return "(" + ", ".join(p.display(v) for p, v in zip(self.parts, value)) + ")"
-
-    def encode(self, value):
-        inner = b",".join(p.encode(v) for p, v in zip(self.parts, value))
-        return b"P(" + inner + b")"
 
     def element_to_json(self, value):
         return {"tuple": [p.element_to_json(v) for p, v in zip(self.parts, value)]}
@@ -526,9 +484,6 @@ class WithAnnihilator(MonoidSpec):
     def annihilator(self):
         return ANNIHILATOR
 
-    def key(self):
-        return ("with_annihilator", self.inner.key())
-
     def describe(self):
         return f"with_annihilator({self.inner.describe()})"
 
@@ -537,18 +492,15 @@ class WithAnnihilator(MonoidSpec):
             return "annihilator"
         return self.inner.display(value)
 
-    def encode(self, value):
-        if value is ANNIHILATOR:
-            return b"A!"
-        return b"A" + self.inner.encode(value)
-
     def element_to_json(self, value):
         if value is ANNIHILATOR:
             return {"annihilator": True}
         return self.inner.element_to_json(value)
 
     def element_from_json(self, obj):
-        if isinstance(obj, dict) and obj.get("annihilator") is True:
+        if isinstance(obj, dict) and "annihilator" in obj:
+            if obj.keys() != {"annihilator"} or obj["annihilator"] is not True:
+                raise SchemaError(f'annihilator weight must be {{"annihilator": true}}, got {obj!r}')
             return ANNIHILATOR
         return self.inner.element_from_json(obj)
 
@@ -576,6 +528,13 @@ _KINDS = {
     "natural_add": NaturalAdd,
     "natural_mul": NaturalMul,
 }
+# The keys each kind's JSON form may hold besides "kind".
+_PARAMS = {
+    **dict.fromkeys(_KINDS, frozenset()),
+    "free_commutative": {"generators"},
+    "product": {"parts"},
+    "with_annihilator": {"inner"},
+}
 
 
 def spec_from_json(obj) -> MonoidSpec:
@@ -585,6 +544,13 @@ def spec_from_json(obj) -> MonoidSpec:
     kind = obj["kind"]
     if not isinstance(kind, str):
         raise SchemaError(f"monoid 'kind' must be a string, got {kind!r}")
+    if kind not in _PARAMS:
+        raise SchemaError(f"unknown monoid kind {kind!r}")
+    extra = obj.keys() - _PARAMS[kind] - {"kind"}
+    if extra:
+        raise SchemaError(
+            f"unexpected key(s) {', '.join(sorted(map(repr, extra)))} for monoid kind {kind!r}"
+        )
     if kind in _KINDS:
         return _KINDS[kind]()
     if kind == "free_commutative":
@@ -599,11 +565,9 @@ def spec_from_json(obj) -> MonoidSpec:
         if not isinstance(parts, list) or not parts:
             raise SchemaError("product monoid needs a nonempty 'parts' list")
         return ProductMonoid(tuple(spec_from_json(p) for p in parts))
-    if kind == "with_annihilator":
-        if "inner" not in obj:
-            raise SchemaError("with_annihilator monoid needs an 'inner' spec")
-        return WithAnnihilator(spec_from_json(obj["inner"]))
-    raise SchemaError(f"unknown monoid kind {kind!r}")
+    if "inner" not in obj:
+        raise SchemaError("with_annihilator monoid needs an 'inner' spec")
+    return WithAnnihilator(spec_from_json(obj["inner"]))
 
 
 def combine(spec: MonoidSpec, a, b):
@@ -711,9 +675,7 @@ class MonoidRegistry:
     def __eq__(self, other):
         if not isinstance(other, MonoidRegistry):
             return NotImplemented
-        mine = {pair: spec.key() for pair, spec in self._table.items()}
-        theirs = {pair: spec.key() for pair, spec in other._table.items()}
-        return mine == theirs
+        return self._table == other._table
 
     def __repr__(self):
         inner = ", ".join(f"{pair}: {spec.describe()}" for pair, spec in self.pairs())

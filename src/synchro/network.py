@@ -119,9 +119,6 @@ class Network:
         except KeyError:
             raise SchemaError(f"unknown cell {cell!r}") from None
 
-    def type_pair(self, c: int, d: int) -> tuple[int, int]:
-        return self.cell_types[c], self.cell_types[d]
-
     def spec_for(self, c: int, d: int) -> MonoidSpec | None:
         return self.registry.get(self.cell_types[c], self.cell_types[d])
 

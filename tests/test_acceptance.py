@@ -7,14 +7,17 @@ import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import corpus
 from conftest import make_chain3, make_resistor6, make_triangle3
 from synchro import (
     FreeCommutative,
+    MonoidRegistry,
     NaturalAdd,
     NaturalMul,
+    Network,
     Partition,
     ProductMonoid,
     ResistorParallel,
@@ -38,7 +41,6 @@ from synchro import (
     simulate_map,
     unbalance_witness,
 )
-from synchro.benchmark import complexity_suite, report_lines
 
 R = ResistorParallel()
 
@@ -263,10 +265,22 @@ def test_criterion_9_witness_soundness():
 
 
 def test_criterion_10_complexity_smoke():
-    report = complexity_suite(sizes=(64, 128, 256, 512, 1024))
-    for line in report_lines(report):
-        print("   ", line)
-    assert all(run.matches_model for run in report.runs), "per-sweep count drifted"
-    assert report.slope <= 3.2, f"super-cubic trend: slope {report.slope:.3f}"
-    _passed(10, f"slope {report.slope:.3f} <= 3.2, "
-                "per-sweep counts equal |C| + |E|")
+    """The unit-weight directed chain refined from one color peels off one
+    cell per sweep, the most sweeps the convergence bound allows; each
+    sweep must cost exactly |C| + |E| and the total must grow at most
+    cubically."""
+    sizes = (64, 128, 256, 512, 1024)
+    totals = []
+    for n in sizes:
+        cells = [str(i) for i in range(1, n + 1)]
+        edges = [(cells[i + 1], cells[i], 1) for i in range(n - 1)]
+        net = Network.build(cells, ["cell"] * n, ["cell"],
+                            MonoidRegistry.uniform(NaturalAdd(), 1), edges)
+        trace = cir(net, Partition.single(n))
+        sweeps = len(trace.iterations)
+        assert trace.ops == (net.n + net.edge_count(),) * sweeps, "per-sweep count drifted"
+        totals.append(trace.total_ops)
+        print(f"    size {n:>5}  sweeps {sweeps:>5}  total ops {trace.total_ops:>9}")
+    slope = float(np.polyfit(np.log(sizes), np.log(totals), 1)[0])
+    assert slope <= 3.2, f"super-cubic trend: slope {slope:.3f}"
+    _passed(10, f"slope {slope:.3f} <= 3.2, per-sweep counts equal |C| + |E|")

@@ -148,15 +148,6 @@ def test_lattice_budget_exceeded(runner, tmp_path):
     assert err["error"] == "budget_exceeded"
 
 
-def test_lattice_budget_env_override(runner, net_file, monkeypatch):
-    monkeypatch.setenv("SYNCHRO_BUDGET", "1")
-    result = CliRunner().invoke(
-        main, ["lattice", net_file(make_resistor6())]
-    )
-    assert result.exit_code == 1
-    assert json.loads(result.stderr)["error"] == "budget_exceeded"
-
-
 def test_simulate_map_csv(runner, net_file, tmp_path):
     oracle = tmp_path / "oracle.json"
     oracle.write_text("{}")  # defaults: no internal dynamics, raw count kappa
@@ -300,3 +291,46 @@ def test_unloadable_json_is_schema_error(runner, tmp_path):
         result = invoke(runner, ["validate", str(path)])
         assert result.exit_code == 2
         assert json.loads(result.stderr)["error"] == "schema"
+
+
+def test_monoid_spec_with_a_foreign_key_is_schema_error(runner, tmp_path):
+    for spec in ({"kind": "free_commutative", "generator": ["x"]},
+                 {"kind": "natural_add", "bogus": 1}):
+        doc = dict(_DOC, monoids=[{"target_type": "t", "source_type": "t", **spec}])
+        assert _schema_error(runner, tmp_path, doc).startswith("monoids[0]: unexpected key(s)")
+
+
+def test_annihilator_weight_with_extra_keys_is_schema_error(runner, tmp_path):
+    doc = dict(
+        _DOC,
+        monoids=[{"target_type": "t", "source_type": "t", "kind": "with_annihilator",
+                  "inner": {"kind": "natural_add"}}],
+        edges=[{"to": "a", "from": "b", "weight": {"annihilator": True, "n": 5}}],
+    )
+    assert _schema_error(runner, tmp_path, doc).startswith("edges[0].weight:")
+
+
+# Two parallel NaturalMul edges of weight 10**4000 merge to 10**8000, which
+# has more digits than Python prints; every command that prints the merged
+# weight must end in one domain error.
+_HUGE = dict(
+    _DOC,
+    monoids=[{"target_type": "t", "source_type": "t", "kind": "natural_mul"}],
+    edges=[{"to": "a", "from": "b", "weight": {"n": 10**4000}}] * 2
+    + [{"to": "b", "from": "a", "weight": {"n": 2}}],
+)
+
+
+@pytest.mark.parametrize("args", [
+    ["quotient", "-p", "a;b"],
+    ["dot"],
+    ["witness", "-p", "a,b"],
+])
+def test_weight_too_long_to_print_is_domain_error(runner, tmp_path, args):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_HUGE))
+    assert invoke(runner, ["validate", str(path)]).exit_code == 0
+    result = invoke(runner, args + [str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "domain"

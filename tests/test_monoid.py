@@ -1,5 +1,6 @@
 """Algebraic laws and the concrete weight monoids."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from synchro import (
     monoid_sum,
     product_monoid,
 )
+from synchro.coding import CodedNetwork
 
 R = ResistorParallel()
 NA = NaturalAdd()
@@ -111,18 +113,6 @@ class TestFreeCommutative:
     def test_open_alphabet(self):
         anything = FreeCommutative()
         assert anything.from_counts({"weird-label": 2})[0] == ("weird-label", 2)
-
-    def test_encoding_tells_apart_label_splits(self):
-        open_free = FreeCommutative()
-        left = open_free.from_counts({"ab": 1, "c": 1})
-        right = open_free.from_counts({"a": 1, "bc": 1})
-        assert left != right
-        assert open_free.encode(left) != open_free.encode(right)
-        # a label that spells out a separator and a count
-        left = open_free.from_counts({"a=1;b": 1})
-        right = open_free.from_counts({"a": 1, "b": 1})
-        assert open_free.encode(left) != open_free.encode(right)
-
 
 class TestProduct:
     def test_componentwise(self):
@@ -277,3 +267,54 @@ def test_default_kappa_is_additive_where_finite():
     assert kappa(R.identity) == 0.0
     kmul = NM.default_kappa()
     assert math.isclose(kmul(6), kmul(2) + kmul(3), rel_tol=1e-12)
+
+
+def test_codes_tell_apart_label_splits():
+    pool = CodedNetwork()
+    open_free = FreeCommutative()
+    for left, right in [
+        ({"ab": 1, "c": 1}, {"a": 1, "bc": 1}),
+        ({"a=1;b": 1}, {"a": 1, "b": 1}),  # a label spelling out a separator and a count
+    ]:
+        left, right = open_free.from_counts(left), open_free.from_counts(right)
+        assert left != right
+        assert pool.code(open_free, left) != pool.code(open_free, right)
+
+
+def test_equal_values_under_different_specs_get_different_codes():
+    pool = CodedNetwork()
+    assert pool.code(NA, 3) != pool.code(NM, 3)
+    value = (("a", 1),)
+    assert pool.code(FreeCommutative(), value) != pool.code(FreeCommutative(("a",)), value)
+    # equal but distinct spec objects share codes
+    assert pool.code(FreeCommutative(("b", "a")), value) == pool.code(FreeCommutative(("a", "b")), value)
+    assert pool.code(ProductMonoid((NaturalAdd(),)), (3,)) == pool.code(ProductMonoid((NA,)), (3,))
+
+
+_CODE_SPECS = ALL_SPECS + [
+    FreeCommutative(),
+    WithAnnihilator(NaturalMul()),
+    WithAnnihilator(ResistorParallel()),
+    ProductMonoid((ResistorParallel(), WithAnnihilator(NaturalAdd()), FreeCommutative())),
+]
+
+
+@pytest.mark.parametrize("spec", _CODE_SPECS, ids=lambda s: s.describe())
+def test_codes_are_exactly_element_equality(spec):
+    rng = random.Random(7)
+    samples = [spec.sample(rng) for _ in range(60)]
+    pool = CodedNetwork()
+    codes = [pool.code(spec, v) for v in samples]
+    for a, ca in zip(samples, codes):
+        for b, cb in zip(samples, codes):
+            assert (ca == cb) == (a == b), (a, b)
+    assert pool.code(spec, spec.identity) == 0
+
+
+def test_registry_equality_compares_specs_by_value():
+    table = {(0, 0): WithAnnihilator(FreeCommutative(("b", "a"))), (0, 1): ProductMonoid((R,))}
+    twin = {(0, 0): WithAnnihilator(FreeCommutative(("a", "b"))), (0, 1): ProductMonoid((ResistorParallel(),))}
+    assert MonoidRegistry(table) == MonoidRegistry(twin)
+    assert MonoidRegistry({(0, 0): NA}) != MonoidRegistry({(0, 0): NM})
+    assert MonoidRegistry({(0, 0): FreeCommutative()}) != MonoidRegistry({(0, 0): FreeCommutative(("a",))})
+    assert MonoidRegistry({(0, 0): NA}) != MonoidRegistry({(0, 1): NA})

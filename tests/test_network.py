@@ -13,6 +13,7 @@ import corpus
 import corpus_noncancel
 
 from synchro import (
+    FreeCommutative,
     MonoidMismatch,
     MonoidRegistry,
     NaturalAdd,
@@ -21,6 +22,7 @@ from synchro import (
     PartitionError,
     ResistorParallel,
     SchemaError,
+    SizeLimitError,
     in_neighborhood,
     parse_network,
     parse_partition,
@@ -196,6 +198,32 @@ def test_parse_rejects_unknown_monoid_kind():
     assert "mystery" in str(err.value)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "free_commutative", "generator": ["x"]},
+    {"kind": "natural_add", "bogus": 1},
+    {"kind": "resistor_parallel", "generators": []},
+    {"kind": "product", "parts": [{"kind": "natural_mul", "inner": {"kind": "natural_add"}}]},
+    {"kind": "with_annihilator", "inner": {"kind": "natural_add"}, "parts": []},
+])
+def test_monoid_specs_accept_only_their_own_keys(spec):
+    with pytest.raises(SchemaError) as err:
+        parse_network(json.dumps(_doc(spec, [])))
+    assert str(err.value).startswith("monoids[0]: unexpected key(s)")
+
+
+@pytest.mark.parametrize("weight", [
+    {"annihilator": True, "n": 5},
+    {"annihilator": 1},
+    {"annihilator": False},
+])
+def test_annihilator_weight_is_exactly_the_tag(weight):
+    kind = {"kind": "with_annihilator", "inner": {"kind": "natural_add"}}
+    assert parse_network(json.dumps(_doc(kind, [{"annihilator": True}]))).edge_count() == 1
+    with pytest.raises(SchemaError) as err:
+        parse_network(json.dumps(_doc(kind, [{"annihilator": True}, weight])))
+    assert str(err.value).startswith("edges[1].weight: annihilator weight must be")
+
+
 def test_wire_format_keys_are_exact(triangle3):
     doc = json.loads(serialize_network(triangle3))
     assert set(doc) == {"types", "cells", "monoids", "edges"}
@@ -327,6 +355,26 @@ def test_integer_weights_beyond_the_decimal_digit_limit_are_interned():
                         [("a", "b", big), ("a", "b", big), ("b", "a", big * big)])
     assert net.entry("a", "b") == net.entry("b", "a")
     assert top(net).rank == 1
+
+
+def _coprime_ohms():
+    """Two coprime resistances of about 2200 digits: their parallel sum
+    has a numerator of about 4400 digits, past the int-to-str limit."""
+    r = 10**2200 + 1
+    return str(r), str(r + 1)
+
+
+@pytest.mark.parametrize("spec, weights", [
+    (NaturalMul(), [10**4000, 10**4000]),
+    (R, [R.from_resistance(r) for r in _coprime_ohms()]),
+    (FreeCommutative(), [(("x", 10**4300 - 1),)] * 2),  # the largest count JSON loads, doubled
+])
+def test_merged_weight_too_long_to_print_raises_size_limit(spec, weights):
+    registry = MonoidRegistry.uniform(spec, 1)
+    net = Network.build(["a", "b"], ["t", "t"], ["t"], registry, [("a", "b", w) for w in weights])
+    for render in (serialize_network, to_dot):
+        with pytest.raises(SizeLimitError):
+            render(net)
 
 
 # sha256 over the compact serialization of each corpus network, one per
