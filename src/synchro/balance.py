@@ -55,17 +55,21 @@ def _color_types(net: Network, partition: Partition) -> list[int]:
     return first  # type: ignore[return-value]
 
 
+def _row_values(net: Network, colors, ctypes: list[int], row: int) -> tuple:
+    """Per-color sums of one row as carrier values, given the colors' types."""
+    view = coded(net)
+    codes = view.row_sums(colors, row)
+    i = net.cell_types[row]
+    return tuple(
+        view.decode(codes.get(k + 1, 0), net.registry.get(i, t)) for k, t in enumerate(ctypes)
+    )
+
+
 def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature:
     """The per-color weight sums of one row; the trivial coloring gives the row itself."""
     _require_below_types(net, partition)
-    view = coded(net)
     row = net.index(cell)
-    codes = view.row_sums(partition.colors, row)
-    ctypes = _color_types(net, partition)
-    i = net.cell_types[row]
-    sums = tuple(
-        view.decode(codes.get(k + 1, 0), net.registry.get(i, t)) for k, t in enumerate(ctypes)
-    )
+    sums = _row_values(net, partition.colors, _color_types(net, partition), row)
     return RowSignature(cell=cell, owner_color=partition.colors[row], sums=sums)
 
 
@@ -132,13 +136,13 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
 def quotient_relation_holds(net: Network, qres: QuotientResult) -> bool:
     """Entrywise check that every cell's sum vector equals its color's quotient row."""
     partition = qres.relation
+    _require_below_types(net, partition)
+    ctypes = _color_types(net, partition)
     q = qres.quotient
-    for idx, cell in enumerate(net.cells):
-        sig = row_signature(net, partition, cell)
-        k = partition.colors[idx]
-        for l in range(partition.rank):
+    for idx, k in enumerate(partition.colors):
+        sums = _row_values(net, partition.colors, ctypes, idx)
+        for l, got in enumerate(sums):
             expected = q.entry(qres.color_cells[k - 1], qres.color_cells[l])
-            got = sig.sums[l]
             if not (expected == got or (expected is None and got is None)):
                 return False
     return True

@@ -479,7 +479,7 @@ def quotient_match(
         red_arr = _integrate_rk4(qres.quotient, oracle, reduced0, horizon, dt)
     else:
         raise ValueError(f"mode must be 'map' or 'ode', got {mode!r}")
-    lift_idx = partition.as_array0()
+    lift_idx = [c - 1 for c in partition.colors]
     return float(np.max(np.abs(full_arr - red_arr[:, lift_idx])))
 
 

@@ -32,7 +32,8 @@ class NotBalancedError(SynchroError):
 
 
 class SizeLimitError(SynchroError):
-    """Too large to handle: an exhaustive enumeration, or a weight too long to print."""
+    """Too large to handle: an exhaustive enumeration, or a weight too long to
+    print or beyond the float range."""
 
 
 class DimensionMismatch(SynchroError):

@@ -4,17 +4,15 @@ All balanced colorings of a network form a lattice under refinement. The
 join merges classes through chains across the two inputs (a union-find
 pass) and is provably balanced; the meet refines the common refinement of
 the inputs back to a balanced coloring. Enumeration walks down from the
-maximal balanced partition, refining every single-class bipartition --
-exhaustive search over all set partitions is kept as the oracle for small
-instances.
+maximal balanced partition, refining every single-class bipartition, and
+reads the cover relation off the same walk -- exhaustive search over all
+set partitions is kept as the oracle for small instances.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
 
 from .balance import is_balanced
 from .cir import _converge, _sweep, top
@@ -118,33 +116,31 @@ def brute_force_balanced(net: Network, limit: int = 12) -> set[Partition]:
     return balanced
 
 
-def _bipartitions(cls: list[int]):
-    """The 2^(k-1) - 1 proper two-way splits of one class."""
-    k = len(cls)
-    for mask in range(1, 1 << (k - 1)):
-        left, right = [cls[0]], []
-        for pos in range(1, k):
-            if mask & (1 << (pos - 1)):
-                right.append(cls[pos])
-            else:
-                left.append(cls[pos])
-        yield left, right
+def _split_seeds(parent: tuple[int, ...]):
+    """``parent`` with one class split in two, as (colors, rank) seeds.
 
-
-def _split_seeds(parents):
-    """Every parent with one class split in two, as (colors, rank) seeds.
-
-    The split-off part takes the fresh color rank + 1; the seeds only feed
-    the refinement, which is indifferent to how colors are labelled.
+    Each class of size k gives its 2^(k-1) - 1 proper splits. The split-off
+    part never holds the class's first cell and takes the fresh color
+    rank + 1; the refinement these seeds feed ignores how colors are labelled.
     """
-    for parent in parents:
-        rank = max(parent)
-        for cls in Partition._from_canonical(parent).classes():
-            for _, right in _bipartitions(cls):
-                seed = list(parent)
-                for idx in right:
+    rank = max(parent)
+    for cls in Partition._from_canonical(parent).classes():
+        for mask in range(1, 1 << (len(cls) - 1)):
+            seed = list(parent)
+            for pos, idx in enumerate(cls[1:]):
+                if mask >> pos & 1:
                     seed[idx] = rank + 1
-                yield seed, rank + 1
+            yield seed, rank + 1
+
+
+def _lower_covers(results: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The maximal colorings in ``results``: those no other one is coarser than."""
+    kept: list[tuple[int, Partition]] = []
+    for rank, colors in sorted((max(c), c) for c in results):
+        q = Partition._from_canonical(colors)
+        if not any(r < rank and is_finer(q, m) for r, m in kept):
+            kept.append((rank, q))
+    return [q.colors for _, q in kept]
 
 
 @dataclass(frozen=True)
@@ -161,69 +157,51 @@ class BalancedLattice:
         return partition in set(self.elements)
 
 
-COVER_LIMIT = 4096
-
-
-def _hasse_covers(elements: list[Partition]) -> list[tuple[int, int]]:
-    """Cover pairs (finer index, coarser index) of the refinement order.
-
-    Left empty above COVER_LIMIT elements: the quadratic order relation and
-    its transitive reduction stop being worth computing for lattices nobody
-    can draw anyway.
-    """
-    n = len(elements)
-    if n <= 1 or n > COVER_LIMIT:
-        return []
-    size = len(elements[0])
-    mat = np.asarray([p.colors for p in elements], dtype=np.int32)
-    below = np.zeros((n, n), dtype=bool)
-    for i, p in enumerate(elements):
-        first: dict[int, int] = {}
-        rep = [0] * size
-        for c, color in enumerate(p.colors):
-            if color not in first:
-                first[color] = c
-            rep[c] = first[color]
-        # i is finer than j iff partition j is constant on every class of i
-        below[i] = (mat == mat[:, rep]).all(axis=1)
-    np.fill_diagonal(below, False)
-    reach = below.astype(np.float32)
-    two_step = (reach @ reach) > 0.5
-    covers = below & ~two_step
-    return [(int(i), int(j)) for i, j in np.argwhere(covers)]
-
-
 def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLattice:
     """Walk the lattice top-down by splitting one class at a time.
 
     Every child of a known balanced partition is seeded as "split one class
     in two, keep the rest" and refined back to balanced; repeating to a
-    fixed point finds the whole lattice. A budget guards the worst case
-    where essentially every partition is balanced; exceeding it returns the
-    partial set flagged ``complete=False``.
+    fixed point finds the whole lattice. Every lower cover of an element is
+    the refinement of one of its seeds, so its covers are the maximal
+    results of its seeds. A budget guards the worst case where essentially
+    every partition is balanced; exceeding it returns the partial set
+    flagged ``complete=False``, with the covers of those elements whose
+    seeds all ran.
     """
     view = coded(net)
     maximal = top(net)
     seen: set[tuple[int, ...]] = {maximal.colors}
+    below: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # element -> its seeds' results
     frontier = [maximal.colors]
     complete = True
     while frontier and complete:
         next_frontier = []
-        for seed, rank in _split_seeds(frontier):
-            found = _converge(view, seed, rank)
-            if found in seen:
-                continue
-            seen.add(found)
-            next_frontier.append(found)
-            if len(seen) > budget:
-                complete = False
+        for parent in frontier:
+            results = set()
+            for seed, rank in _split_seeds(parent):
+                found = _converge(view, seed, rank)
+                results.add(found)
+                if found in seen:
+                    continue
+                seen.add(found)
+                next_frontier.append(found)
+                if len(seen) > budget:
+                    complete = False
+                    break
+            if not complete:
                 break
+            below[parent] = results
         frontier = next_frontier
 
-    elements = [Partition._from_canonical(c) for c in sorted(seen, key=lambda c: (max(c), c))]
+    order = sorted(seen, key=lambda c: (max(c), c))
+    index = {c: i for i, c in enumerate(order)}
+    covers = sorted(
+        (index[q], index[p]) for p, results in below.items() for q in _lower_covers(results)
+    )
     return BalancedLattice(
-        elements=tuple(elements),
-        covers=tuple(_hasse_covers(elements)),
+        elements=tuple(Partition._from_canonical(c) for c in order),
+        covers=tuple(covers),
         top=maximal,
         bottom=Partition.trivial(net.n),
         complete=complete,

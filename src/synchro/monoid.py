@@ -153,6 +153,14 @@ def _printable(n: int) -> int:
     return n
 
 
+def _as_float(x) -> float:
+    """``float(x)``, or SizeLimitError if ``x`` is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise SizeLimitError("a weight is too large to convert to a float") from None
+
+
 # Wire resistances with a larger decimal exponent are refused before Fraction
 # expands them: the work grows faster than the exponent, and such values
 # could not be printed back as decimal text anyway.
@@ -233,7 +241,7 @@ class ResistorParallel(MonoidSpec):
         def kappa(value):
             if value is SHORT:
                 return math.inf
-            return float(value)
+            return _as_float(value)
 
         return kappa
 
@@ -273,7 +281,7 @@ class NaturalAdd(_Natural):
         return rng.randrange(0, 9)
 
     def default_kappa(self):
-        return float
+        return _as_float
 
 
 @dataclass(frozen=True)
@@ -386,7 +394,7 @@ class FreeCommutative(MonoidSpec):
 
     def default_kappa(self):
         def kappa(value):
-            return float(sum(count for _, count in value))
+            return _as_float(sum(count for _, count in value))
 
         return kappa
 

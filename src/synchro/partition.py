@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PartitionError, SchemaError
 
 
@@ -98,10 +96,6 @@ class Partition:
         for idx, c in enumerate(self.colors):
             out[c - 1].append(idx)
         return out
-
-    def as_array0(self) -> np.ndarray:
-        """0-based int32 color vector, for indexing numpy arrays by color."""
-        return np.asarray(self.colors, dtype=np.int32) - 1
 
     def is_finer(self, other: "Partition") -> bool:
         return is_finer(self, other)

@@ -1,10 +1,12 @@
 """Balance decisions, row signatures and quotient networks."""
+import dataclasses
 import random
 
 import pytest
 
 import corpus
 from synchro import (
+    Network,
     NotBalancedError,
     Partition,
     PartitionError,
@@ -81,6 +83,10 @@ def test_quotient_triangle(triangle3):
     assert q.cells == ("1+2", "3")
     assert [[q.entry(a, b) for b in q.cells] for a in q.cells] == [[1, 1], [2, 1]]
     assert quotient_relation_holds(triangle3, qres)
+    # all-ones quotient rows: the entry from 1+2 into 3 should be 2
+    ones = [(a, b, 1) for a in q.cells for b in q.cells]
+    wrong = Network.build(q.cells, ["t", "t"], q.type_names, q.registry, ones)
+    assert not quotient_relation_holds(triangle3, dataclasses.replace(qres, quotient=wrong))
 
 
 def test_quotient_of_trivial_partition_is_same_network(triangle3):

@@ -334,3 +334,23 @@ def test_weight_too_long_to_print_is_domain_error(runner, tmp_path, args):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"] == "domain"
+
+
+# A NaturalAdd weight of 10**400 is a valid exact weight, but the natural
+# kappa cannot turn it into a float; simulation must end in one domain error.
+_BEYOND_FLOAT = dict(_DOC, edges=[{"to": "a", "from": "b", "weight": {"n": 10**400}}])
+
+
+@pytest.mark.parametrize("mode", [["--steps", "1"], ["--tend", "0.01"]])
+def test_weight_beyond_float_range_is_domain_error(runner, tmp_path, mode):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(_BEYOND_FLOAT))
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("{}")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0)] + mode
+                    + [str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "domain"

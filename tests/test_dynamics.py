@@ -19,6 +19,7 @@ from synchro import (
     Partition,
     ResistorParallel,
     SimulationDiverged,
+    SizeLimitError,
     WitnessError,
     admissible_eval,
     coupling_oracle,
@@ -367,3 +368,10 @@ def test_balanced_colorings_stay_bitwise_synchronous_on_special_states(k, data):
             first = {}
             for color, value in zip(part.colors, admissible_eval(net, oracle, x)):
                 assert first.setdefault(color, value.hex()) == value.hex()
+
+
+def test_linear_oracle_of_weight_beyond_float_range_is_size_limit_error():
+    registry = MonoidRegistry.uniform(NaturalAdd(), 1)
+    net = Network.build(["a", "b"], ["t", "t"], ["t"], registry, [("a", "b", 10**400)])
+    with pytest.raises(SizeLimitError):
+        linear_oracle(net)

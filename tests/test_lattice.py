@@ -1,9 +1,12 @@
 """Join, meet, enumeration and the Hasse structure."""
+import hashlib
 import itertools
+from math import comb
 
 import pytest
 
 import corpus
+import corpus_noncancel
 from synchro import (
     MonoidRegistry,
     NaturalAdd,
@@ -142,6 +145,44 @@ def test_covers_are_transitive_reduction(resistor6):
     for i, j in itertools.product(range(len(elements)), repeat=2):
         if i != j and is_finer(elements[i], elements[j]):
             assert j in reach[i]
+
+
+def test_covers_of_every_set_partition_of_eight_cells():
+    registry = MonoidRegistry.uniform(NaturalAdd(), 1)
+    cells = [str(i + 1) for i in range(8)]
+    lat = enumerate_balanced(Network.build(cells, ["t"] * 8, ["t"], registry, []))
+    assert lat.complete
+    assert len(lat.elements) == 4140  # Bell(8): every coloring is balanced
+    ranks = [p.rank for p in lat.elements]
+    for i, j in lat.covers:  # each cover merges exactly two classes
+        assert ranks[i] == ranks[j] + 1 and is_finer(lat.elements[i], lat.elements[j])
+    assert len(set(lat.covers)) == len(lat.covers) == sum(comb(r, 2) for r in ranks) == 28337
+
+
+# sha256 of the partial element lists below: the budget must keep stopping
+# the walk at the same point when the walk also collects covers.
+PARTIAL_ELEMENTS_SHA256 = "c47abc9acd3bbe672b95995712c6d8be0bb51e6a2c423fed9495b6319c268103"
+
+
+def test_partial_lattices_list_only_real_covers():
+    digest = hashlib.sha256()
+    for net in corpus.corpus_networks() + corpus_noncancel.corpus_networks():
+        full = enumerate_balanced(net)
+        lower = {p: set() for p in full.elements}
+        for i, j in full.covers:
+            lower[full.elements[j]].add(full.elements[i])
+        for budget in range(1, len(full.elements)):
+            lat = enumerate_balanced(net, budget=budget)
+            assert not lat.complete
+            digest.update(repr([p.colors for p in lat.elements]).encode())
+            listed = {p: set() for p in lat.elements}
+            for i, j in lat.covers:
+                listed[lat.elements[j]].add(lat.elements[i])
+            # listed covers are real, and an element with any listed cover had
+            # all its seeds run, so all its covers are listed
+            for p, covers in listed.items():
+                assert not covers or covers == lower[p]
+    assert digest.hexdigest() == PARTIAL_ELEMENTS_SHA256
 
 
 def test_join_meet_against_brute_force_small():

@@ -18,6 +18,7 @@ from synchro import (
     NaturalMul,
     ProductMonoid,
     ResistorParallel,
+    SizeLimitError,
     WithAnnihilator,
     combine,
     is_identity,
@@ -267,6 +268,21 @@ def test_default_kappa_is_additive_where_finite():
     assert kappa(R.identity) == 0.0
     kmul = NM.default_kappa()
     assert math.isclose(kmul(6), kmul(2) + kmul(3), rel_tol=1e-12)
+
+
+def test_default_kappa_beyond_float_range_is_size_limit_error():
+    huge = 10**400
+    for spec, value in [
+        (NA, huge),
+        (R, R.from_resistance(Fraction(1, huge))),
+        (FREE, FREE.from_counts({"a": huge})),
+        (PROD, (huge, 1)),
+        (WithAnnihilator(NA), huge),
+    ]:
+        assert spec.contains(value)
+        with pytest.raises(SizeLimitError):
+            spec.default_kappa()(value)
+    assert math.isclose(NM.default_kappa()(huge), 400 * math.log(10))
 
 
 def test_codes_tell_apart_label_splits():

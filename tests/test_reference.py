@@ -12,7 +12,7 @@ import pytest
 
 import corpus
 import corpus_noncancel
-from synchro import brute_force_balanced, cir, enumerate_balanced, is_balanced, top
+from synchro import brute_force_balanced, cir, enumerate_balanced, is_balanced, is_finer, top
 
 
 def ref_sums(net, colors, c):
@@ -40,6 +40,20 @@ def ref_counterexample(net, colors):
             color = min(k for k in sc.keys() | sd.keys() if sc.get(k) != sd.get(k))
             return net.cells[c], net.cells[d], color
     return None
+
+
+def ref_covers(elements):
+    """(finer index, coarser index) pairs with nothing strictly between, in sorted order."""
+    below = {
+        (i, j)
+        for i, a in enumerate(elements)
+        for j, b in enumerate(elements)
+        if i != j and is_finer(a, b)
+    }
+    return sorted(
+        (i, j) for i, j in below
+        if not any((i, k) in below and (k, j) in below for k in range(len(elements)))
+    )
 
 
 CORPORA = {
@@ -83,5 +97,7 @@ def test_balance_and_lattice_match_reference(name):
         assert brute_force_balanced(net) == balanced
         lattice = enumerate_balanced(net)
         assert lattice.complete
-        assert set(lattice.elements) == balanced
+        elements = sorted(balanced, key=lambda p: (p.rank, p.colors))
+        assert list(lattice.elements) == elements
+        assert list(lattice.covers) == ref_covers(elements)
         assert lattice.top == top(net) == min(balanced, key=lambda p: p.rank)
