@@ -55,21 +55,17 @@ def _color_types(net: Network, partition: Partition) -> list[int]:
     return first  # type: ignore[return-value]
 
 
-def _row_values(net: Network, colors, ctypes: list[int], row: int) -> tuple:
-    """Per-color sums of one row as carrier values, given the colors' types."""
-    view = coded(net)
-    codes = view.row_sums(colors, row)
-    i = net.cell_types[row]
-    return tuple(
-        view.decode(codes.get(k + 1, 0), net.registry.get(i, t)) for k, t in enumerate(ctypes)
-    )
-
-
 def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature:
     """The per-color weight sums of one row; the trivial coloring gives the row itself."""
     _require_below_types(net, partition)
     row = net.index(cell)
-    sums = _row_values(net, partition.colors, _color_types(net, partition), row)
+    view = coded(net)
+    codes = view.row_sums(partition.colors, row)
+    i = net.cell_types[row]
+    sums = tuple(
+        view.decode(codes.get(k + 1, 0), net.registry.get(i, t))
+        for k, t in enumerate(_color_types(net, partition))
+    )
     return RowSignature(cell=cell, owner_color=partition.colors[row], sums=sums)
 
 
@@ -134,17 +130,30 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
 
 
 def quotient_relation_holds(net: Network, qres: QuotientResult) -> bool:
-    """Entrywise check that every cell's sum vector equals its color's quotient row."""
+    """Every cell's sum vector equals its color's quotient row, in O(|C| + |E|).
+
+    Both sides are compared as their nonzero slots only: each cell's coded
+    per-color sums against the decoded row of its color's quotient cell,
+    restricted to the quotient cells of colors. An identity sum is absent
+    on both sides, so the comparison is the entrywise one.
+    """
     partition = qres.relation
     _require_below_types(net, partition)
-    ctypes = _color_types(net, partition)
     q = qres.quotient
-    for idx, k in enumerate(partition.colors):
-        sums = _row_values(net, partition.colors, ctypes, idx)
-        for l, got in enumerate(sums):
-            expected = q.entry(qres.color_cells[k - 1], qres.color_cells[l])
-            if not (expected == got or (expected is None and got is None)):
-                return False
+    q_view, view = coded(q), coded(net)
+    color_of = {q.index(cell): k + 1 for k, cell in enumerate(qres.color_cells)}
+    expected = []
+    for cell in qres.color_cells:
+        srcs, codes = q_view.rows[q.index(cell)]
+        expected.append(
+            {color_of[d]: q_view.values[k] for d, k in zip(srcs, codes) if d in color_of}
+        )
+    values = view.values
+    colors = partition.colors
+    for idx, k in enumerate(colors):
+        sums = view.row_sums(colors, idx)
+        if {l: values[code] for l, code in sums.items()} != expected[k - 1]:
+            return False
     return True
 
 

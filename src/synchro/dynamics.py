@@ -14,9 +14,17 @@ zero-weight inputs cannot change the value.
 Evaluation first merges the incoming weights of equal-state neighbors in
 the exact monoid and only then applies kappa, so cells with equal per-color
 sums follow identical floating point paths: discrete trajectories started
-synchronized stay synchronized bitwise. ODE integration is classical
-fixed-step RK4; exactness claims stop at the monoid algebra, never float
-trajectories.
+synchronized stay synchronized bitwise.
+
+ODE integration is classical fixed-step RK4. When the field is linear
+(g is ``zero`` or ``scale``, h is ``neighbor`` or ``diffusive``), one RK4
+step is exactly x -> Mx for the fixed propagator
+M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so M is built once as sparse
+rows from the coded edges (kappa evaluated once per distinct weight) and
+each step costs O(nnz(M)); the floats differ from stage-by-stage RK4 only
+in summation order. Any other field is evaluated stage by stage through
+the merged-input evaluation. Exactness claims stop at the monoid algebra,
+never float trajectories.
 """
 from __future__ import annotations
 
@@ -29,7 +37,13 @@ import numpy as np
 
 from .balance import _color_types, quotient, row_signature, is_balanced
 from .coding import CodedNetwork, coded
-from .errors import DimensionMismatch, SchemaError, SimulationDiverged, WitnessError
+from .errors import (
+    DimensionMismatch,
+    SchemaError,
+    SimulationDiverged,
+    SizeLimitError,
+    WitnessError,
+)
 from .monoid import MonoidRegistry, MonoidSpec
 from .network import Network
 from .partition import Partition, lift
@@ -66,6 +80,10 @@ class Coupling:
         if self.kind == "diffusive":
             return y - x
         return self.fn(x, y)  # type: ignore[operator]
+
+
+_ZERO_G = GFunc("zero")
+_NEIGHBOR_H = Coupling("neighbor")
 
 
 class Oracle:
@@ -125,7 +143,7 @@ class OracleSpec(Oracle):
         self._kappa_cache: dict[tuple[int, int], object] = {}
 
     def g_for(self, i: int) -> GFunc:
-        return self._g.get(i, GFunc("zero"))
+        return self._g.get(i, _ZERO_G)
 
     def kappa_for(self, i: int, j: int):
         fn = self._kappa_cache.get((i, j))
@@ -137,7 +155,7 @@ class OracleSpec(Oracle):
         return fn
 
     def h_for(self, i: int, j: int) -> Coupling:
-        return self._h.get((i, j), Coupling("neighbor"))
+        return self._h.get((i, j), _NEIGHBOR_H)
 
     def weight_pairs(self):
         """(target type, source type, spec) triples this oracle can see."""
@@ -176,13 +194,8 @@ def linear_oracle(net: Network, *, gain: float = 0.5, coupling: str = "neighbor"
     sum of coupling gains is ``gain``; that keeps the vector field strictly
     stable and the iterated map inside float range over short horizons.
     """
-    rowmax = 0.0
-    for c in range(net.n):
-        i = net.cell_types[c]
-        total = 0.0
-        for d, w in net.row_items(c):
-            total += abs(net.registry.require(i, net.cell_types[d]).default_kappa()(w))
-        rowmax = max(rowmax, total)
+    tgt, _, gains = _edge_gains(net, lambda i, j: net.registry.require(i, j).default_kappa())
+    rowmax = float(np.bincount(tgt, weights=np.abs(gains), minlength=net.n).max())
     scale = gain / rowmax if math.isfinite(rowmax) and rowmax > 0 else 1.0
     return coupling_oracle(
         net.registry,
@@ -371,6 +384,8 @@ class Trajectory:
 
 def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
     """Iterate the admissible map; aborts on the first non-finite state."""
+    if steps < 0:
+        raise DimensionMismatch("steps must be non-negative")
     x = [float(v) for v in x0]
     if len(x) != net.n:
         raise DimensionMismatch(f"x0 has {len(x)} entries, network has {net.n} cells")
@@ -385,56 +400,155 @@ def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
     return Trajectory(times=tuple(range(steps + 1)), states=tuple(states), kind="map")
 
 
-def _fast_linear_rhs(net: Network, oracle: Oracle):
-    """Dense coupling-matrix right-hand side when every piece is linear.
+def _edge_gains(net: Network, kappa_for):
+    """Every coded edge as (target, source, kappa(weight)) arrays.
 
-    Same mathematical function as the merged-input evaluation (kappa is
-    additive), differing only in float summation order; used to keep long
-    RK4 integrations affordable.
+    ``kappa_for(i, j)`` gives the weight map of a type pair; it is looked
+    up and applied once per distinct (type pair, weight code), not per edge.
+    """
+    view = coded(net)
+    types = np.asarray(net.cell_types, dtype=np.int64)
+    lens = np.fromiter((len(srcs) for srcs, _ in view.rows), dtype=np.int64, count=net.n)
+    tgt = np.repeat(np.arange(net.n, dtype=np.int64), lens)
+    src = np.fromiter(
+        (d for srcs, _ in view.rows for d in srcs), dtype=np.int64, count=view.n_edges
+    )
+    codes = np.fromiter(
+        (k for _, ks in view.rows for k in ks), dtype=np.int64, count=view.n_edges
+    )
+    n_types, n_codes = len(net.type_names), len(view.values)
+    keys = (types[tgt] * n_types + types[src]) * n_codes + codes
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = np.empty(len(distinct))
+    for pos, key in enumerate(distinct.tolist()):
+        pair, k = divmod(key, n_codes)
+        values[pos] = kappa_for(*divmod(pair, n_types))(view.values[k])
+    return tgt, src, values[inverse]
+
+
+def _linear_parts(net: Network, oracle: Oracle):
+    """The matrix A of a linear admissible field, or None if it is not linear.
+
+    The field is linear when ``oracle`` is an ``OracleSpec`` whose g is
+    ``zero`` or ``scale`` on every type of a cell and whose h is ``neighbor`` or
+    ``diffusive`` on every type pair that carries an edge. A is returned
+    as (row, column, value) triples, repeats adding up, with one diagonal
+    triple on every row.
     """
     if not isinstance(oracle, OracleSpec):
         return None
-    for i in set(net.cell_types):
-        if oracle.g_for(i).kind not in ("zero", "scale"):
-            return None
-    n = net.n
-    gains = np.zeros((n, n))
-    diag = np.zeros(n)
-    for c in range(n):
-        i = net.cell_types[c]
-        for d, w in net.row_items(c):
-            j = net.cell_types[d]
-            h = oracle.h_for(i, j)
-            if h.kind not in ("neighbor", "diffusive"):
-                return None
-            k = oracle.kappa_for(i, j)(w)
-            gains[c, d] += k
-            if h.kind == "diffusive":
-                diag[c] -= k
-        diag[c] += oracle.g_for(i).a if oracle.g_for(i).kind == "scale" else 0.0
-    gains[np.arange(n), np.arange(n)] += diag
+    n_types = len(net.type_names)
+    gs = [oracle.g_for(i) for i in range(n_types)]
+    if any(gs[i].kind not in ("zero", "scale") for i in set(net.cell_types)):
+        return None
+    types = np.asarray(net.cell_types, dtype=np.int64)
+    tgt, src, gains = _edge_gains(net, oracle.kappa_for)
+    pair_ids = types[tgt] * n_types + types[src]
+    kinds = {p: oracle.h_for(*divmod(p, n_types)).kind for p in set(pair_ids.tolist())}
+    if any(kind not in ("neighbor", "diffusive") for kind in kinds.values()):
+        return None
+    diffusive = np.isin(pair_ids, [p for p, kind in kinds.items() if kind == "diffusive"])
+    scale = np.asarray([g.a if g.kind == "scale" else 0.0 for g in gs])
+    diag = scale[types] - np.bincount(tgt[diffusive], weights=gains[diffusive], minlength=net.n)
+    cells = np.arange(net.n, dtype=np.int64)
+    return (
+        np.concatenate((tgt, cells)),
+        np.concatenate((src, cells)),
+        np.concatenate((gains, diag)),
+    )
 
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return gains @ x
 
-    return rhs
+def _identity_plus(rows, cols, vals, n: int):
+    """CSR arrays (indptr, indices, data) of I plus the summed triples."""
+    cells = np.arange(n, dtype=np.int64)
+    keys, inverse = np.unique(
+        np.concatenate((rows, cells)) * n + np.concatenate((cols, cells)), return_inverse=True
+    )
+    data = np.bincount(inverse, weights=np.concatenate((vals, np.ones(n))))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n, data
+
+
+def _product(rows, cols, vals, csr):
+    """The triples of (triples) @ (CSR matrix), one per multiplied pair."""
+    indptr, indices, data = csr
+    counts = indptr[cols + 1] - indptr[cols]
+    ends = np.cumsum(counts)
+    pos = np.repeat(indptr[cols] - (ends - counts), counts) + np.arange(ends[-1])
+    return np.repeat(rows, counts), indices[pos], np.repeat(vals, counts) * data[pos]
+
+
+def _rk4_propagator(net: Network, oracle: Oracle, dt: float):
+    """One RK4 step of a linear field as a CSR matrix, or None if not linear.
+
+    For x' = Ax a classical RK4 step is exactly x -> Mx with
+    M = I + hA(I + h/2 A(I + h/3 A(I + h/4 A))); the Horner form is built
+    from sparse products, so nothing of size n x n is ever allocated and
+    every row keeps its diagonal entry.
+    """
+    parts = _linear_parts(net, oracle)
+    if parts is None:
+        return None
+    rows, cols, vals = parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _identity_plus(rows, cols, vals * (dt / 4.0), net.n)
+        for h in (dt / 3.0, dt / 2.0, dt):
+            m = _identity_plus(*_product(rows, cols, vals * h, m), net.n)
+    return m
+
+
+def _check_times(t_end: float, dt: float) -> int:
+    """The number of RK4 steps to t_end; rejects times that name no grid."""
+    if not dt > 0 or not math.isfinite(dt):
+        raise DimensionMismatch("dt must be positive and finite")
+    if not t_end >= 0 or not math.isfinite(t_end):
+        raise DimensionMismatch("t_end must be finite and non-negative")
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise SizeLimitError(f"t_end / dt = {t_end!r} / {dt!r} is beyond the float range")
+    return int(round(steps))
 
 
 def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) -> np.ndarray:
-    """RK4 sweep returning the whole orbit as a (steps+1, n) array."""
-    if dt <= 0:
-        raise DimensionMismatch("dt must be positive")
+    """RK4 sweep returning the whole orbit as a (steps+1, n) array.
+
+    Linear fields step with their propagator, three array calls per step,
+    and the orbit is checked for non-finite states once at the end; any
+    other field is evaluated stage by stage through ``admissible_eval``.
+    """
+    steps = _check_times(t_end, dt)
     x = np.asarray([float(v) for v in x0], dtype=np.float64)
     if x.shape[0] != net.n:
         raise DimensionMismatch(f"x0 has {x.shape[0]} entries, network has {net.n} cells")
-    rhs = _fast_linear_rhs(net, oracle)
-    if rhs is None:
-        def rhs(state):
-            return np.asarray(admissible_eval(net, oracle, state.tolist()))
-
-    steps = int(round(t_end / dt))
-    out = np.empty((steps + 1, net.n), dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise SimulationDiverged(0)
+    try:
+        out = np.empty((steps + 1, net.n), dtype=np.float64)
+    except (MemoryError, OverflowError, ValueError):
+        raise SizeLimitError(
+            f"an orbit of {steps} steps of {net.n} cells does not fit in memory"
+        ) from None
     out[0] = x
+    prop = _rk4_propagator(net, oracle, dt)
+    if prop is not None:
+        indptr, cols, data = prop
+        starts = indptr[:-1]
+        buf = np.empty(len(cols))
+        reduceat = np.add.reduceat
+        with np.errstate(over="ignore", invalid="ignore"):
+            for state, following in zip(out, out[1:]):
+                state.take(cols, out=buf)
+                buf *= data
+                reduceat(buf, starts, out=following)
+            finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            raise SimulationDiverged(int(finite.argmin()))
+        return out
+
+    def rhs(state):
+        return np.asarray(admissible_eval(net, oracle, state.tolist()))
+
     half = dt / 2.0
     sixth = dt / 6.0
     for n in range(steps):
@@ -452,8 +566,8 @@ def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) ->
 def simulate_ode(net: Network, oracle: Oracle, x0, t_end: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 with the admissible vector field."""
     orbit = _integrate_rk4(net, oracle, x0, t_end, dt)
-    times = tuple(n * dt for n in range(orbit.shape[0]))
-    return Trajectory(times=times, states=tuple(map(tuple, orbit)), kind="ode")
+    times = tuple(n * float(dt) for n in range(orbit.shape[0]))
+    return Trajectory(times=times, states=tuple(map(tuple, orbit.tolist())), kind="ode")
 
 
 def quotient_match(

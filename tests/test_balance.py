@@ -5,12 +5,14 @@ import random
 import pytest
 
 import corpus
+import corpus_noncancel
 from synchro import (
     Network,
     NotBalancedError,
     Partition,
     PartitionError,
     ResistorParallel,
+    brute_force_balanced,
     check_transitivity,
     compose,
     enumerate_balanced,
@@ -115,6 +117,58 @@ def test_quotient_two_type_example(resistor6):
             else:
                 assert got == R.from_resistance(want)
     assert quotient_relation_holds(resistor6, qres)
+
+
+def _entrywise_relation_holds(net, qres):
+    """The definition: every (cell, color) sum equals its quotient entry."""
+    partition = qres.relation
+    q = qres.quotient
+    for idx, k in enumerate(partition.colors):
+        sums = row_signature(net, partition, net.cells[idx]).sums
+        for l, got in enumerate(sums):
+            expected = q.entry(qres.color_cells[k - 1], qres.color_cells[l])
+            if not (expected == got or (expected is None and got is None)):
+                return False
+    return True
+
+
+def _rebuilt(q, edges):
+    types = [q.type_names[t] for t in q.cell_types]
+    return Network.build(q.cells, types, q.type_names, q.registry, edges)
+
+
+@pytest.mark.parametrize(
+    "corpus_networks",
+    [corpus.corpus_networks, corpus_noncancel.corpus_networks],
+    ids=["mixed", "noncancellative"],
+)
+def test_quotient_relation_matches_entrywise_definition(corpus_networks):
+    for net in corpus_networks():
+        for part in brute_force_balanced(net):
+            qres = quotient(net, part)
+            assert quotient_relation_holds(net, qres)
+            assert _entrywise_relation_holds(net, qres)
+            q = qres.quotient
+            edges = [(q.cells[c], q.cells[d], w) for c in range(q.n) for d, w in q.row_items(c)]
+            for wrong in (edges[:-1], edges + edges[-1:]):  # one edge dropped, one doubled
+                other = dataclasses.replace(qres, quotient=_rebuilt(q, wrong))
+                assert quotient_relation_holds(net, other) == _entrywise_relation_holds(net, other)
+            if edges:
+                other = dataclasses.replace(qres, quotient=_rebuilt(q, edges[:-1]))
+                assert not quotient_relation_holds(net, other)
+
+
+def test_quotient_relation_rejects_wrong_quotient_at_full_rank(resistor6):
+    qres = quotient(resistor6, Partition.trivial(resistor6.n))
+    assert quotient_relation_holds(resistor6, qres)
+    q = qres.quotient
+    edges = [(q.cells[c], q.cells[d], w) for c in range(q.n) for d, w in q.row_items(c)]
+    # 30 ohms from cell 5 into cell 6 becomes 15 ohms; cell 5 gains an input from cell 3
+    for extra in (("6", "5"), ("5", "3")):
+        wrong = _rebuilt(q, edges + [(*extra, R.from_resistance(30))])
+        other = dataclasses.replace(qres, quotient=wrong)
+        assert not quotient_relation_holds(resistor6, other)
+        assert not _entrywise_relation_holds(resistor6, other)
 
 
 def test_quotient_rejects_unbalanced(chain3):

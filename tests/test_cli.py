@@ -179,7 +179,37 @@ def test_simulate_ode_runs(runner, net_file, tmp_path):
          "--tend", "0.1", "--dt", "0.01", net_file(make_triangle3())],
     )
     assert result.exit_code == 0
-    assert len(result.stdout.strip().splitlines()) == 12
+    lines = result.stdout.strip().splitlines()
+    assert lines[0] == "t,1,2,3"
+    assert len(lines) == 12
+    rows = [[float(field) for field in line.split(",")] for line in lines[1:]]
+    assert [len(row) for row in rows] == [4] * 11
+    assert rows[0] == [0.0, 1.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        ["--tend", "inf"],
+        ["--tend", "nan"],
+        ["--tend", "-1"],
+        ["--tend", "1", "--dt", "nan"],
+        ["--tend", "1", "--dt", "inf"],
+        ["--tend", "1", "--dt", "0"],
+        ["--steps", "-1"],
+        ["--tend", "1e12"],
+    ],
+)
+def test_simulate_bad_time_arguments_are_one_json_error(runner, net_file, tmp_path, mode):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("{}")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,1.0,2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0)] + mode
+                    + [net_file(make_triangle3())])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == "domain"
 
 
 def test_simulate_usage_errors(runner, net_file, tmp_path):

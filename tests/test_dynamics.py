@@ -1,6 +1,8 @@
 """Oracle evaluation, self-consistency fuzzing, simulation and witnesses."""
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -207,23 +209,79 @@ class TestSimulation:
         traj = simulate_ode(triangle3, oracle, [1.0, 2.0, 3.0], 5.0, 1e-2)
         assert max(abs(v) for v in traj.states[-1]) < max(abs(v) for v in traj.states[0])
 
-    def test_fast_and_slow_ode_paths_agree(self, triangle3):
-        base = linear_oracle(triangle3)
-        # same kappa/h but a custom (yet identical) coupling disables the fast path
-        slow = OracleSpec(
-            triangle3.registry, 1,
-            g=base._g,
-            kappa=base._kappa,
-            h={(0, 0): Coupling("custom", fn=lambda x, y: y)},
-        )
-        fast_traj = simulate_ode(triangle3, base, [1.0, 2.0, 3.0], 0.5, 1e-2)
-        slow_traj = simulate_ode(triangle3, slow, [1.0, 2.0, 3.0], 0.5, 1e-2)
-        dev = max(
-            abs(a - b)
-            for sa, sb in zip(fast_traj.states, slow_traj.states)
-            for a, b in zip(sa, sb)
-        )
-        assert dev <= 1e-12
+    def test_fast_and_slow_ode_paths_agree(self):
+        same_h = {"neighbor": lambda x, y: y, "diffusive": lambda x, y: y - x}
+        for net, (kind, fn) in itertools.product(corpus.corpus_networks(), same_h.items()):
+            base = linear_oracle(net, coupling=kind)
+            custom = Coupling("custom", fn=fn)  # the same h, evaluated stage by stage
+            slow = OracleSpec(
+                net.registry, len(net.type_names),
+                g=base._g, kappa=base._kappa,
+                h={pair: custom for pair, _ in net.registry.pairs()},
+            )
+            x0 = [1.0 + 0.25 * c for c in range(net.n)]
+            fast = simulate_ode(net, base, x0, 0.1, 1e-3)
+            stagewise = simulate_ode(net, slow, x0, 0.1, 1e-3)
+            assert len(fast) == len(stagewise) == 101
+            dev = max(
+                abs(a - b)
+                for sa, sb in zip(fast.states, stagewise.states)
+                for a, b in zip(sa, sb)
+            )
+            assert dev <= 1e-12, (net, kind)
+
+    def test_linear_divergence_names_first_non_finite_step(self, triangle3):
+        blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=1e30)})
+        x0, dt = [1.0, 2.0, 3.0], 1e-2
+        with pytest.raises(SimulationDiverged) as err:
+            simulate_ode(triangle3, blower, x0, 1.0, dt)
+        k = err.value.step
+        assert k >= 1
+        traj = simulate_ode(triangle3, blower, x0, (k - 1) * dt, dt)
+        assert len(traj) == k
+        assert all(math.isfinite(v) for state in traj.states for v in state)
+
+    def test_ode_states_are_python_floats(self, triangle3):
+        traj = simulate_ode(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], 0.02, 1e-2)
+        assert all(type(v) is float for state in traj.states for v in state)
+        assert all(type(t) is float for t in traj.times)
+
+    def test_large_ring_allocates_no_dense_matrix(self):
+        n = 5000
+        cells = [f"c{i}" for i in range(n)]
+        edges = [(cells[i], cells[(i + s) % n], 1) for i in range(n) for s in (-1, 1, 2)]
+        net = Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1), edges)
+        oracle = linear_oracle(net)
+        x0 = [float(i % 7) for i in range(n)]
+        tracemalloc.start()
+        try:
+            traj = simulate_ode(net, oracle, x0, 0.1, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 11
+        assert peak < 20e6  # a dense n x n float matrix alone is 200 MB
+
+    @pytest.mark.parametrize(
+        "t_end, dt, error",
+        [
+            (math.inf, 1e-3, DimensionMismatch),
+            (math.nan, 1e-3, DimensionMismatch),
+            (-1.0, 1e-3, DimensionMismatch),
+            (1.0, math.nan, DimensionMismatch),
+            (1.0, math.inf, DimensionMismatch),
+            (1.0, 0.0, DimensionMismatch),
+            (1e300, 1e-300, SizeLimitError),
+            (1e12, 1e-3, SizeLimitError),
+        ],
+    )
+    def test_bad_times_are_rejected(self, triangle3, t_end, dt, error):
+        with pytest.raises(error):
+            simulate_ode(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], t_end, dt)
+
+    def test_negative_steps_are_rejected(self, triangle3):
+        with pytest.raises(DimensionMismatch):
+            simulate_map(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], -1)
 
 
 class TestQuotientMatch:
