@@ -62,9 +62,10 @@ def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature
     view = coded(net)
     codes = view.row_sums(partition.colors, row)
     i = net.cell_types[row]
+    # an absent slot holds its monoid's identity (None where none is registered)
     sums = tuple(
-        view.decode(codes.get(k + 1, 0), net.registry.get(i, t))
-        for k, t in enumerate(_color_types(net, partition))
+        view.values[codes[k]] if k in codes else getattr(net.registry.get(i, t), "identity", None)
+        for k, t in enumerate(_color_types(net, partition), start=1)
     )
     return RowSignature(cell=cell, owner_color=partition.colors[row], sums=sums)
 
@@ -114,16 +115,12 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
     view = coded(net)
     classes = partition.classes()
     color_cells = tuple(_merged_id(net.cells[i] for i in cls) for cls in classes)
-    ctypes = _color_types(net, partition)
-    cell_types = [net.type_names[t] for t in ctypes]
+    cell_types = [net.type_names[t] for t in _color_types(net, partition)]
 
     edges = []
     for k, cls in enumerate(classes):
-        rep = cls[0]
-        i = net.cell_types[rep]
-        for l, code in sorted(view.row_sums(partition.colors, rep).items()):
-            spec = net.registry.require(i, ctypes[l - 1])
-            edges.append((color_cells[k], color_cells[l - 1], view.decode(code, spec)))
+        for l, code in sorted(view.row_sums(partition.colors, cls[0]).items()):
+            edges.append((color_cells[k], color_cells[l - 1], view.values[code]))
 
     q = Network.build(color_cells, cell_types, net.type_names, net.registry, edges)
     return QuotientResult(quotient=q, relation=partition, color_cells=color_cells)

@@ -78,12 +78,6 @@ class CodedNetwork:
             self.values.append(value)
         return code
 
-    def decode(self, code: int, spec=None):
-        """The carrier value behind a code; 0 decodes to the slot's identity."""
-        if code == 0:
-            return spec.identity if spec is not None else None
-        return self.values[code]
-
     def combine_codes(self, a: int, b: int) -> int:
         """The code of the parallel sum of two coded values."""
         if a == 0:

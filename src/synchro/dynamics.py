@@ -14,7 +14,10 @@ zero-weight inputs cannot change the value.
 Evaluation first merges the incoming weights of equal-state neighbors in
 the exact monoid and only then applies kappa, so cells with equal per-color
 sums follow identical floating point paths: discrete trajectories started
-synchronized stay synchronized bitwise.
+synchronized stay synchronized bitwise. The merge is the coded ``row_sums``
+that refinement and balance use, over (type, state) labels instead of
+colors, and an ``OracleSpec`` resolves g per type and kappa and h per
+registered type pair once, when it is built.
 
 ODE integration is classical fixed-step RK4. When the field is linear
 (g is ``zero`` or ``scale``, h is ``neighbor`` or ``diffusive``), one RK4
@@ -31,14 +34,16 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .balance import _color_types, quotient, row_signature, is_balanced
-from .coding import CodedNetwork, coded
+from .coding import coded
 from .errors import (
     DimensionMismatch,
+    MonoidMismatch,
     SchemaError,
     SimulationDiverged,
     SizeLimitError,
@@ -131,41 +136,42 @@ class OracleSpec(Oracle):
     ``g`` maps type index to a GFunc, ``kappa`` maps (target, source) type
     pairs to additive weight maps, ``h`` maps the same pairs to couplings.
     Missing entries default to zero internal dynamics, the natural kappa of
-    the registered monoid, and plain neighbor coupling.
+    the registered monoid, and plain neighbor coupling. All three are
+    resolved once, here: ``_g`` holds a GFunc for every type below
+    ``n_types``, ``_kappa`` and ``_h`` a weight map and a coupling for
+    every registered pair, so evaluation is plain table reads. An input
+    from a pair the registry lacks raises ``MonoidMismatch``.
     """
 
     def __init__(self, registry: MonoidRegistry, n_types: int, g=None, kappa=None, h=None):
         self.registry = registry
         self.n_types = n_types
-        self._g = dict(g or {})
-        self._kappa = dict(kappa or {})
-        self._h = dict(h or {})
-        self._kappa_cache: dict[tuple[int, int], object] = {}
-
-    def g_for(self, i: int) -> GFunc:
-        return self._g.get(i, _ZERO_G)
-
-    def kappa_for(self, i: int, j: int):
-        fn = self._kappa_cache.get((i, j))
-        if fn is None:
-            fn = self._kappa.get((i, j))
-            if fn is None:
-                fn = self.registry.require(i, j).default_kappa()
-            self._kappa_cache[(i, j)] = fn
-        return fn
-
-    def h_for(self, i: int, j: int) -> Coupling:
-        return self._h.get((i, j), _NEIGHBOR_H)
+        g, kappa, h = g or {}, kappa or {}, h or {}
+        pairs = registry.pairs()
+        self._g = {i: g.get(i, _ZERO_G) for i in range(n_types)}
+        self._kappa = {p: kappa[p] if p in kappa else spec.default_kappa() for p, spec in pairs}
+        self._h = {p: h.get(p, _NEIGHBOR_H) for p, _ in pairs}
 
     def weight_pairs(self):
         """(target type, source type, spec) triples this oracle can see."""
         return [(i, j, spec) for (i, j), spec in self.registry.pairs()]
 
     def evaluate(self, type_i, x, inputs):
-        total = self.g_for(type_i)(x)
-        for j, w, y in inputs:
-            total += self.kappa_for(type_i, j)(w) * self.h_for(type_i, j)(x, y)
+        total = self._g[type_i](x)
+        kappa, h = self._kappa, self._h
+        try:
+            for j, w, y in inputs:
+                total += kappa[type_i, j](w) * h[type_i, j](x, y)
+        except KeyError:
+            self.registry.require(type_i, j)
+            raise
         return total
+
+
+def _scaled_kappa(spec: MonoidSpec, scale: float):
+    """The natural kappa of ``spec`` times ``scale``."""
+    natural = spec.default_kappa()
+    return lambda w: scale * natural(w)
 
 
 def coupling_oracle(
@@ -178,12 +184,8 @@ def coupling_oracle(
 ) -> OracleSpec:
     """Uniform oracle: g(x) = self_scale*x, natural kappa times a gain, one coupling kind."""
     g = {i: GFunc("scale", a=self_scale) for i in range(n_types)}
-    kappa = {}
-    h = {}
-    for (i, j), spec in registry.pairs():
-        nat = spec.default_kappa()
-        kappa[(i, j)] = (lambda f, s: (lambda w: s * f(w)))(nat, kappa_scale)
-        h[(i, j)] = Coupling(coupling)
+    kappa = {pair: _scaled_kappa(spec, kappa_scale) for pair, spec in registry.pairs()}
+    h = {pair: Coupling(coupling) for pair, _ in registry.pairs()}
     return OracleSpec(registry, n_types, g=g, kappa=kappa, h=h)
 
 
@@ -194,7 +196,7 @@ def linear_oracle(net: Network, *, gain: float = 0.5, coupling: str = "neighbor"
     sum of coupling gains is ``gain``; that keeps the vector field strictly
     stable and the iterated map inside float range over short horizons.
     """
-    tgt, _, gains = _edge_gains(net, lambda i, j: net.registry.require(i, j).default_kappa())
+    tgt, _, gains = _edge_gains(net, {p: s.default_kappa() for p, s in net.registry.pairs()})
     rowmax = float(np.bincount(tgt, weights=np.abs(gains), minlength=net.n).max())
     scale = gain / rowmax if math.isfinite(rowmax) and rowmax > 0 else 1.0
     return coupling_oracle(
@@ -236,43 +238,28 @@ class IndicatorOracle(Oracle):
 # -- admissible evaluation ---------------------------------------------------
 
 
-def _merged_inputs(net: Network, view: CodedNetwork, c: int, x) -> list:
-    """Merge same-type same-state inputs of one cell in the exact monoid.
-
-    Weights are merged as codes through the network's combine memo and
-    decoded once per group. ``x`` must hold no -0.0: 0.0 and -0.0 are
-    equal but not the same bits, so same-colored cells could merge under
-    keys of different signs.
-    """
-    cell_types = net.cell_types
-    groups: dict[tuple[int, float], int] = {}
-    srcs, codes = view.rows[c]
-    for d, k in zip(srcs, codes):
-        key = (cell_types[d], x[d])
-        prev = groups.get(key)
-        groups[key] = k if prev is None else view.merge(prev, k)
-    i = cell_types[c]
-    return [
-        (j, view.decode(groups[(j, s)], net.registry.get(i, j)), s) for (j, s) in sorted(groups)
-    ]
-
-
 def admissible_eval(net: Network, oracle: Oracle, x) -> list[float]:
     """Evaluate the network restriction of an oracle at a state vector.
 
-    Same-state inputs are merged in the monoid before kappa is applied, so
-    two cells with equal per-color sums evaluate through identical float
-    operations. Input states are read with -0.0 normalised to 0.0 (adding
-    0.0 changes no other float), so equal inputs are also bitwise equal;
-    each cell's own state is passed as given.
+    Each cell is labelled (type, state) and its inputs are merged per label
+    by the same coded ``row_sums`` that refinement and balance use, so two
+    cells with equal per-color sums evaluate through identical float
+    operations. A label whose merged weight is the identity sends nothing.
+    Input states are labelled with -0.0 normalised to 0.0 (adding 0.0
+    changes no other float), so equal inputs are also bitwise equal; each
+    cell's own state is passed as given.
     """
     x = [float(v) for v in x]
     if len(x) != net.n:
         raise DimensionMismatch(f"state has {len(x)} entries, network has {net.n} cells")
-    inputs = [v + 0.0 for v in x]
+    types = net.cell_types
+    labels = [(t, v + 0.0) for t, v in zip(types, x)]
     view = coded(net)
+    values, row_sums, evaluate = view.values, view.row_sums, oracle.evaluate
     return [
-        oracle.evaluate(net.cell_types[c], x[c], _merged_inputs(net, view, c, inputs))
+        evaluate(
+            types[c], x[c], [(j, values[k], s) for (j, s), k in sorted(row_sums(labels, c).items())]
+        )
         for c in range(net.n)
     ]
 
@@ -400,11 +387,12 @@ def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
     return Trajectory(times=tuple(range(steps + 1)), states=tuple(states), kind="map")
 
 
-def _edge_gains(net: Network, kappa_for):
+def _edge_gains(net: Network, kappa: dict):
     """Every coded edge as (target, source, kappa(weight)) arrays.
 
-    ``kappa_for(i, j)`` gives the weight map of a type pair; it is looked
-    up and applied once per distinct (type pair, weight code), not per edge.
+    ``kappa`` maps (target type, source type) to the pair's weight map; it
+    is applied once per distinct (type pair, weight code), not per edge. A
+    pair missing from the table raises ``MonoidMismatch``.
     """
     view = coded(net)
     types = np.asarray(net.cell_types, dtype=np.int64)
@@ -421,8 +409,11 @@ def _edge_gains(net: Network, kappa_for):
     distinct, inverse = np.unique(keys, return_inverse=True)
     values = np.empty(len(distinct))
     for pos, key in enumerate(distinct.tolist()):
-        pair, k = divmod(key, n_codes)
-        values[pos] = kappa_for(*divmod(pair, n_types))(view.values[k])
+        pair_id, k = divmod(key, n_codes)
+        pair = divmod(pair_id, n_types)
+        if pair not in kappa:
+            raise MonoidMismatch(f"no monoid registered for type pair {pair}")
+        values[pos] = kappa[pair](view.values[k])
     return tgt, src, values[inverse]
 
 
@@ -438,13 +429,13 @@ def _linear_parts(net: Network, oracle: Oracle):
     if not isinstance(oracle, OracleSpec):
         return None
     n_types = len(net.type_names)
-    gs = [oracle.g_for(i) for i in range(n_types)]
+    gs = [oracle._g[i] for i in range(n_types)]
     if any(gs[i].kind not in ("zero", "scale") for i in set(net.cell_types)):
         return None
     types = np.asarray(net.cell_types, dtype=np.int64)
-    tgt, src, gains = _edge_gains(net, oracle.kappa_for)
+    tgt, src, gains = _edge_gains(net, oracle._kappa)
     pair_ids = types[tgt] * n_types + types[src]
-    kinds = {p: oracle.h_for(*divmod(p, n_types)).kind for p in set(pair_ids.tolist())}
+    kinds = {p: oracle._h[divmod(p, n_types)].kind for p in set(pair_ids.tolist())}
     if any(kind not in ("neighbor", "diffusive") for kind in kinds.values()):
         return None
     diffusive = np.isin(pair_ids, [p for p, kind in kinds.items() if kind == "diffusive"])
@@ -683,60 +674,73 @@ def trajectory_csv(traj: Trajectory, cells) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Per oracle section: type-name fields, default kind, numeric parameters per kind.
+_ORACLE_SECTIONS = {
+    "g": (("type",), "zero", {"zero": (), "scale": ("a",)}),
+    "kappa": (("target_type", "source_type"), "natural", {"natural": ("scale",)}),
+    "h": (("target_type", "source_type"), "neighbor", {"neighbor": (), "diffusive": ()}),
+}
+
+
+def _oracle_entries(obj, net: Network, section: str):
+    """Check each entry of one oracle section; yields (type key, kind, parameters)."""
+    name_fields, default_kind, kinds = _ORACLE_SECTIONS[section]
+    entries = obj.get(section, [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"oracle field {section!r} must be a list")
+    name_to_idx = {name: i for i, name in enumerate(net.type_names)}
+    for pos, entry in enumerate(entries):
+        where = f"{section}[{pos}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where} must be an object")
+        kind = entry.get("kind", default_kind)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise SchemaError(f"{where}: unknown kind {kind!r} (use {' or '.join(kinds)})")
+        extra = entry.keys() - {"kind", *name_fields, *kinds[kind]}
+        if extra:
+            raise SchemaError(
+                f"{where}: unexpected key(s) {', '.join(sorted(map(repr, extra)))} "
+                f"for {section} kind {kind!r}"
+            )
+        key = []
+        for field in name_fields:
+            name = entry.get(field)
+            if not isinstance(name, str) or name not in name_to_idx:
+                raise SchemaError(f"{where}.{field} must name a type, got {name!r}")
+            key.append(name_to_idx[name])
+        if len(key) == 2 and net.registry.get(*key) is None:
+            raise SchemaError(f"{where}: no monoid is registered for this type pair")
+        params = {field: entry[field] for field in kinds[kind] if field in entry}
+        for field, value in params.items():  # bool is a subclass of int, not int itself
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise SchemaError(f"{where}.{field} must be a finite number, got {value!r}")
+        yield tuple(key), kind, {field: float(value) for field, value in params.items()}
+
+
 def parse_oracle_json(obj, net: Network) -> OracleSpec:
     """Build an OracleSpec from its JSON description.
 
-    {"g": [{"type", "kind", "a"?}...],
-     "kappa": [{"target_type", "source_type", "scale"}...],
-     "h": [{"target_type", "source_type", "kind"}...]}
+    {"g": [{"type", "kind"?, "a"?}...],
+     "kappa": [{"target_type", "source_type", "kind"?, "scale"?}...],
+     "h": [{"target_type", "source_type", "kind"?}...]}
 
     Everything is optional; defaults are zero internal dynamics, natural
-    kappa with scale 1 and neighbor coupling.
+    kappa with scale 1 and neighbor coupling. An entry holds exactly the
+    keys of its kind (``a`` only with g kind ``scale``), names a type or a
+    registered type pair by strings, and gives finite numbers, not
+    booleans; anything else is one ``SchemaError`` naming the entry.
     """
     if not isinstance(obj, dict):
         raise SchemaError("oracle file must hold a JSON object")
-    unknown = set(obj) - {"g", "kappa", "h"}
+    unknown = set(obj) - set(_ORACLE_SECTIONS)
     if unknown:
         raise SchemaError(f"unknown oracle fields {sorted(unknown)}")
-    for field in ("g", "kappa", "h"):
-        entries = obj.get(field, [])
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise SchemaError(f"oracle field {field!r} must be a list of objects")
-    name_to_idx = {name: i for i, name in enumerate(net.type_names)}
-
-    def type_idx(entry, field):
-        name = entry.get(field)
-        if name not in name_to_idx:
-            raise SchemaError(f"oracle entry has unknown {field} {name!r}")
-        return name_to_idx[name]
-
-    g = {}
-    for entry in obj.get("g", []):
-        i = type_idx(entry, "type")
-        kind = entry.get("kind", "zero")
-        if kind == "zero":
-            g[i] = GFunc("zero")
-        elif kind == "scale":
-            g[i] = GFunc("scale", a=float(entry.get("a", 0.0)))
-        else:
-            raise SchemaError(f"unknown g kind {kind!r} (use zero or scale)")
-    kappa = {}
-    for entry in obj.get("kappa", []):
-        i = type_idx(entry, "target_type")
-        j = type_idx(entry, "source_type")
-        if entry.get("kind", "natural") != "natural":
-            raise SchemaError("only the natural kappa kind is file-configurable")
-        scale = float(entry.get("scale", 1.0))
-        nat = net.registry.require(i, j).default_kappa()
-        kappa[(i, j)] = (lambda f, s: (lambda w: s * f(w)))(nat, scale)
-    h = {}
-    for entry in obj.get("h", []):
-        i = type_idx(entry, "target_type")
-        j = type_idx(entry, "source_type")
-        kind = entry.get("kind", "neighbor")
-        if kind not in ("neighbor", "diffusive"):
-            raise SchemaError(f"unknown h kind {kind!r} (use neighbor or diffusive)")
-        h[(i, j)] = Coupling(kind)
+    g = {i: GFunc(kind, a=p.get("a", 0.0)) for (i,), kind, p in _oracle_entries(obj, net, "g")}
+    kappa = {
+        pair: _scaled_kappa(net.registry.require(*pair), p.get("scale", 1.0))
+        for pair, _, p in _oracle_entries(obj, net, "kappa")
+    }
+    h = {pair: Coupling(kind) for pair, kind, _ in _oracle_entries(obj, net, "h")}
     return OracleSpec(net.registry, len(net.type_names), g=g, kappa=kappa, h=h)
 
 
@@ -745,4 +749,6 @@ def parse_oracle(text: str, net: Network) -> OracleSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid oracle JSON: {exc.msg} (line {exc.lineno})") from None
+    except (ValueError, RecursionError) as exc:  # over-long integer literal, too deep nesting
+        raise SchemaError(f"invalid oracle JSON: {exc}") from None
     return parse_oracle_json(obj, net)

@@ -15,6 +15,7 @@ the value-level queries below decode them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .coding import CodedNetwork
@@ -56,8 +57,9 @@ class Network:
         cells = [str(c) for c in cells]
         if not cells:
             raise SchemaError("network must have >=1 cell")
-        if len(set(cells)) != len(cells):
-            dupes = sorted({c for c in cells if cells.count(c) > 1})
+        counts = Counter(cells)
+        if len(counts) != len(cells):
+            dupes = sorted(c for c, k in counts.items() if k > 1)
             raise SchemaError(f"duplicate cell ids: {dupes}")
         type_names = [str(t) for t in type_names]
         if not type_names or len(set(type_names)) != len(type_names):
@@ -357,11 +359,10 @@ def to_dot(net: Network, coloring: Partition | None = None) -> str:
         lines.append(
             f"  {_quote(cell)} [shape={shape}, style=filled, fillcolor={_quote(fill)}];"
         )
-    for c in range(net.n):
-        i = net.cell_types[c]
-        for d, weight in net.row_items(c):
-            spec = net.registry.require(i, net.cell_types[d])
-            label = spec.display(weight)
+    view = net._coded
+    for c, (srcs, codes) in enumerate(view.rows):
+        for d, k in zip(srcs, codes):
+            label = view.specs[k].display(view.values[k])
             lines.append(
                 f"  {_quote(net.cells[d])} -> {_quote(net.cells[c])} "
                 f"[label={_quote(label)}];"

@@ -212,6 +212,52 @@ def test_simulate_bad_time_arguments_are_one_json_error(runner, net_file, tmp_pa
     assert json.loads(result.stderr)["error"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "oracle, where",
+    [
+        ({"g": [{"type": "t", "kind": "scale", "a": "x"}]}, "g[0]"),
+        ({"g": [{"type": ["t"]}]}, "g[0]"),
+        ({"kappa": [{"target_type": "t", "source_type": "t", "scale": [1]}]}, "kappa[0]"),
+        ({"g": [{"type": "t", "kind": "scale", "a": True}]}, "g[0]"),
+        ({"g": [{"type": "t", "kind": "scale", "A": 2}]}, "g[0]"),
+        ({"g": [{"type": "t", "kind": "zero", "a": 2}]}, "g[0]"),
+        ({"g": [{"type": "t", "kind": "scale", "a": 10**400}]}, "g[0]"),
+        ({"g": [{"type": "t", "kind": "scale", "a": float("nan")}]}, "g[0]"),
+        ({"g": [{"type": "t"}, {"type": "t", "kind": ["scale"]}]}, "g[1]"),
+        ({"g": [7]}, "g[0]"),
+        ({"kappa": [{"target_type": "t", "source_type": 0}]}, "kappa[0]"),
+        ({"kappa": [{"target_type": "t", "source_type": "t", "kind": "log"}]}, "kappa[0]"),
+        ({"h": [{"target_type": "t", "source_type": "t", "kind": "diffusive", "a": 1}]},
+         "h[0]"),
+        ({"h": [{"target_type": "t", "source_type": "t", "kind": {}}]}, "h[0]"),
+    ],
+)
+def test_bad_oracle_entry_is_one_schema_error(runner, net_file, tmp_path, oracle, where):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(oracle))
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,1.0,2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(path), "--x0", str(x0), "--steps", "1",
+                             net_file(make_triangle3())])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "schema"
+    assert err["detail"].startswith(where)
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"g": [{"type": "t", "a": 1' + "0" * 5000 + "}]}"])
+def test_unloadable_oracle_json_is_schema_error(runner, net_file, tmp_path, text):
+    path = tmp_path / "oracle.json"
+    path.write_text(text)
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,1.0,2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(path), "--x0", str(x0), "--steps", "1",
+                             net_file(make_triangle3())])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"] == "schema"
+
+
 def test_simulate_usage_errors(runner, net_file, tmp_path):
     oracle = tmp_path / "oracle.json"
     oracle.write_text("{}")

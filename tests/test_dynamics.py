@@ -1,5 +1,6 @@
 """Oracle evaluation, self-consistency fuzzing, simulation and witnesses."""
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import corpus_noncancel
 from synchro import (
     Coupling,
     DimensionMismatch,
     GFunc,
+    MonoidMismatch,
     MonoidRegistry,
     NaturalAdd,
     NaturalMul,
@@ -20,6 +23,7 @@ from synchro import (
     OracleSpec,
     Partition,
     ResistorParallel,
+    SchemaError,
     SimulationDiverged,
     SizeLimitError,
     WitnessError,
@@ -382,14 +386,20 @@ class TestPlumbing:
         )
         out = admissible_eval(triangle3, oracle, [1.0, 1.0, 1.0])
         assert out == [-1.0, -1.0, -1.0]  # diffusive coupling vanishes when synchronized
-        from synchro import SchemaError
-
         with pytest.raises(SchemaError):
             parse_oracle('{"g": [{"type": "nope"}]}', triangle3)
         with pytest.raises(SchemaError):
             parse_oracle('{"h": [{"target_type": "t", "source_type": "t", "kind": "??"}]}', triangle3)
         with pytest.raises(SchemaError):
             parse_oracle("not json", triangle3)
+
+    def test_parse_oracle_rejects_pairs_without_a_monoid(self):
+        registry = MonoidRegistry({(0, 0): NaturalAdd()})
+        net = Network.build(["a", "b"], ["t", "u"], ["t", "u"], registry, [])
+        for field in ("kappa", "h"):
+            text = json.dumps({field: [{"target_type": "t", "source_type": "u"}]})
+            with pytest.raises(SchemaError, match=rf"^{field}\[0\]: no monoid"):
+                parse_oracle(text, net)
 
 
 # Finite doubles on which float arithmetic is least forgiving; signed
@@ -398,13 +408,15 @@ _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1e-310,
             1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]
 _STATES = st.sampled_from([0.0, -0.0]) | st.sampled_from(_SPECIAL)
 _LATTICES: dict = {}
+_CORPORA = (corpus, corpus_noncancel)
 
 
-def _balanced_colorings(k):
-    if k not in _LATTICES:
-        net = corpus.corpus_networks()[k]
-        _LATTICES[k] = (net, enumerate_balanced(net).elements)
-    return _LATTICES[k]
+def _balanced_colorings(case):
+    if case not in _LATTICES:
+        which, k = case
+        net = _CORPORA[which].corpus_networks()[k]
+        _LATTICES[case] = (net, enumerate_balanced(net).elements)
+    return _LATTICES[case]
 
 
 def _sign_oracle(net):
@@ -414,18 +426,57 @@ def _sign_oracle(net):
     return OracleSpec(net.registry, n_types, h={pair: sign for pair, _ in net.registry.pairs()})
 
 
+def _reference_eval(net, oracle, x):
+    """``admissible_eval`` from its definition, on weight values.
+
+    Each cell's inputs are grouped by (source type, state), with -0.0 read
+    as 0.0, and summed with ``spec.combine``; identity sums are dropped and
+    g + sum of kappa * h is added up in sorted group order.
+    """
+    out = []
+    for c, i in enumerate(net.cell_types):
+        groups = {}
+        for d, w in net.row_items(c):
+            key = (net.cell_types[d], x[d] + 0.0)
+            spec = net.registry.require(i, key[0])
+            groups[key] = spec.combine(groups[key], w) if key in groups else w
+        total = oracle._g[i](x[c])
+        for (j, s), w in sorted(groups.items()):
+            if not net.registry.require(i, j).is_identity(w):
+                total += oracle._kappa[i, j](w) * oracle._h[i, j](x[c], s)
+        out.append(total)
+    return out
+
+
+_CASES = [(which, k) for which, mod in enumerate(_CORPORA) for k in range(mod.CORPUS_SIZE)]
+
+
 @settings(max_examples=600, deadline=None)
-@given(st.integers(0, corpus.CORPUS_SIZE - 1), st.data())
-def test_balanced_colorings_stay_bitwise_synchronous_on_special_states(k, data):
-    net, elements = _balanced_colorings(k)
+@given(st.sampled_from(_CASES), st.data())
+def test_balanced_colorings_stay_bitwise_synchronous_on_special_states(case, data):
+    net, elements = _balanced_colorings(case)
     values = data.draw(st.lists(_STATES, min_size=net.n, max_size=net.n))
     oracles = (linear_oracle(net), _sign_oracle(net))
     for part in elements:
         x = lift(part, values[:part.rank])
         for oracle in oracles:
+            out = admissible_eval(net, oracle, x)
+            assert [v.hex() for v in out] == [v.hex() for v in _reference_eval(net, oracle, x)]
             first = {}
-            for color, value in zip(part.colors, admissible_eval(net, oracle, x)):
+            for color, value in zip(part.colors, out):
                 assert first.setdefault(color, value.hex()) == value.hex()
+
+
+def test_oracle_on_a_pair_its_registry_lacks_raises_monoid_mismatch():
+    oracle = OracleSpec(MonoidRegistry({(0, 0): NaturalAdd()}), 2)
+    with pytest.raises(MonoidMismatch):
+        oracle.evaluate(0, 1.0, [(1, 2, 3.0)])
+    registry = MonoidRegistry({(0, 0): NaturalAdd(), (0, 1): NaturalAdd()})
+    net = Network.build(["a", "b"], ["t", "u"], ["t", "u"], registry, [("a", "b", 2)])
+    with pytest.raises(MonoidMismatch):
+        admissible_eval(net, oracle, [1.0, 2.0])  # evaluated input by input
+    with pytest.raises(MonoidMismatch):
+        simulate_ode(net, oracle, [1.0, 2.0], 0.1, 0.01)  # through the linear propagator
 
 
 def test_linear_oracle_of_weight_beyond_float_range_is_size_limit_error():

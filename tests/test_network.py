@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,24 @@ def test_build_validation_errors():
         Network.build(["1"], ["t"], ["t"], registry, [("1", "9", 1)])
     with pytest.raises(MonoidMismatch):
         Network.build(["1"], ["t"], ["t"], registry, [("1", "1", -3)])
+
+
+def test_duplicate_ids_are_named_once_in_sorted_order():
+    registry = MonoidRegistry.uniform(NA, 1)
+    cells = ["b", "a", "c", "b", "a", "b"]
+    with pytest.raises(SchemaError, match=r"duplicate cell ids: \['a', 'b'\]$"):
+        Network.build(cells, ["t"] * len(cells), ["t"], registry, [])
+
+
+def test_one_duplicate_id_in_a_large_document_is_rejected_quickly():
+    cells = [{"id": f"c{i}", "type": "t"} for i in range(20000)] + [{"id": "c17", "type": "t"}]
+    doc = {"types": ["t"], "cells": cells,
+           "monoids": [{"target_type": "t", "source_type": "t", "kind": "natural_add"}],
+           "edges": []}
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match=r"duplicate cell ids: \['c17'\]$"):
+        parse_network(json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_missing_monoid_pair_rejected():
