@@ -19,6 +19,14 @@ that refinement and balance use, over (type, state) labels instead of
 colors, and an ``OracleSpec`` resolves g per type and kappa and h per
 registered type pair once, when it is built.
 
+``simulate_map`` steps a linear oracle (g ``zero`` or ``scale``, h
+``neighbor`` or ``diffusive``) through an array plan built once per call:
+each step sorts the edges by (target, source type, state), merges every
+run of equal-state inputs in the exact monoid before kappa and adds the
+terms in the order ``admissible_eval`` does, so its floats are bitwise
+equal to ``admissible_eval``. Any other oracle steps through
+``admissible_eval`` itself.
+
 ODE integration is classical fixed-step RK4. When the field is linear
 (g is ``zero`` or ``scale``, h is ``neighbor`` or ``diffusive``), one RK4
 step is exactly x -> Mx for the fixed propagator
@@ -196,7 +204,9 @@ def linear_oracle(net: Network, *, gain: float = 0.5, coupling: str = "neighbor"
     sum of coupling gains is ``gain``; that keeps the vector field strictly
     stable and the iterated map inside float range over short horizons.
     """
-    tgt, _, gains = _edge_gains(net, {p: s.default_kappa() for p, s in net.registry.pairs()})
+    tgt, _, codes, pairs = _flat_edges(net)
+    natural = {p: s.default_kappa() for p, s in net.registry.pairs()}
+    gains = _kappa_values(natural, len(net.type_names), coded(net).values, pairs, codes, {})
     rowmax = float(np.bincount(tgt, weights=np.abs(gains), minlength=net.n).max())
     scale = gain / rowmax if math.isfinite(rowmax) and rowmax > 0 else 1.0
     return coupling_oracle(
@@ -370,29 +380,38 @@ class Trajectory:
 
 
 def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
-    """Iterate the admissible map; aborts on the first non-finite state."""
+    """Iterate the admissible map; aborts on the first non-finite state.
+
+    A linear ``OracleSpec`` steps through ``_linear_map_step``, any other
+    oracle through ``admissible_eval``; both give the same floats.
+    """
     if steps < 0:
         raise DimensionMismatch("steps must be non-negative")
-    x = [float(v) for v in x0]
-    if len(x) != net.n:
-        raise DimensionMismatch(f"x0 has {len(x)} entries, network has {net.n} cells")
-    if not all(math.isfinite(v) for v in x):
+    x = np.asarray([float(v) for v in x0], dtype=np.float64)
+    if x.shape[0] != net.n:
+        raise DimensionMismatch(f"x0 has {x.shape[0]} entries, network has {net.n} cells")
+    if not np.isfinite(x).all():
         raise SimulationDiverged(0)
-    states = [tuple(x)]
+    step = _linear_map_step(net, oracle)
+    if step is None:
+
+        def step(state):
+            return np.asarray(admissible_eval(net, oracle, state.tolist()), dtype=np.float64)
+
+    states = [tuple(x.tolist())]
     for n in range(steps):
-        x = admissible_eval(net, oracle, x)
-        if not all(math.isfinite(v) for v in x):
+        x = step(x)
+        if not np.isfinite(x).all():
             raise SimulationDiverged(n + 1)
-        states.append(tuple(x))
+        states.append(tuple(x.tolist()))
     return Trajectory(times=tuple(range(steps + 1)), states=tuple(states), kind="map")
 
 
-def _edge_gains(net: Network, kappa: dict):
-    """Every coded edge as (target, source, kappa(weight)) arrays.
+def _flat_edges(net: Network):
+    """Every coded edge as (target, source, weight code, type pair) arrays.
 
-    ``kappa`` maps (target type, source type) to the pair's weight map; it
-    is applied once per distinct (type pair, weight code), not per edge. A
-    pair missing from the table raises ``MonoidMismatch``.
+    Edges come in row order: targets ascending, then sources ascending.
+    The type pair is the id target type * n_types + source type.
     """
     view = coded(net)
     types = np.asarray(net.cell_types, dtype=np.int64)
@@ -404,27 +423,57 @@ def _edge_gains(net: Network, kappa: dict):
     codes = np.fromiter(
         (k for _, ks in view.rows for k in ks), dtype=np.int64, count=view.n_edges
     )
-    n_types, n_codes = len(net.type_names), len(view.values)
-    keys = (types[tgt] * n_types + types[src]) * n_codes + codes
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    values = np.empty(len(distinct))
+    return tgt, src, codes, types[tgt] * len(net.type_names) + types[src]
+
+
+def _kappa_values(kappa: dict, n_types: int, values: list, pairs, codes, memo: dict):
+    """kappa[pair](values[code]) for every (type pair id, code), as an array.
+
+    Each distinct (pair, code) is looked up in ``memo``, keyed on
+    ((target type, source type), code), and evaluated on a miss; the
+    array key below is local to one call, as merges intern new codes.
+    """
+    width = len(values)
+    distinct, inverse = np.unique(pairs * width + codes, return_inverse=True)
+    out = np.empty(len(distinct))
     for pos, key in enumerate(distinct.tolist()):
-        pair_id, k = divmod(key, n_codes)
+        pair_id, k = divmod(key, width)
         pair = divmod(pair_id, n_types)
-        if pair not in kappa:
-            raise MonoidMismatch(f"no monoid registered for type pair {pair}")
-        values[pos] = kappa[pair](view.values[k])
-    return tgt, src, values[inverse]
+        value = memo.get((pair, k))
+        if value is None:
+            value = memo[pair, k] = kappa[pair](values[k])
+        out[pos] = value
+    return out[inverse]
 
 
-def _linear_parts(net: Network, oracle: Oracle):
-    """The matrix A of a linear admissible field, or None if it is not linear.
+@dataclass(frozen=True)
+class _LinearField:
+    """The flat coded edges and the per-cell g of a linear admissible field.
+
+    Edge arrays come in row order (targets ascending, then sources); a
+    type pair is the id target type * n_types + source type, and ``gains``
+    holds kappa of each edge's own weight. ``slope`` is the ``a`` of g
+    ``scale`` and 0.0 for g ``zero``, which ``zero_g`` marks.
+    """
+
+    tgt: np.ndarray
+    src: np.ndarray
+    codes: np.ndarray
+    pairs: np.ndarray
+    gains: np.ndarray
+    diffusive: np.ndarray
+    slope: np.ndarray
+    zero_g: np.ndarray
+
+
+def _linear_field(net: Network, oracle: Oracle) -> _LinearField | None:
+    """The linear field of ``oracle`` on ``net``, or None if it is not linear.
 
     The field is linear when ``oracle`` is an ``OracleSpec`` whose g is
-    ``zero`` or ``scale`` on every type of a cell and whose h is ``neighbor`` or
-    ``diffusive`` on every type pair that carries an edge. A is returned
-    as (row, column, value) triples, repeats adding up, with one diagonal
-    triple on every row.
+    ``zero`` or ``scale`` on every type of a cell and whose h is
+    ``neighbor`` or ``diffusive`` on every type pair that carries an edge.
+    The RK4 propagator and the map step both decide here. A pair the
+    oracle's registry lacks raises ``MonoidMismatch``.
     """
     if not isinstance(oracle, OracleSpec):
         return None
@@ -432,19 +481,132 @@ def _linear_parts(net: Network, oracle: Oracle):
     gs = [oracle._g[i] for i in range(n_types)]
     if any(gs[i].kind not in ("zero", "scale") for i in set(net.cell_types)):
         return None
+    tgt, src, codes, pairs = _flat_edges(net)
+    diffusive_pairs = []
+    for p in np.unique(pairs).tolist():
+        pair = divmod(p, n_types)
+        if pair not in oracle._h:
+            oracle.registry.require(*pair)
+        kind = oracle._h[pair].kind
+        if kind not in ("neighbor", "diffusive"):
+            return None
+        if kind == "diffusive":
+            diffusive_pairs.append(p)
     types = np.asarray(net.cell_types, dtype=np.int64)
-    tgt, src, gains = _edge_gains(net, oracle._kappa)
-    pair_ids = types[tgt] * n_types + types[src]
-    kinds = {p: oracle._h[divmod(p, n_types)].kind for p in set(pair_ids.tolist())}
-    if any(kind not in ("neighbor", "diffusive") for kind in kinds.values()):
+    return _LinearField(
+        tgt, src, codes, pairs,
+        gains=_kappa_values(oracle._kappa, n_types, coded(net).values, pairs, codes, {}),
+        diffusive=np.isin(pairs, diffusive_pairs),
+        slope=np.asarray([g.a if g.kind == "scale" else 0.0 for g in gs])[types],
+        zero_g=np.asarray([g.kind == "zero" for g in gs], dtype=bool)[types],
+    )
+
+
+def _by_position(rows, n: int):
+    """(row, entry) index arrays of the p-th entry of every row, for each p.
+
+    ``rows`` holds the row of each entry, ascending, so the entries of a
+    row are contiguous and in order.
+    """
+    counts = np.bincount(rows, minlength=n)
+    pos = np.arange(len(rows)) - (counts.cumsum() - counts)[rows]
+    by_pos = pos.argsort(kind="stable")
+    lo, out = 0, []
+    for hi in np.bincount(pos).cumsum().tolist():
+        at = by_pos[lo:hi]
+        out.append((rows[at], at))
+        lo = hi
+    return out
+
+
+def _linear_map_step(net: Network, oracle: Oracle):
+    """One step of a linear admissible map on state arrays, or None.
+
+    The plan is built once: the flat coded edges with their kappa values,
+    a (target, source type) sort key, the diffusive edges and the per-cell
+    g. A step sorts the edges by (target, source type, state) and so finds
+    each row's runs of equal-state inputs; a run of several edges is
+    merged in the exact monoid (``CodedNetwork.merge``, the memo
+    ``row_sums`` uses) and kappa is applied to the merged code, memoised
+    per (type pair, code); a run that merges to the identity adds -0.0,
+    which leaves every float as it is. The terms kappa * h are then added
+    to g(x) one in-row position at a time. That is the sequence of float
+    operations of ``admissible_eval``, so the result is bitwise equal to it.
+    """
+    field = _linear_field(net, oracle)
+    if field is None:
         return None
-    diffusive = np.isin(pair_ids, [p for p, kind in kinds.items() if kind == "diffusive"])
-    scale = np.asarray([g.a if g.kind == "scale" else 0.0 for g in gs])
-    diag = scale[types] - np.bincount(tgt[diffusive], weights=gains[diffusive], minlength=net.n)
+    tgt, src, codes, diffusive = field.tgt, field.src, field.codes, field.diffusive
+    n_types, n_edges = len(net.type_names), len(tgt)
+    any_diffusive = bool(diffusive.any())
+    row_key = tgt * n_types + np.asarray(net.cell_types, dtype=np.int64)[src]
+    view = coded(net)
+    merge, values, kappa, memo = view.merge, view.values, oracle._kappa, {}
+    unmerged = _by_position(tgt, net.n)
+    boundary = np.ones(n_edges, dtype=bool)
+
+    def merge_codes(a, b):
+        width = len(values)
+        distinct, inverse = np.unique(a * width + b, return_inverse=True)
+        merged = [merge(*divmod(key, width)) for key in distinct.tolist()]
+        return np.asarray(merged, dtype=np.int64)[inverse]
+
+    def step(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = (x + 0.0)[src]
+            order = np.lexsort((s, row_key))
+            s, key = s[order], row_key[order]
+            np.not_equal(key[1:], key[:-1], out=boundary[1:])
+            boundary[1:] |= s[1:] != s[:-1]
+            starts = boundary.nonzero()[0]
+            edges = order[starts]
+            h = s[starts]
+            if any_diffusive:
+                h = np.where(diffusive[edges], h - x[tgt[edges]], h)
+            folds = unmerged
+            if len(starts) < n_edges:
+                sizes = np.append(starts[1:], n_edges) - starts
+                long = (sizes > 1).nonzero()[0]
+                first, sizes = starts[long], sizes[long]
+                merged = codes[order[first]]
+                for p in range(1, int(sizes.max())):
+                    live = (sizes > p).nonzero()[0]
+                    merged[live] = merge_codes(merged[live], codes[order[first[live] + p]])
+                kv = field.gains[edges]
+                sent = merged != 0
+                kv[long[sent]] = _kappa_values(
+                    kappa, n_types, values, field.pairs[edges[long[sent]]], merged[sent], memo
+                )
+                terms = kv * h
+                terms[long[~sent]] = -0.0
+                folds = _by_position(tgt[edges], net.n)
+            else:
+                terms = field.gains[edges] * h
+            total = field.slope * x
+            total[field.zero_g] = 0.0
+            for rows, at in folds:
+                total[rows] += terms[at]
+        return total
+
+    return step
+
+
+def _linear_parts(net: Network, oracle: Oracle):
+    """The matrix A of a linear admissible field, or None if it is not linear.
+
+    Linearity is decided by ``_linear_field``. A is returned as (row,
+    column, value) triples, repeats adding up, with one diagonal triple on
+    every row.
+    """
+    field = _linear_field(net, oracle)
+    if field is None:
+        return None
+    tgt, gains, diffusive = field.tgt, field.gains, field.diffusive
+    diag = field.slope - np.bincount(tgt[diffusive], weights=gains[diffusive], minlength=net.n)
     cells = np.arange(net.n, dtype=np.int64)
     return (
         np.concatenate((tgt, cells)),
-        np.concatenate((src, cells)),
+        np.concatenate((field.src, cells)),
         np.concatenate((gains, diag)),
     )
 
@@ -689,6 +851,7 @@ def _oracle_entries(obj, net: Network, section: str):
     if not isinstance(entries, list):
         raise SchemaError(f"oracle field {section!r} must be a list")
     name_to_idx = {name: i for i, name in enumerate(net.type_names)}
+    seen = set()
     for pos, entry in enumerate(entries):
         where = f"{section}[{pos}]"
         if not isinstance(entry, dict):
@@ -702,19 +865,22 @@ def _oracle_entries(obj, net: Network, section: str):
                 f"{where}: unexpected key(s) {', '.join(sorted(map(repr, extra)))} "
                 f"for {section} kind {kind!r}"
             )
-        key = []
-        for field in name_fields:
-            name = entry.get(field)
+        names = [entry.get(field) for field in name_fields]
+        for field, name in zip(name_fields, names):
             if not isinstance(name, str) or name not in name_to_idx:
                 raise SchemaError(f"{where}.{field} must name a type, got {name!r}")
-            key.append(name_to_idx[name])
+        key = tuple(name_to_idx[name] for name in names)
         if len(key) == 2 and net.registry.get(*key) is None:
             raise SchemaError(f"{where}: no monoid is registered for this type pair")
+        if key in seen:
+            what = f"type {names[0]!r}" if len(key) == 1 else f"pair ({names[0]!r}, {names[1]!r})"
+            raise SchemaError(f"{where}: duplicate entry for {what}")
+        seen.add(key)
         params = {field: entry[field] for field in kinds[kind] if field in entry}
         for field, value in params.items():  # bool is a subclass of int, not int itself
             if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise SchemaError(f"{where}.{field} must be a finite number, got {value!r}")
-        yield tuple(key), kind, {field: float(value) for field, value in params.items()}
+        yield key, kind, {field: float(value) for field, value in params.items()}
 
 
 def parse_oracle_json(obj, net: Network) -> OracleSpec:
@@ -728,7 +894,8 @@ def parse_oracle_json(obj, net: Network) -> OracleSpec:
     kappa with scale 1 and neighbor coupling. An entry holds exactly the
     keys of its kind (``a`` only with g kind ``scale``), names a type or a
     registered type pair by strings, and gives finite numbers, not
-    booleans; anything else is one ``SchemaError`` naming the entry.
+    booleans; a type in ``g`` or a pair in ``kappa`` or ``h`` appears at
+    most once. Anything else is one ``SchemaError`` naming the entry.
     """
     if not isinstance(obj, dict):
         raise SchemaError("oracle file must hold a JSON object")

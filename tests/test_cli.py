@@ -230,6 +230,14 @@ def test_simulate_bad_time_arguments_are_one_json_error(runner, net_file, tmp_pa
         ({"h": [{"target_type": "t", "source_type": "t", "kind": "diffusive", "a": 1}]},
          "h[0]"),
         ({"h": [{"target_type": "t", "source_type": "t", "kind": {}}]}, "h[0]"),
+        ({"g": [{"type": "t", "kind": "scale", "a": 1}, {"type": "t", "kind": "scale", "a": -5}]},
+         "g[1]: duplicate entry for type 't'"),
+        ({"kappa": [{"target_type": "t", "source_type": "t"},
+                    {"target_type": "t", "source_type": "t", "scale": 2}]},
+         "kappa[1]: duplicate entry for pair ('t', 't')"),
+        ({"h": [{"target_type": "t", "source_type": "t", "kind": "diffusive"},
+                {"target_type": "t", "source_type": "t"}]},
+         "h[1]: duplicate entry for pair ('t', 't')"),
     ],
 )
 def test_bad_oracle_entry_is_one_schema_error(runner, net_file, tmp_path, oracle, where):

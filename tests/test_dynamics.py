@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,8 @@ from synchro import (
     trajectory_csv,
     unbalance_witness,
 )
-from synchro.dynamics import Oracle, parse_oracle
+from synchro import dynamics
+from synchro.dynamics import Oracle, _linear_map_step, parse_oracle
 from synchro.partition import lift
 
 
@@ -287,6 +289,44 @@ class TestSimulation:
         with pytest.raises(DimensionMismatch):
             simulate_map(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], -1)
 
+    def test_linear_map_divergence_names_first_non_finite_step(self, triangle3):
+        blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=1e30)})
+        x0 = [1.0, 2.0, 3.0]
+        with pytest.raises(SimulationDiverged) as err:
+            simulate_map(triangle3, blower, x0, 40)
+        k = err.value.step
+        assert k >= 2
+        traj = simulate_map(triangle3, blower, x0, k - 1)
+        assert all(math.isfinite(v) for state in traj.states for v in state)
+        assert not all(map(math.isfinite, admissible_eval(triangle3, blower, traj.states[-1])))
+
+    def test_custom_g_maps_through_admissible_eval(self, triangle3, monkeypatch):
+        calls = []
+
+        def counted(net, oracle, x):
+            calls.append(1)
+            return admissible_eval(net, oracle, x)
+
+        monkeypatch.setattr(dynamics, "admissible_eval", counted)
+        x0 = [1.0, -0.0, 3.0]
+        linear = linear_oracle(triangle3)
+        simulate_map(triangle3, linear, x0, 4)
+        assert calls == []
+        custom = OracleSpec(
+            triangle3.registry, 1,
+            g={0: GFunc("custom", fn=math.sin)}, kappa=linear._kappa,
+        )
+        traj = simulate_map(triangle3, custom, x0, 4)
+        assert len(calls) == 4
+        assert _hex_orbit(traj.states) == _stepped_orbit(triangle3, custom, x0, 4)[0]
+
+    def test_map_states_are_python_floats(self, triangle3):
+        sin_g = OracleSpec(triangle3.registry, 1, g={0: GFunc("custom", fn=math.sin)})
+        for oracle in (linear_oracle(triangle3), sin_g):
+            traj = simulate_map(triangle3, oracle, [1, 2, 3], 3)
+            assert all(type(state) is tuple for state in traj.states)
+            assert all(type(v) is float for state in traj.states for v in state)
+
 
 class TestQuotientMatch:
     def test_trivial_partition_matches_exactly(self, triangle3):
@@ -477,6 +517,8 @@ def test_oracle_on_a_pair_its_registry_lacks_raises_monoid_mismatch():
         admissible_eval(net, oracle, [1.0, 2.0])  # evaluated input by input
     with pytest.raises(MonoidMismatch):
         simulate_ode(net, oracle, [1.0, 2.0], 0.1, 0.01)  # through the linear propagator
+    with pytest.raises(MonoidMismatch):
+        simulate_map(net, oracle, [1.0, 2.0], 1)  # through the linear map plan
 
 
 def test_linear_oracle_of_weight_beyond_float_range_is_size_limit_error():
@@ -484,3 +526,62 @@ def test_linear_oracle_of_weight_beyond_float_range_is_size_limit_error():
     net = Network.build(["a", "b"], ["t", "t"], ["t"], registry, [("a", "b", 10**400)])
     with pytest.raises(SizeLimitError):
         linear_oracle(net)
+
+
+def _hex_orbit(states):
+    return [[v.hex() for v in state] for state in states]
+
+
+def _stepped_orbit(net, oracle, x, steps):
+    """The orbit stepped through ``admissible_eval`` as float.hex rows, and
+    the first step with a non-finite state, or None."""
+    orbit = [x]
+    for n in range(steps):
+        x = admissible_eval(net, oracle, x)
+        if not all(map(math.isfinite, x)):
+            return _hex_orbit(orbit), n + 1
+        orbit.append(x)
+    return _hex_orbit(orbit), None
+
+
+def _map_orbit(net, oracle, x, steps):
+    """``simulate_map`` in the form of ``_stepped_orbit``."""
+    try:
+        return _hex_orbit(simulate_map(net, oracle, x, steps).states), None
+    except SimulationDiverged as err:
+        return _map_orbit(net, oracle, x, err.step - 1)[0], err.step
+
+
+@pytest.mark.parametrize("coupling", ["neighbor", "diffusive"])
+@pytest.mark.parametrize("mod", _CORPORA, ids=lambda mod: mod.__name__)
+def test_linear_map_plan_is_bitwise_admissible_eval(mod, coupling):
+    rng = random.Random(8)
+    for net in mod.corpus_networks():
+        oracle = linear_oracle(net, coupling=coupling)
+        step = _linear_map_step(net, oracle)
+        for _ in range(8):
+            x = [rng.choice(_SPECIAL) for _ in range(net.n)]
+            # one step, non-finite outputs included (kappa is +-inf on the second corpus)
+            out = step(np.asarray(x)).tolist()
+            assert _hex_orbit([out]) == _hex_orbit([admissible_eval(net, oracle, x)])
+            assert _map_orbit(net, oracle, x, 6) == _stepped_orbit(net, oracle, x, 6)
+
+
+@pytest.mark.parametrize("coupling", ["neighbor", "diffusive"])
+@pytest.mark.parametrize("period", [2, 5])
+def test_linear_map_plan_merges_every_row_of_a_lifted_ring(period, coupling):
+    # offsets -3, -1, 1, 3 are one color mod 2 and offsets -3, 2 one color mod 5,
+    # so every row merges equal-state inputs before kappa
+    n = 2000
+    cells = [f"c{i}" for i in range(n)]
+    weights = {-3: 1, -1: 2, 1: 3, 2: 1, 3: 2}
+    edges = [(cells[i], cells[(i + o) % n], w) for i in range(n) for o, w in weights.items()]
+    net = Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1), edges)
+    oracle = linear_oracle(net, coupling=coupling)
+    part = Partition(tuple(i % period + 1 for i in range(n)))
+    reduced = [-0.0, 0.75, 5e-324, -1.0, 0.0][:period]
+    x0 = lift(part, reduced)
+    orbit = _map_orbit(net, oracle, x0, 20)
+    assert orbit == _stepped_orbit(net, oracle, x0, 20)
+    assert orbit[1] is None
+    assert all(state[c] == state[c % period] for state in orbit[0] for c in range(n))
