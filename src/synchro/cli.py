@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
+from click.core import ParameterSource
 
 from .balance import is_balanced, quotient
 from .cir import cir, top
@@ -181,7 +183,7 @@ def quotient_command(partition_text, network_file, pretty):
 
 
 @main.command(name="lattice")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
+@click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET, show_default=True,
               help="Abort after this many balanced partitions.")
 @click.option("--dot", "as_dot", is_flag=True, help="Emit a Hasse diagram instead of JSON.")
 @click.argument("network_file")
@@ -208,13 +210,17 @@ def lattice_command(budget, as_dot, network_file, pretty):
 @click.option("--x0", "x0_file", required=True, help="CSV with one row of initial values.")
 @click.option("--steps", type=int, default=None, help="Iterate the map this many steps.")
 @click.option("--tend", type=float, default=None, help="Integrate the flow to this time.")
-@click.option("--dt", type=float, default=1e-3, show_default=True, help="RK4 step size.")
+@click.option("--dt", type=float, default=1e-3, show_default=True,
+              help="RK4 step size (flow only).")
 @click.argument("network_file")
 @guarded
 def simulate_command(oracle_file, x0_file, steps, tend, dt, network_file):
     """Simulate admissible dynamics; trajectory goes to stdout as CSV."""
     if (steps is None) == (tend is None):
         raise click.UsageError("pass exactly one of --steps (map) or --tend (flow)")
+    dt_source = click.get_current_context().get_parameter_source("dt")
+    if steps is not None and dt_source is not ParameterSource.DEFAULT:
+        raise click.UsageError("--dt sets the RK4 step of a flow; it cannot go with --steps")
     net = _load(network_file)
     oracle = parse_oracle(_read(oracle_file), net)
     raw = [line for line in _read(x0_file).splitlines() if line.strip()]
@@ -226,6 +232,11 @@ def simulate_command(oracle_file, x0_file, steps, tend, dt, network_file):
         raise SchemaError(f"bad initial state: {exc}") from None
     if len(x0) != net.n:
         raise SchemaError(f"initial state has {len(x0)} values, network has {net.n} cells")
+    for pos, value in enumerate(x0):
+        if not math.isfinite(value):
+            raise SchemaError(
+                f"initial state x0[{pos}] (cell {net.cells[pos]!r}) must be finite, got {value!r}"
+            )
     if steps is not None:
         traj = simulate_map(net, oracle, x0, steps)
     else:

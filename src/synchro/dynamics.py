@@ -33,9 +33,14 @@ step is exactly x -> Mx for the fixed propagator
 M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so M is built once as sparse
 rows from the coded edges (kappa evaluated once per distinct weight) and
 each step costs O(nnz(M)); the floats differ from stage-by-stage RK4 only
-in summation order. Any other field is evaluated stage by stage through
-the merged-input evaluation. Exactness claims stop at the monoid algebra,
-never float trajectories.
+in summation order. The orbit advances B steps per array call through the
+stacked propagator [M; M^2; ...; M^B]. B > 1 only when M's pattern is
+closed under multiplication (every power keeps it, so per-step work stays
+nnz(M)) and every stacked power is finite; B is then the largest power of
+two with B * nnz(M) within ``_STACK_ENTRIES``. B depends on M alone, so an
+orbit to an earlier time is bitwise a prefix of a longer one. Any other
+field is evaluated stage by stage through the merged-input evaluation.
+Exactness claims stop at the monoid algebra, never float trajectories.
 """
 from __future__ import annotations
 
@@ -623,13 +628,24 @@ def _identity_plus(rows, cols, vals, n: int):
     return indptr, keys % n, data
 
 
+def _pairs(cols, indptr):
+    """(left, right) entry indices of a product with a CSR matrix.
+
+    Each entry in column ``cols[e]`` meets every entry of the CSR row of
+    that index: ``left`` repeats e once per such entry and ``right`` gives
+    the entry's position in the CSR arrays.
+    """
+    counts = indptr[cols + 1] - indptr[cols]
+    ends = np.cumsum(counts)
+    right = np.repeat(indptr[cols] - (ends - counts), counts) + np.arange(ends[-1])
+    return np.repeat(np.arange(len(cols)), counts), right
+
+
 def _product(rows, cols, vals, csr):
     """The triples of (triples) @ (CSR matrix), one per multiplied pair."""
     indptr, indices, data = csr
-    counts = indptr[cols + 1] - indptr[cols]
-    ends = np.cumsum(counts)
-    pos = np.repeat(indptr[cols] - (ends - counts), counts) + np.arange(ends[-1])
-    return np.repeat(rows, counts), indices[pos], np.repeat(vals, counts) * data[pos]
+    left, right = _pairs(cols, indptr)
+    return rows[left], indices[right], vals[left] * data[right]
 
 
 def _rk4_propagator(net: Network, oracle: Oracle, dt: float):
@@ -651,6 +667,58 @@ def _rk4_propagator(net: Network, oracle: Oracle, dt: float):
     return m
 
 
+# The most entries the stacked propagator [M; M^2; ...; M^B] may hold. A
+# block then costs far more than the ~1 us overhead of its three array
+# calls; bounds from 1024 to 8192 timed alike on small corpus orbits.
+_STACK_ENTRIES = 2048
+
+
+def _power_stack(m, n: int):
+    """The stack [M; M^2; ...; M^B] of a CSR propagator as CSR over B*n rows.
+
+    Every power is stored on M's own pattern, so B > 1 only when that
+    pattern is closed under multiplication (every row holds its diagonal,
+    so each product pattern then equals it) and only while every power is
+    finite; B is the largest power of two with B * nnz(M) within
+    ``_STACK_ENTRIES``. The powers double, S_2k = [S_k; S_k M^k], through
+    one product plan on the fixed pattern: the pairs of entries that meet,
+    sorted by the entry they add into. They are carried as D_k = M^k - I,
+    D_j+k = D_j + D_k + D_j D_k, so rounding scales with D and not with
+    the unit diagonal. B depends on M alone. Returns (indptr, indices,
+    data, B); with B = 1 that is M itself.
+    """
+    indptr, indices, data = m
+    nnz = len(indices)
+    powers = data[None, :]
+    if 2 * nnz <= _STACK_ENTRIES and np.isfinite(data).all():
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        keys = rows * n + indices
+        left, right = _pairs(indices, indptr)
+        want = rows[left] * n + indices[right]
+        at = np.minimum(np.searchsorted(keys, want), nnz - 1)
+        if (keys[at] == want).all():
+            order = at.argsort(kind="stable")
+            left, right = left[order], right[order]
+            segments = np.concatenate(([0], np.bincount(at, minlength=nnz).cumsum()[:-1]))
+            diagonal = rows == indices
+            deltas = powers.copy()
+            deltas[0, diagonal] -= 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while 2 * deltas.size <= _STACK_ENTRIES:
+                    last = deltas[-1]
+                    doubled = np.add.reduceat(deltas[:, left] * last[right], segments, axis=1)
+                    doubled += deltas
+                    doubled += last
+                    if not np.isfinite(doubled).all():
+                        break
+                    deltas = np.concatenate((deltas, doubled))
+            deltas[:, diagonal] += 1.0
+            powers = np.concatenate((powers, deltas[1:]))
+    depth = len(powers)
+    starts = (indptr[:-1] + nnz * np.arange(depth)[:, None]).ravel()
+    return np.append(starts, depth * nnz), np.tile(indices, depth), powers.ravel(), depth
+
+
 def _check_times(t_end: float, dt: float) -> int:
     """The number of RK4 steps to t_end; rejects times that name no grid."""
     if not dt > 0 or not math.isfinite(dt):
@@ -666,9 +734,17 @@ def _check_times(t_end: float, dt: float) -> int:
 def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) -> np.ndarray:
     """RK4 sweep returning the whole orbit as a (steps+1, n) array.
 
-    Linear fields step with their propagator, three array calls per step,
-    and the orbit is checked for non-finite states once at the end; any
-    other field is evaluated stage by stage through ``admissible_eval``.
+    Linear fields step in blocks through the stack [M; M^2; ...; M^B] of
+    their propagator (see ``_power_stack``): from the state that ends one
+    block, one ``take``, one multiply and one ``reduceat`` write the B rows
+    of the next, and a last partial block of r rows uses the first r*n
+    rows of the stack. B > 1 only when M's pattern is closed under
+    multiplication and the stacked powers are finite, with B * nnz(M) at
+    most ``_STACK_ENTRIES``; otherwise B = 1 and each block is one step of
+    M. B never depends on t_end, so the orbit to an earlier time is
+    bitwise the first rows of the orbit to a later one. The orbit is
+    checked for non-finite states once at the end. Any other field is
+    evaluated stage by stage through ``admissible_eval``.
     """
     steps = _check_times(t_end, dt)
     x = np.asarray([float(v) for v in x0], dtype=np.float64)
@@ -685,15 +761,25 @@ def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) ->
     out[0] = x
     prop = _rk4_propagator(net, oracle, dt)
     if prop is not None:
-        indptr, cols, data = prop
+        indptr, cols, data, depth = _power_stack(prop, net.n)
+        n = net.n
+        full, rest = divmod(steps, depth)
+        sources = out[: full * depth : depth]
+        blocks = out.reshape(-1)[n : n + full * depth * n].reshape(full, depth * n)
         starts = indptr[:-1]
         buf = np.empty(len(cols))
         reduceat = np.add.reduceat
         with np.errstate(over="ignore", invalid="ignore"):
-            for state, following in zip(out, out[1:]):
+            for state, following in zip(sources, blocks):
                 state.take(cols, out=buf)
                 buf *= data
                 reduceat(buf, starts, out=following)
+            if rest:
+                size = indptr[rest * n]
+                head = buf[:size]
+                out[full * depth].take(cols[:size], out=head)
+                head *= data[:size]
+                reduceat(head, starts[: rest * n], out=out[full * depth + 1 :].reshape(-1))
             finite = np.isfinite(out).all(axis=1)
         if not finite.all():
             raise SimulationDiverged(int(finite.argmin()))

@@ -37,7 +37,8 @@ class SizeLimitError(SynchroError):
 
 
 class DimensionMismatch(SynchroError):
-    """A state vector does not have one coordinate per cell."""
+    """A state vector does not have one coordinate per cell, or a step count,
+    time or budget is out of range."""
 
 
 class SimulationDiverged(SynchroError):

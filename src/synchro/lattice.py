@@ -17,7 +17,7 @@ from itertools import product
 from .balance import is_balanced
 from .cir import _converge, _sweep, top
 from .coding import coded
-from .errors import NotBalancedError, SizeLimitError
+from .errors import DimensionMismatch, NotBalancedError, SizeLimitError
 from .network import Network
 from .partition import Partition, common_refinement, format_partition, is_finer
 
@@ -167,8 +167,10 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     results of its seeds. A budget guards the worst case where essentially
     every partition is balanced; exceeding it returns the partial set
     flagged ``complete=False``, with the covers of those elements whose
-    seeds all ran.
+    seeds all ran. A budget below 1 raises ``DimensionMismatch``.
     """
+    if budget < 1:
+        raise DimensionMismatch(f"budget must be at least 1, got {budget}")
     view = coded(net)
     maximal = top(net)
     seen: set[tuple[int, ...]] = {maximal.colors}

@@ -148,6 +148,14 @@ def test_lattice_budget_exceeded(runner, tmp_path):
     assert err["error"] == "budget_exceeded"
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_lattice_budget_below_one_is_a_usage_error(runner, net_file, budget):
+    result = invoke(runner, ["lattice", "--budget", budget, net_file(make_triangle3())])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--budget" in result.stderr
+
+
 def test_simulate_map_csv(runner, net_file, tmp_path):
     oracle = tmp_path / "oracle.json"
     oracle.write_text("{}")  # defaults: no internal dynamics, raw count kappa
@@ -280,6 +288,35 @@ def test_simulate_usage_errors(runner, net_file, tmp_path):
     bad_x0 = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0),
                              "--steps", "1", net])
     assert bad_x0.exit_code == 2
+
+
+@pytest.mark.parametrize("dt", ["-1", "0.001"])
+def test_simulate_dt_with_steps_is_a_usage_error(runner, net_file, tmp_path, dt):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("{}")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,1.0,2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0),
+                             "--steps", "2", "--dt", dt, net_file(make_triangle3())])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--dt" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+@pytest.mark.parametrize("mode", [["--steps", "1"], ["--tend", "0.01"]])
+def test_non_finite_initial_state_is_one_schema_error(runner, net_file, tmp_path, value, mode):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("{}")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text(f"1.0,{value},2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0)] + mode
+                    + [net_file(make_triangle3())])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "schema"
+    assert err["detail"].startswith("initial state x0[1] (cell '2')")
 
 
 def test_witness_json(runner, net_file):

@@ -42,13 +42,24 @@ from synchro import (
     unbalance_witness,
 )
 from synchro import dynamics
-from synchro.dynamics import Oracle, _linear_map_step, parse_oracle
+from synchro.dynamics import (
+    Oracle,
+    _linear_map_step,
+    _power_stack,
+    _rk4_propagator,
+    parse_oracle,
+)
 from synchro.partition import lift
 
 
 def unit_oracle(net):
     """kappa = the raw count/conductance, no internal dynamics, y coupling."""
     return coupling_oracle(net.registry, len(net.type_names), kappa_scale=1.0)
+
+
+def stack_depth(net, oracle, dt):
+    """How many RK4 steps one array call of the linear ODE path advances."""
+    return _power_stack(_rk4_propagator(net, oracle, dt), net.n)[3]
 
 
 class TestAdmissibleEval:
@@ -226,15 +237,56 @@ class TestSimulation:
                 h={pair: custom for pair, _ in net.registry.pairs()},
             )
             x0 = [1.0 + 0.25 * c for c in range(net.n)]
-            fast = simulate_ode(net, base, x0, 0.1, 1e-3)
-            stagewise = simulate_ode(net, slow, x0, 0.1, 1e-3)
-            assert len(fast) == len(stagewise) == 101
+            depth = stack_depth(net, base, 1e-3)
+            steps = max(2 * depth, 100) + 3  # two block seams, then a partial block
+            assert steps > 2 * depth and (depth == 1 or steps % depth)
+            fast = simulate_ode(net, base, x0, steps * 1e-3, 1e-3)
+            stagewise = simulate_ode(net, slow, x0, steps * 1e-3, 1e-3)
+            assert len(fast) == len(stagewise) == steps + 1
             dev = max(
                 abs(a - b)
                 for sa, sb in zip(fast.states, stagewise.states)
                 for a, b in zip(sa, sb)
             )
             assert dev <= 1e-12, (net, kind)
+
+    def test_ode_orbit_to_an_earlier_time_is_a_bitwise_prefix(self, triangle3):
+        oracle = linear_oracle(triangle3, coupling="diffusive")
+        dt = 1e-3
+        depth = stack_depth(triangle3, oracle, dt)
+        assert depth > 1
+        x0 = [1.0, -2.0, 0.5]
+        whole = simulate_ode(triangle3, oracle, x0, 4 * depth * dt, dt)
+        for short in (depth - 1, depth + depth // 2 + 1):  # both end mid-block
+            head = simulate_ode(triangle3, oracle, x0, short * dt, dt)
+            assert len(head) == short + 1
+            assert _hex_orbit(head.states) == _hex_orbit(whole.states[: short + 1])
+
+    def test_zero_start_stays_zero_under_a_blowing_up_field(self, triangle3):
+        blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=1e30)})
+        dt = 1e-2
+        assert stack_depth(triangle3, blower, dt) > 1  # a finite power is stacked
+        traj = simulate_ode(triangle3, blower, [0.0, 0.0, 0.0], 1.0, dt)
+        assert len(traj) == 101
+        assert all(v.hex() == "0x0.0p+0" for state in traj.states for v in state)
+
+    def test_dense_propagator_above_the_stack_bound_steps_one_at_a_time(self):
+        n = 100  # every cell reaches every other in two steps, so M is dense
+        cells = [f"c{i}" for i in range(n)]
+        edges = [(cells[0], c, 1) for c in cells[1:]] + [(c, cells[0], 1) for c in cells[1:]]
+        net = Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1), edges)
+        oracle = linear_oracle(net)
+        propagator = _rk4_propagator(net, oracle, 1e-2)
+        assert len(propagator[1]) == n * n > dynamics._STACK_ENTRIES
+        assert _power_stack(propagator, n)[3] == 1
+        tracemalloc.start()
+        try:
+            traj = simulate_ode(net, oracle, [float(i % 7) for i in range(n)], 0.2, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 21
+        assert peak < 8e6  # a product plan on this pattern alone holds n**3 = 1e6 pairs
 
     def test_linear_divergence_names_first_non_finite_step(self, triangle3):
         blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=1e30)})

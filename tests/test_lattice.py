@@ -8,6 +8,7 @@ import pytest
 import corpus
 import corpus_noncancel
 from synchro import (
+    DimensionMismatch,
     MonoidRegistry,
     NaturalAdd,
     Network,
@@ -114,6 +115,12 @@ def test_budget_flagged_not_silent():
     full = enumerate_balanced(net)
     assert full.complete
     assert len(full.elements) == 52  # all partitions of 5 cells
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_rejected(budget):
+    with pytest.raises(DimensionMismatch):
+        enumerate_balanced(all_to_all(3), budget=budget)
 
 
 def test_covers_are_transitive_reduction(resistor6):
