@@ -8,14 +8,17 @@ balanced partition finer than the seed.
 
 A row's key is its old color followed by the sorted (color, combined
 weight code) pairs of its nonzero slots, so one sweep costs |C| + |E|
-dictionary operations whatever the rank. New colors are numbered in
-first-occurrence row order, which makes every sweep's output canonical.
-``cir`` records every sweep; ``top``, the meet and lattice enumeration
-run the converged-only loop on plain int lists and build one Partition
-at the end.
+dictionary operations whatever the rank. Rows with at most two edges are
+keyed inline; longer rows go through ``row_sums``. New colors are
+numbered in first-occurrence row order, which makes every sweep's output
+canonical. ``cir`` records every sweep; ``top``, the meet and lattice
+enumeration run the converged-only loop on plain int lists and build one
+Partition at the end. Lattice enumeration also stops a seed as soon as a
+sweep lands on a balanced coloring it already knows.
 """
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import chain
 
@@ -71,17 +74,31 @@ def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
 
     Returns the new canonical coloring (colors 1..rank), its rank and the
     work done: one key per row plus one visit per edge, |C| + |E| in total.
-    Rows with at most one edge need no combining and are keyed inline; on
-    sparse inputs such as chains and rings they are most of the rows.
+    Rows with at most two edges are keyed inline, to exactly the key the
+    general path builds: two same-colored sources merge once and drop out
+    when they sum to the identity, two differently colored ones are listed
+    in color order. On sparse inputs such as chains and rings they are
+    most of the rows.
     """
     table: dict[tuple, int] = {}
     new: list[int] = []
     ops = 0
+    merge = view.merge
     for r, (srcs, codes) in enumerate(view.rows):
-        ops += 1 + len(srcs)
-        if len(srcs) == 1:
+        degree = len(srcs)
+        ops += 1 + degree
+        if degree == 2:
+            c1, c2 = colors[srcs[0]], colors[srcs[1]]
+            if c1 == c2:
+                w = merge(codes[0], codes[1])
+                key = (colors[r], c1, w) if w else (colors[r],)
+            elif c1 < c2:
+                key = (colors[r], c1, codes[0], c2, codes[1])
+            else:
+                key = (colors[r], c2, codes[1], c1, codes[0])
+        elif degree == 1:
             key = (colors[r], colors[srcs[0]], codes[0])
-        elif not srcs:
+        elif not degree:
             key = (colors[r],)
         else:
             sums = view.row_sums(colors, r)
@@ -90,12 +107,20 @@ def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
     return new, len(table), ops
 
 
-def _converge(view: CodedNetwork, colors, rank: int) -> tuple[int, ...]:
-    """Sweep until the rank stops growing; the canonical fixed point."""
+def _converge(
+    view: CodedNetwork, colors, rank: int, known: Set[tuple[int, ...]] = frozenset()
+) -> tuple[int, ...]:
+    """Sweep until the rank stops growing; the canonical fixed point.
+
+    ``known`` holds canonical balanced colorings. Each is a fixed point of
+    the sweep, so a sweep that lands on one has converged, and the
+    confirming sweep is skipped.
+    """
     while True:
-        colors, new_rank, _ = _sweep(view, colors)
-        if new_rank == rank:
-            return tuple(colors)
+        new, new_rank, _ = _sweep(view, colors)
+        colors = tuple(new)
+        if new_rank == rank or colors in known:
+            return colors
         rank = new_rank
 
 

@@ -162,7 +162,9 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
 
     Every child of a known balanced partition is seeded as "split one class
     in two, keep the rest" and refined back to balanced; repeating to a
-    fixed point finds the whole lattice. Every lower cover of an element is
+    fixed point finds the whole lattice. A seed's refinement stops as soon
+    as a sweep lands on an element already found, since balanced colorings
+    are fixed points of the sweep. Every lower cover of an element is
     the refinement of one of its seeds, so its covers are the maximal
     results of its seeds. A budget guards the worst case where essentially
     every partition is balanced; exceeding it returns the partial set
@@ -182,7 +184,7 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
         for parent in frontier:
             results = set()
             for seed, rank in _split_seeds(parent):
-                found = _converge(view, seed, rank)
+                found = _converge(view, seed, rank, seen)
                 results.add(found)
                 if found in seen:
                     continue

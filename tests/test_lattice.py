@@ -1,6 +1,8 @@
 """Join, meet, enumeration and the Hasse structure."""
 import hashlib
+import importlib
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -16,6 +18,7 @@ from synchro import (
     Partition,
     SizeLimitError,
     brute_force_balanced,
+    cir,
     enumerate_balanced,
     is_balanced,
     is_finer,
@@ -26,6 +29,12 @@ from synchro import (
     parse_partition,
     top,
 )
+from synchro.cir import _converge
+from synchro.coding import coded
+from synchro.lattice import _split_seeds
+
+# the package exports a function named ``cir``, which shadows the module
+cir_module = importlib.import_module("synchro.cir")
 
 
 def all_to_all(n: int) -> Network:
@@ -192,8 +201,15 @@ def test_partial_lattices_list_only_real_covers():
     assert digest.hexdigest() == PARTIAL_ELEMENTS_SHA256
 
 
-def test_join_meet_against_brute_force_small():
-    for net in corpus.corpus_networks()[:10]:
+CORPORA = {
+    "mixed": corpus.corpus_networks,
+    "noncancellative": corpus_noncancel.corpus_networks,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_join_meet_against_brute_force_small(name):
+    for net in CORPORA[name]():
         if net.n > 7:
             continue
         balanced = sorted(brute_force_balanced(net), key=lambda p: (p.rank, p.colors))
@@ -207,6 +223,47 @@ def test_join_meet_against_brute_force_small():
             greatest = [l for l in lowers if all(is_finer(other, l) for other in lowers)]
             assert greatest and m == greatest[0]
             assert is_balanced(net, j).balanced and is_balanced(net, m).balanced
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_converge_with_known_elements_matches_converge_without(name):
+    rng = random.Random(43)
+    for net in CORPORA[name]():
+        view = coded(net)
+        known = {p.colors for p in enumerate_balanced(net).elements}
+        for _ in range(6):
+            seed = corpus.random_seed_partition(net, rng)
+            assert _converge(view, seed.colors, seed.rank, known) == _converge(
+                view, seed.colors, seed.rank
+            ) == cir(net, seed).converged.colors
+
+
+def bidirectional_ring(n: int) -> Network:
+    registry = MonoidRegistry.uniform(NaturalAdd(), 1)
+    cells = [str(i + 1) for i in range(n)]
+    edges = [(cells[i], cells[(i + s) % n], 1) for i in range(n) for s in (1, -1)]
+    return Network.build(cells, ["t"] * n, ["t"], registry, edges)
+
+
+def test_enumeration_skips_sweeps_that_reach_known_elements(monkeypatch):
+    net = bidirectional_ring(12)
+    view = coded(net)
+    elements = [p.colors for p in enumerate_balanced(net).elements]
+    sweeps = 0
+    real_sweep = cir_module._sweep
+
+    def counting_sweep(*args):
+        nonlocal sweeps
+        sweeps += 1
+        return real_sweep(*args)
+
+    monkeypatch.setattr(cir_module, "_sweep", counting_sweep)
+    for parent in elements:  # every seed of the walk, converged from scratch
+        for seed, rank in _split_seeds(parent):
+            _converge(view, seed, rank)
+    from_scratch, sweeps = sweeps, 0
+    assert len(enumerate_balanced(net).elements) == 31
+    assert sweeps < from_scratch
 
 
 def test_exports(resistor6):

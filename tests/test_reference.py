@@ -2,17 +2,33 @@
 
 The reference below combines actual carrier values with ``net.row_items``
 and ``spec.combine``; the engine works on interned codes and a combine
-memo. Both run on the mixed-monoid corpus and on the non-cancellative one
+memo. Both run on the mixed-monoid corpus, on the non-cancellative one
 (absorbing elements: NaturalMul's 0, WithAnnihilator, SHORT), where equal
-sums do not imply equal summands.
+sums do not imply equal summands, and on small networks built around rows
+of exactly two edges, which the sweep keys without ``row_sums``.
 """
 import random
+from dataclasses import dataclass
 
 import pytest
 
 import corpus
 import corpus_noncancel
-from synchro import brute_force_balanced, cir, enumerate_balanced, is_balanced, is_finer, top
+from synchro import (
+    ANNIHILATOR,
+    MonoidRegistry,
+    MonoidSpec,
+    NaturalAdd,
+    NaturalMul,
+    Network,
+    WithAnnihilator,
+    brute_force_balanced,
+    cir,
+    enumerate_balanced,
+    is_balanced,
+    is_finer,
+    top,
+)
 
 
 def ref_sums(net, colors, c):
@@ -56,9 +72,80 @@ def ref_covers(elements):
     )
 
 
+@dataclass(frozen=True)
+class _Cyclic3(MonoidSpec):
+    """Integers mod 3 under addition: two edges can sum to no edge at all."""
+
+    kind = "cyclic3"
+
+    @property
+    def identity(self):
+        return 0
+
+    def contains(self, value):
+        return value in (0, 1, 2)
+
+    def _combine(self, a, b):
+        return (a + b) % 3
+
+
+def _one_type(spec, n_cells: int, edges) -> Network:
+    """A one-type network on cells 1..n_cells; ``edges`` are (target, source, weight) by number."""
+    cells = [str(i + 1) for i in range(n_cells)]
+    return Network.build(
+        cells, ["t"] * n_cells, ["t"], MonoidRegistry.uniform(spec, 1),
+        [(cells[t - 1], cells[s - 1], w) for t, s, w in edges],
+    )
+
+
+def _bidirectional_ring(spec, n_cells: int, left, right) -> Network:
+    """Cell i hears ``left`` from i - 1 and ``right`` from i + 1."""
+    edges = []
+    for i in range(1, n_cells + 1):
+        edges.append((i, (i - 2) % n_cells + 1, left))
+        edges.append((i, i % n_cells + 1, right))
+    return _one_type(spec, n_cells, edges)
+
+
+def two_edge_networks() -> list[Network]:
+    """Rows of in-degree two, next to rows whose sums match them with one or three edges.
+
+    Cells 1-3 are sources; the rest hear them with equal per-color sums once
+    the sources share a color, so rows of different in-degree must be keyed
+    alike.
+    """
+    add, mul, ann = NaturalAdd(), NaturalMul(), WithAnnihilator(NaturalAdd())
+    return [
+        _bidirectional_ring(add, 5, 1, 1),
+        _bidirectional_ring(add, 6, 1, 1),
+        _bidirectional_ring(add, 7, 1, 1),
+        _bidirectional_ring(add, 8, 1, 1),
+        _bidirectional_ring(add, 6, 1, 2),
+        _bidirectional_ring(ann, 6, ANNIHILATOR, 1),
+        # 2 = 1 + 1 and 3 = 1 + 2 = 1 + 1 + 1
+        _one_type(add, 8, [
+            (4, 1, 2), (5, 1, 1), (5, 2, 1),
+            (6, 1, 1), (6, 2, 1), (6, 3, 1), (7, 3, 3), (8, 3, 1), (8, 1, 2),
+        ]),
+        # 0 absorbs: 0 = 0 * 5 = 0 * 2 * 3, and 6 = 2 * 3
+        _one_type(mul, 8, [
+            (4, 1, 0), (5, 2, 0), (5, 1, 5),
+            (6, 1, 2), (6, 2, 3), (7, 3, 6), (8, 1, 0), (8, 2, 2), (8, 3, 3),
+        ]),
+        _one_type(ann, 7, [
+            (4, 1, ANNIHILATOR), (5, 2, ANNIHILATOR), (5, 1, 1),
+            (6, 3, ANNIHILATOR), (6, 1, 2), (6, 2, 1), (7, 2, 3),
+        ]),
+        # 1 + 2 = 0 mod 3: cell 5's two edges cancel and it looks like cell 4,
+        # which hears nothing
+        _one_type(_Cyclic3(), 7, [(5, 1, 1), (5, 2, 2), (6, 3, 2), (6, 1, 1), (7, 2, 1)]),
+    ]
+
+
 CORPORA = {
     "mixed": corpus.corpus_networks,
     "noncancellative": corpus_noncancel.corpus_networks,
+    "two_edge": two_edge_networks,
 }
 
 
