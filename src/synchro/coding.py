@@ -15,10 +15,12 @@ refinement loop (and balance checking) run on plain ints. The pairwise
 combine results are memoized; a memo miss falls back to the real monoid
 operation and interns the result.
 
-A ``CodedNetwork`` is the only weight storage a ``Network`` has:
-``Network.build`` interns each weight as it reads the edges and merges
-parallel edges through the combine memo, and every value-level query
-decodes from the codes.
+A ``CodedNetwork`` is the only weight storage a ``Network`` has. Both
+constructors fill it in one pass over their edges: ``network_from_json``
+interns each distinct wire weight of a type pair once, ``Network.build``
+each distinct weight object, and both merge parallel edges through the
+combine memo into the rows that ``set_rows`` stores. Every value-level
+query decodes from the codes.
 """
 from __future__ import annotations
 
@@ -62,10 +64,10 @@ class CodedNetwork:
     def code(self, spec, value) -> int:
         """Intern a carrier value; identities of every monoid map to 0.
 
-        ``value`` must already be in the carrier of ``spec``: ``Network.build``
-        checks ``contains`` before it interns a weight, and combine results
-        stay in the carrier. Only then does ``==`` mean monoid equality (a
-        ``True`` would otherwise share the code of a ``1``).
+        ``value`` must already be in the carrier of ``spec``: both network
+        constructors check ``contains`` before they intern a weight, and
+        combine results stay in the carrier. Only then does ``==`` mean
+        monoid equality (a ``True`` would otherwise share the code of a ``1``).
         """
         if value == spec.identity:
             return 0
@@ -121,5 +123,5 @@ class CodedNetwork:
 
 
 def coded(net) -> CodedNetwork:
-    """The network's coded storage (built by ``Network.build``)."""
+    """The network's coded storage."""
     return net._coded

@@ -915,10 +915,9 @@ def linearity_check(
 
 def trajectory_csv(traj: Trajectory, cells) -> str:
     """One row per time point: t (or step) followed by one column per cell."""
-    head = "t" if traj.kind == "ode" else "n"
+    head, stamp = ("t", repr) if traj.kind == "ode" else ("n", str)
     lines = [",".join([head, *cells])]
-    for t, state in zip(traj.times, traj.states):
-        lines.append(",".join([repr(t) if traj.kind == "ode" else str(t), *[repr(v) for v in state]]))
+    lines += [",".join((stamp(t), *map(repr, state))) for t, state in zip(traj.times, traj.states)]
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,7 @@ the value-level queries below decode them.
 """
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -22,6 +23,29 @@ from .coding import CodedNetwork
 from .errors import MonoidMismatch, PartitionError, SchemaError
 from .monoid import MonoidRegistry, MonoidSpec, spec_from_json
 from .partition import Partition
+
+
+def _cell_index(cells: list[str], type_names: list[str]) -> dict[str, int]:
+    """Position of each cell id; rejects an empty or repeated cell list and
+    repeated type names. Shared by ``Network.build`` and ``network_from_json``."""
+    if not cells:
+        raise SchemaError("network must have >=1 cell")
+    index = {cell: i for i, cell in enumerate(cells)}
+    if len(index) != len(cells):
+        dupes = sorted(c for c, k in Counter(cells).items() if k > 1)
+        raise SchemaError(f"duplicate cell ids: {dupes}")
+    if not type_names or len(set(type_names)) != len(type_names):
+        raise SchemaError("type names must be nonempty and unique")
+    return index
+
+
+def _accept(view: CodedNetwork, spec: MonoidSpec, weight, source, target) -> int:
+    """The code of an edge weight, after checking that it is in ``spec``'s carrier."""
+    if not spec.contains(weight):
+        raise MonoidMismatch(
+            f"edge {source!r} -> {target!r}: weight {weight!r} is not in {spec.describe()}"
+        )
+    return view.code(spec, weight)
 
 
 @dataclass(frozen=True)
@@ -37,12 +61,12 @@ class Network:
 
     __slots__ = ("cells", "type_names", "cell_types", "registry", "_index", "_coded")
 
-    def __init__(self, cells, type_names, cell_types, registry, view: CodedNetwork):
+    def __init__(self, cells, type_names, cell_types, registry, view: CodedNetwork, index):
         self.cells: tuple[str, ...] = tuple(cells)
         self.type_names: tuple[str, ...] = tuple(type_names)
         self.cell_types: tuple[int, ...] = tuple(cell_types)  # 0-based indices
         self.registry: MonoidRegistry = registry
-        self._index = {cell: i for i, cell in enumerate(self.cells)}
+        self._index: dict[str, int] = index  # cell id -> position, from _cell_index
         self._coded = view
 
     @classmethod
@@ -55,15 +79,8 @@ class Network:
         edges that share one weight object cost a dictionary lookup.
         """
         cells = [str(c) for c in cells]
-        if not cells:
-            raise SchemaError("network must have >=1 cell")
-        counts = Counter(cells)
-        if len(counts) != len(cells):
-            dupes = sorted(c for c, k in counts.items() if k > 1)
-            raise SchemaError(f"duplicate cell ids: {dupes}")
         type_names = [str(t) for t in type_names]
-        if not type_names or len(set(type_names)) != len(type_names):
-            raise SchemaError("type names must be nonempty and unique")
+        index = _cell_index(cells, type_names)
         name_to_idx = {name: i for i, name in enumerate(type_names)}
         cell_types = list(cell_types)
         if len(cell_types) != len(cells):
@@ -74,7 +91,6 @@ class Network:
                 raise SchemaError(f"cell {cell!r} has unknown type {tname!r}")
             type_idx.append(name_to_idx[tname])
 
-        index = {cell: i for i, cell in enumerate(cells)}
         view = CodedNetwork()
         merge = view.merge
         # (target type, source type, id(weight)) -> (weight, code); holding
@@ -97,17 +113,12 @@ class Network:
                         f"no monoid registered for edges {type_names[type_idx[d]]!r} -> "
                         f"{type_names[type_idx[c]]!r} (edge {source!r} -> {target!r})"
                     )
-                if not spec.contains(weight):
-                    raise MonoidMismatch(
-                        f"edge {source!r} -> {target!r}: weight {weight!r} is not in "
-                        f"{spec.describe()}"
-                    )
-                hit = accepted[key] = (weight, view.code(spec, weight))
+                hit = accepted[key] = (weight, _accept(view, spec, weight, source, target))
             row = rows[c]
             prev = row.get(d)
             row[d] = hit[1] if prev is None else merge(prev, hit[1])
         view.set_rows(rows)  # parallel sums that merged to "no edge" are dropped
-        return cls(cells, type_names, type_idx, registry, view)
+        return cls(cells, type_names, type_idx, registry, view, index)
 
     # -- basic queries ------------------------------------------------------
 
@@ -181,15 +192,16 @@ def in_neighborhood(net: Network, cell: str) -> set[str]:
 #   "edges": [{"to","from","weight": <tagged element>}] }
 
 
+_CELL_KEYS = {"id", "type"}
 _EDGE_KEYS = {"to", "from", "weight"}
 
 
-def _edge_cell_error(pos: int, target, source, cell_type: dict):
+def _edge_cell_error(pos: int, target, source, index: dict):
     """Raise the diagnostic for an edge endpoint that names no cell."""
     for field, cell in (("to", target), ("from", source)):
         if not isinstance(cell, str):
             raise SchemaError(f"edges[{pos}].{field} must be a cell id, got {cell!r}")
-    if target not in cell_type:
+    if target not in index:
         raise SchemaError(f"edges[{pos}]: unknown target cell {target!r}")
     raise SchemaError(f"edges[{pos}]: unknown source cell {source!r}")
 
@@ -197,11 +209,13 @@ def _edge_cell_error(pos: int, target, source, cell_type: dict):
 def network_from_json(obj) -> Network:
     """Build a network from a loaded wire-format document.
 
-    Each distinct wire weight of a type pair is parsed and validated once:
-    the parsed element is cached under ``repr`` of the loaded JSON value,
+    Edges go straight from the wire into coded rows, in one pass. Each
+    distinct wire weight of a type pair is parsed, checked and interned
+    once: its code is cached under ``repr`` of the loaded JSON value,
     which tells ``1``, ``1.0`` and ``true`` apart where ``==`` would not,
-    and repeats reuse the same element object. Invalid weights are never
-    cached, so each one is reported at its own edge.
+    and repeats merge that code into their row through the combine memo.
+    Invalid weights are never cached, so each one is reported at its own
+    edge. The cell table is checked as in ``Network.build``.
     """
     if not isinstance(obj, dict):
         raise SchemaError("network document must be a JSON object")
@@ -218,18 +232,18 @@ def network_from_json(obj) -> Network:
         raise SchemaError("'types' must not be empty")
     name_to_idx = {name: i for i, name in enumerate(type_names)}
 
-    cells, cell_types = [], []
+    cells, type_idx = [], []
     for pos, entry in enumerate(obj["cells"]):
-        if not isinstance(entry, dict) or set(entry) != {"id", "type"}:
+        if not isinstance(entry, dict) or entry.keys() != _CELL_KEYS:
             raise SchemaError(f"cells[{pos}] must be {{\"id\", \"type\"}}")
-        if not isinstance(entry["id"], str) or not isinstance(entry["type"], str):
+        cell, tname = entry["id"], entry["type"]
+        if not isinstance(cell, str) or not isinstance(tname, str):
             raise SchemaError(f"cells[{pos}]: id and type must be strings")
-        if entry["type"] not in name_to_idx:
-            raise SchemaError(f"cells[{pos}]: unknown type {entry['type']!r}")
-        cells.append(entry["id"])
-        cell_types.append(entry["type"])
-    if not cells:
-        raise SchemaError("network must have >=1 cell")
+        if tname not in name_to_idx:
+            raise SchemaError(f"cells[{pos}]: unknown type {tname!r}")
+        cells.append(cell)
+        type_idx.append(name_to_idx[tname])
+    index = _cell_index(cells, type_names)
 
     table: dict[tuple[int, int], MonoidSpec] = {}
     for pos, entry in enumerate(obj["monoids"]):
@@ -255,20 +269,22 @@ def network_from_json(obj) -> Network:
             raise SchemaError(f"monoids[{pos}]: {exc}") from None
     registry = MonoidRegistry(table)
 
-    cell_type = {cell: name_to_idx[t] for cell, t in zip(cells, cell_types)}
-    parsed: dict[tuple[int, int, str], object] = {}  # (type pair, repr of wire weight) -> element
-    edges = []
+    view = CodedNetwork()
+    merge = view.merge
+    rows: list[dict[int, int]] = [{} for _ in cells]
+    codes: dict[tuple[int, int, str], int] = {}  # (type pair, repr of wire weight) -> code
     for pos, entry in enumerate(obj["edges"]):
         if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
             raise SchemaError(f"edges[{pos}] must be {{\"to\", \"from\", \"weight\"}}")
         target, source, wire = entry["to"], entry["from"], entry["weight"]
         try:
-            i, j = cell_type[target], cell_type[source]
+            c, d = index[target], index[source]
         except (KeyError, TypeError):
-            _edge_cell_error(pos, target, source, cell_type)
+            _edge_cell_error(pos, target, source, index)
+        i, j = type_idx[c], type_idx[d]
         key = (i, j, repr(wire))
-        weight = parsed.get(key)
-        if weight is None:
+        code = codes.get(key)
+        if code is None:
             spec = registry.get(i, j)
             if spec is None:
                 raise SchemaError(
@@ -276,23 +292,40 @@ def network_from_json(obj) -> Network:
                     f"({type_names[i]!r}, {type_names[j]!r})"
                 )
             try:
-                weight = parsed[key] = spec.element_from_json(wire)
+                weight = spec.element_from_json(wire)
             except SchemaError as exc:
                 raise SchemaError(f"edges[{pos}].weight: {exc}") from None
-        edges.append((target, source, weight))
-
-    return Network.build(cells, cell_types, type_names, registry, edges)
+            code = codes[key] = _accept(view, spec, weight, source, target)
+        row = rows[c]
+        prev = row.get(d)
+        row[d] = code if prev is None else merge(prev, code)
+    view.set_rows(rows)  # parallel sums that merged to "no edge" are dropped
+    return Network(cells, type_names, type_idx, registry, view, index)
 
 
 def parse_network(text: str) -> Network:
-    """Parse the JSON wire format; errors carry the offending field."""
+    """Parse the JSON wire format; errors carry the offending field.
+
+    The decoded document and the network hold no reference cycles, so
+    Python's cyclic collector is paused for the parse: a collection could
+    free nothing and would only walk the growing heap. Its previous state
+    is restored afterwards, also when the parse fails.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # over-long integer literal, too deep nesting
-        raise SchemaError(f"invalid JSON: {exc}") from None
-    return network_from_json(obj)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(
+                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from None
+        except (ValueError, RecursionError) as exc:  # over-long integer literal, too deep nesting
+            raise SchemaError(f"invalid JSON: {exc}") from None
+        return network_from_json(obj)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def network_to_json(net: Network) -> dict:

@@ -1,5 +1,6 @@
 """Network construction, validation, serialization and DOT export."""
 import copy
+import gc
 import hashlib
 import json
 import random
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import corpus
 import corpus_noncancel
+from test_reference import two_edge_networks
 
 from synchro import (
     FreeCommutative,
@@ -25,6 +27,8 @@ from synchro import (
     SchemaError,
     SizeLimitError,
     in_neighborhood,
+    network_from_json,
+    network_to_json,
     parse_network,
     parse_partition,
     serialize_network,
@@ -413,8 +417,153 @@ def test_corpus_round_trip_and_pinned_serialization(name, nets):
     for net in nets():
         text = serialize_network(net)
         assert parse_network(text) == net
+        _assert_wire_path_equals_build(json.loads(text))
         digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == _CORPUS_SERIALIZATION_SHA256[name]
+
+
+def _assert_wire_path_equals_build(doc):
+    """``network_from_json`` agrees with ``Network.build`` fed each edge's own decode."""
+    wired = network_from_json(doc)
+    types = {cell["id"]: cell["type"] for cell in doc["cells"]}
+    edges = []
+    for edge in doc["edges"]:
+        spec = wired.spec_for(wired.index(edge["to"]), wired.index(edge["from"]))
+        edges.append((edge["to"], edge["from"], spec.element_from_json(edge["weight"])))
+    built = Network.build(list(types), list(types.values()), doc["types"], wired.registry, edges)
+    assert wired == built
+
+
+# A 3-type document in the style of the ingest benchmark: one of nine monoid
+# flavors per type pair (kind, non-identity weights, an identity weight),
+# repeated weights, parallel edges that merge, and one parallel pair of
+# identity weights per type pair that merges to "no edge".
+_NAT = {"kind": "natural_add"}
+_RES = {"kind": "resistor_parallel"}
+_FLAVORS = {
+    ("p", "p"): (_RES, [{"r": "30"}, {"r": "1/3"}, {"r": "0"}], {"r": "inf"}),
+    ("p", "q"): (_NAT, [{"n": 2}, {"n": 5}], {"n": 0}),
+    ("p", "r"): ({"kind": "natural_mul"}, [{"n": 3}, {"n": 0}], {"n": 1}),
+    ("q", "p"): ({"kind": "free_commutative", "generators": ["x", "y"]},
+                 [{"gens": {"x": 1}}, {"gens": {"x": 1, "y": 2}}], {"gens": {}}),
+    ("q", "q"): ({"kind": "product", "parts": [_NAT, _RES]},
+                 [{"tuple": [{"n": 1}, {"r": "10"}]}, {"tuple": [{"n": 0}, {"r": "45/2"}]}],
+                 {"tuple": [{"n": 0}, {"r": "inf"}]}),
+    ("q", "r"): ({"kind": "with_annihilator", "inner": _NAT},
+                 [{"annihilator": True}, {"n": 4}], {"n": 0}),
+    ("r", "p"): ({"kind": "free_commutative"}, [{"gens": {"a": 2}}], {"gens": {}}),
+    ("r", "q"): ({"kind": "with_annihilator", "inner": _RES},
+                 [{"r": "15"}, {"annihilator": True}], {"r": "inf"}),
+    ("r", "r"): ({"kind": "product", "parts": [{"kind": "natural_mul"}, {"kind": "free_commutative"}]},
+                 [{"tuple": [{"n": 2}, {"gens": {"z": 1}}]}], {"tuple": [{"n": 1}, {"gens": {}}]}),
+}
+_NAMES = {"p": ["p0", "p1", "p2"], "q": ["q0", "q1"], "r": ["r0", "r1", "r2"]}
+
+
+def _ingest_style_doc():
+    rng = random.Random(5)
+    monoids, edges = [], []
+    for (tt, st), (kind, weights, identity) in _FLAVORS.items():
+        monoids.append({"target_type": tt, "source_type": st, **kind})
+        vanishing = (_NAMES[tt][0], _NAMES[st][-1])
+        for target in _NAMES[tt]:
+            for source in _NAMES[st]:
+                if (target, source) != vanishing:
+                    for w in rng.choices(weights + [identity], k=rng.randint(1, 3)):
+                        edges.append({"to": target, "from": source, "weight": w})
+        edges += [{"to": vanishing[0], "from": vanishing[1], "weight": identity}] * 2
+    rng.shuffle(edges)
+    cells = [{"id": cell, "type": t} for t, ids in _NAMES.items() for cell in ids]
+    return {"types": list(_NAMES), "cells": cells, "monoids": monoids, "edges": edges}
+
+
+def _two_edge_docs():
+    """two_edge corpus networks that have a wire form: its mod-3 monoid is test-only."""
+    for net in two_edge_networks():
+        if all(spec.kind != "cyclic3" for _, spec in net.registry.pairs()):
+            yield network_to_json(net)
+
+
+_AGREEMENT_DOCS = {**{f"two_edge{k}": doc for k, doc in enumerate(_two_edge_docs())},
+                   "ingest_style": _ingest_style_doc()}
+
+
+@pytest.mark.parametrize("doc", _AGREEMENT_DOCS.values(), ids=_AGREEMENT_DOCS.keys())
+def test_wire_path_equals_build_of_decoded_elements(doc):
+    _assert_wire_path_equals_build(doc)
+
+
+def test_ingest_style_document_drops_identity_pairs():
+    net = network_from_json(_ingest_style_doc())
+    assert len({spec for _, spec in net.registry.pairs()}) == 9
+    for tt, st in _FLAVORS:
+        target, source = _NAMES[tt][0], _NAMES[st][-1]
+        assert source not in net.in_neighborhood(target)
+        assert net.entry(target, source) == net.spec_for(net.index(target), net.index(source)).identity
+
+
+# -- the cyclic collector during a parse ----------------------------------------
+
+
+def _large_ring_text(n_cells=10_000):
+    """A ring with two in-edges per cell: 20k edges over a few distinct weights."""
+    cells = [f"c{i}" for i in range(n_cells)]
+    edges = [{"to": cells[i], "from": cells[i - k], "weight": {"n": 1 + i % 3}}
+             for i in range(n_cells) for k in (1, 2)]
+    return json.dumps({
+        "types": ["t"],
+        "cells": [{"id": cell, "type": "t"} for cell in cells],
+        "monoids": [{"target_type": "t", "source_type": "t", "kind": "natural_add"}],
+        "edges": edges,
+    })
+
+
+@pytest.fixture
+def collector_enabled():
+    """Runs the test with the cyclic collector on, then restores its state."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+def test_parse_runs_no_collection(collector_enabled):
+    text = _large_ring_text()
+    events = []
+
+    def record(phase, info):
+        events.append((phase, info["generation"]))
+
+    gc.callbacks.append(record)
+    try:
+        net = parse_network(text)
+    finally:
+        gc.callbacks.remove(record)
+    assert net.edge_count() == 20_000
+    assert events == []
+    assert gc.isenabled()
+
+
+_BAD_WEIGHT = json.dumps(_doc({"kind": "natural_add"}, [{"n": 1}, {"n": 1}, {"n": -1}]))
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+@pytest.mark.parametrize("text, error", [
+    (json.dumps(_doc({"kind": "natural_add"}, [{"n": 1}])), None),
+    ("{not json", "invalid JSON at line 1"),
+    (_BAD_WEIGHT, "edges[2].weight: "),
+], ids=["parses", "bad-json", "bad-weight"])
+def test_parse_restores_the_collector_state(collector_enabled, was_enabled, text, error):
+    if not was_enabled:
+        gc.disable()
+    if error is None:
+        assert parse_network(text).edge_count() == 1
+    else:
+        with pytest.raises(SchemaError) as err:
+            parse_network(text)
+        assert str(err.value).startswith(error)
+    assert gc.isenabled() is was_enabled
 
 
 # -- parser fuzzing -------------------------------------------------------------
