@@ -914,10 +914,25 @@ def linearity_check(
 
 
 def trajectory_csv(traj: Trajectory, cells) -> str:
-    """One row per time point: t (or step) followed by one column per cell."""
+    """One row per time point: t (or step) followed by one column per cell.
+
+    Every state value prints as its ``repr``. A row with at most half as
+    many distinct values as cells, such as a row of a synchronized orbit,
+    formats each distinct value once and maps the cells through that
+    table: equal nonzero floats have the same bits, so the same ``repr``.
+    0.0 and -0.0 compare equal but print differently, so a row holding a
+    zero of either sign formats every cell on its own.
+    """
     head, stamp = ("t", repr) if traj.kind == "ode" else ("n", str)
     lines = [",".join([head, *cells])]
-    lines += [",".join((stamp(t), *map(repr, state))) for t, state in zip(traj.times, traj.states)]
+    for t, state in zip(traj.times, traj.states):
+        distinct = dict.fromkeys(state)
+        if 2 * len(distinct) <= len(state) and 0.0 not in distinct:
+            text = dict(zip(distinct, map(repr, distinct)))
+            cols = map(text.__getitem__, state)
+        else:
+            cols = map(repr, state)
+        lines.append(",".join((stamp(t), *cols)))
     return "\n".join(lines) + "\n"
 
 

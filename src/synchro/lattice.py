@@ -170,6 +170,12 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     every partition is balanced; exceeding it returns the partial set
     flagged ``complete=False``, with the covers of those elements whose
     seeds all ran. A budget below 1 raises ``DimensionMismatch``.
+
+    The budget counts distinct elements found, not seeds converged, so it
+    bounds the size of the result but not the run time: between two new
+    elements the walk converges every seed that only finds known ones.
+    On the directed 16-ring with unit NaturalAdd weights, budget 4 still
+    converges 21,845 seeds.
     """
     if budget < 1:
         raise DimensionMismatch(f"budget must be at least 1, got {budget}")

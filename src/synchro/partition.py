@@ -231,6 +231,7 @@ def format_partition(partition: Partition, cells) -> str:
     cells = list(cells)
     if len(cells) != len(partition):
         raise PartitionError("cell list does not match partition size")
-    return ";".join(
-        ",".join(cells[i] for i in cls) for cls in partition.classes()
-    )
+    groups: list[list] = [[] for _ in range(partition.rank)]
+    for cell, c in zip(cells, partition.colors):
+        groups[c - 1].append(cell)
+    return ";".join(map(",".join, groups))

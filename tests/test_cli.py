@@ -5,7 +5,15 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import make_chain3, make_resistor6, make_triangle3
-from synchro import parse_network, quotient, parse_partition, serialize_network
+from synchro import (
+    MonoidRegistry,
+    NaturalAdd,
+    Network,
+    parse_network,
+    parse_partition,
+    quotient,
+    serialize_network,
+)
 from synchro.cli import main
 
 
@@ -171,6 +179,29 @@ def test_simulate_map_csv(runner, net_file, tmp_path):
     assert lines[0] == "n,1,2,3"
     assert lines[1].startswith("0,1.0,2.0,3.0")
     assert len(lines) == 4
+
+
+def test_simulate_prints_each_signed_zero_as_given(runner, net_file, tmp_path):
+    # a and c feed b and d, so a,c;b,d is balanced; x0 is synchronized on it
+    # with -0.0 and 0.0 in one class, and g = -x flips both zeros every step
+    net = Network.build(list("abcd"), ["t"] * 4, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1),
+                        [("b", "a", 1), ("b", "c", 1), ("d", "a", 1), ("d", "c", 1)])
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({
+        "g": [{"type": "t", "kind": "scale", "a": -1.0}],
+        "kappa": [{"target_type": "t", "source_type": "t", "scale": 0.5}],
+    }))
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("-0.0,1.5,0.0,1.5\n")
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0), "--steps", "2",
+                             net_file(net)])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (
+        b"n,a,b,c,d\n"
+        b"0,-0.0,1.5,0.0,1.5\n"
+        b"1,0.0,-1.5,-0.0,-1.5\n"
+        b"2,-0.0,1.5,0.0,1.5\n"
+    )
 
 
 def test_simulate_ode_runs(runner, net_file, tmp_path):

@@ -637,3 +637,90 @@ def test_linear_map_plan_merges_every_row_of_a_lifted_ring(period, coupling):
     assert orbit == _stepped_orbit(net, oracle, x0, 20)
     assert orbit[1] is None
     assert all(state[c] == state[c % period] for state in orbit[0] for c in range(n))
+
+
+def _per_value_csv(traj, cells):
+    """The CSV with every value formatted on its own, the form trajectory_csv must match."""
+    stamp = repr if traj.kind == "ode" else str
+    lines = [",".join(["t" if traj.kind == "ode" else "n", *cells])]
+    lines += [",".join((stamp(t), *map(repr, state))) for t, state in zip(traj.times, traj.states)]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_of_rows(rows, kind="map"):
+    times = tuple(i / 8 for i in range(len(rows))) if kind == "ode" else tuple(range(len(rows)))
+    traj = dynamics.Trajectory(times=times, states=tuple(map(tuple, rows)), kind=kind)
+    cells = [f"c{i}" for i in range(len(rows[0]))]
+    return trajectory_csv(traj, cells), _per_value_csv(traj, cells)
+
+
+def _ring(n):
+    cells = [f"c{i}" for i in range(n)]
+    edges = [(cells[i], cells[(i + s) % n], 1) for i in range(n) for s in (-1, 1)]
+    return Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1), edges)
+
+
+# edges of the shortest repr: both zeros, the least subnormal, the smallest
+# power of ten printed in exponent form (1e+16) and the largest below one
+# (1e-05), and values that need 1 and 16 significant digits
+_REPR_POOL = [0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3]
+_signed_pool_value = st.tuples(st.sampled_from(_REPR_POOL), st.booleans()).map(
+    lambda pick: -pick[0] if pick[1] else pick[0]
+)
+
+
+class TestTrajectoryCsv:
+    def test_synchronized_rows_match_per_value_text(self):
+        net = _ring(40)
+        part = Partition(tuple(i % 4 + 1 for i in range(40)))
+        oracle = parse_oracle(
+            '{"g": [{"type": "t", "kind": "scale", "a": 0.5}],'
+            ' "kappa": [{"target_type": "t", "source_type": "t", "scale": 0.25}]}', net
+        )
+        traj = simulate_map(net, oracle, lift(part, [0.3, 0.7, 1.1, 0.2]), 10)
+        assert all(len(set(state)) <= 4 for state in traj.states)
+        assert trajectory_csv(traj, net.cells) == _per_value_csv(traj, net.cells)
+
+    def test_row_with_both_zeros_prints_each_sign(self):
+        text, expected = _csv_of_rows([[0.0, -0.0, 2.5, 2.5, 0.0, -0.0, 2.5, 2.5]])
+        assert text == expected
+        assert text.splitlines()[1] == "0,0.0,-0.0,2.5,2.5,0.0,-0.0,2.5,2.5"
+
+    def test_repeated_negative_zero_among_repeated_values(self):
+        text, expected = _csv_of_rows([[-0.0, 0.1, -0.0, 0.1, -0.0, 0.1], [0.1, 0.1, -0.0, -0.0, 0.1, 0.1]])
+        assert text == expected
+        assert text.splitlines()[1:] == ["0,-0.0,0.1,-0.0,0.1,-0.0,0.1", "1,0.1,0.1,-0.0,-0.0,0.1,0.1"]
+
+    def test_all_distinct_rows(self):
+        rows = [[i + j / 7 for j in range(9)] for i in range(3)]
+        text, expected = _csv_of_rows(rows)
+        assert text == expected
+
+    def test_non_finite_values_print_as_repr(self):
+        nan_a, nan_b = float("nan"), float("nan")
+        text, expected = _csv_of_rows([[nan_a, nan_b, nan_a, nan_b, math.inf, -math.inf, math.inf, nan_a]])
+        assert text == expected
+        assert text.splitlines()[1] == "0,nan,nan,nan,nan,inf,-inf,inf,nan"
+
+    def test_ode_times_are_stamped_with_repr(self, triangle3):
+        traj = simulate_ode(triangle3, unit_oracle(triangle3), [1.0, 1.0, 2.0], 0.3, 0.1)
+        text = trajectory_csv(traj, triangle3.cells)
+        assert text == _per_value_csv(traj, triangle3.cells)
+        assert [line.split(",")[0] for line in text.splitlines()] == ["t", *map(repr, traj.times)]
+
+    def test_single_cell_network(self):
+        net = Network.build(["x"], ["t"], ["t"], MonoidRegistry.uniform(NaturalAdd(), 1), [])
+        oracle = parse_oracle('{"g": [{"type": "t", "kind": "scale", "a": -1.0}]}', net)
+        traj = simulate_map(net, oracle, [-0.0], 3)
+        assert trajectory_csv(traj, net.cells) == "n,x\n0,-0.0\n1,0.0\n2,-0.0\n3,0.0\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.lists(_signed_pool_value, min_size=n, max_size=n), min_size=1, max_size=4)
+        ),
+        st.sampled_from(["map", "ode"]),
+    )
+    def test_matches_per_value_repr_on_special_values(self, rows, kind):
+        text, expected = _csv_of_rows(rows, kind)
+        assert text == expected

@@ -183,3 +183,31 @@ def test_common_refinement_bounds_rank(a, b):
     meet_ab = common_refinement(a, b)
     assert meet_ab.rank >= max(a.rank, b.rank)
     assert is_finer(meet_ab, a) and is_finer(meet_ab, b)
+
+
+def _classwise_text(partition, cells):
+    """Each class's cell ids joined in turn, the text form format_partition must keep."""
+    return ";".join(",".join(cells[i] for i in cls) for cls in partition.classes())
+
+
+_sized_partitions = st.one_of(
+    colorings,
+    st.integers(1, 9).map(Partition.single),
+    st.integers(1, 9).map(Partition.trivial),
+)
+
+
+@given(
+    _sized_partitions.flatmap(
+        lambda part: st.tuples(
+            st.just(part),
+            st.lists(st.text("abxyz019_-.", min_size=1, max_size=3),
+                     min_size=len(part), max_size=len(part), unique=True),
+        )
+    )
+)
+def test_format_partition_is_the_classwise_join_and_parses_back(case):
+    part, cells = case
+    text = format_partition(part, cells)
+    assert text == _classwise_text(part, cells)
+    assert parse_partition(text, cells) == part
