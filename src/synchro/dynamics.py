@@ -23,9 +23,10 @@ registered type pair once, when it is built.
 ``neighbor`` or ``diffusive``) through an array plan built once per call:
 each step sorts the edges by (target, source type, state), merges every
 run of equal-state inputs in the exact monoid before kappa and adds the
-terms in the order ``admissible_eval`` does, so its floats are bitwise
-equal to ``admissible_eval``. Any other oracle steps through
-``admissible_eval`` itself.
+terms with one ``np.add.at`` in that order, which is the order of
+``admissible_eval``, so its floats are bitwise equal to it. Any other
+oracle steps through ``admissible_eval`` itself. Every orbit is one array
+allocated up front, so one too long to hold fails before its first step.
 
 ODE integration is classical fixed-step RK4. When the field is linear
 (g is ``zero`` or ``scale``, h is ``neighbor`` or ``diffusive``), one RK4
@@ -37,8 +38,9 @@ in summation order. The orbit advances B steps per array call through the
 stacked propagator [M; M^2; ...; M^B]. B > 1 only when M's pattern is
 closed under multiplication (every power keeps it, so per-step work stays
 nnz(M)) and every stacked power is finite; B is then the largest power of
-two with B * nnz(M) within ``_STACK_ENTRIES``. B depends on M alone, so an
-orbit to an earlier time is bitwise a prefix of a longer one. Any other
+two with B * nnz(M) within ``_STACK_ENTRIES``. The orbit is computed in
+whole blocks and cut to its steps; B depends on M alone, so an orbit to
+an earlier time is bitwise a prefix of a longer one. Any other
 field is evaluated stage by stage through the merged-input evaluation.
 Exactness claims stop at the monoid algebra, never float trajectories.
 """
@@ -384,6 +386,24 @@ class Trajectory:
         return len(self.states)
 
 
+def _orbit_buffer(net: Network, x0, rows: int, steps: int) -> np.ndarray:
+    """A (rows, n) orbit array starting at x0, checked to hold one finite value
+    per cell; an array too large to allocate is a ``SizeLimitError``."""
+    x = np.asarray([float(v) for v in x0], dtype=np.float64)
+    if x.shape[0] != net.n:
+        raise DimensionMismatch(f"x0 has {x.shape[0]} entries, network has {net.n} cells")
+    if not np.isfinite(x).all():
+        raise SimulationDiverged(0)
+    try:
+        out = np.empty((rows, net.n), dtype=np.float64)
+    except (MemoryError, OverflowError, ValueError):
+        raise SizeLimitError(
+            f"an orbit of {steps} steps of {net.n} cells does not fit in memory"
+        ) from None
+    out[0] = x
+    return out
+
+
 def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
     """Iterate the admissible map; aborts on the first non-finite state.
 
@@ -392,24 +412,19 @@ def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
     """
     if steps < 0:
         raise DimensionMismatch("steps must be non-negative")
-    x = np.asarray([float(v) for v in x0], dtype=np.float64)
-    if x.shape[0] != net.n:
-        raise DimensionMismatch(f"x0 has {x.shape[0]} entries, network has {net.n} cells")
-    if not np.isfinite(x).all():
-        raise SimulationDiverged(0)
+    out = _orbit_buffer(net, x0, steps + 1, steps)
     step = _linear_map_step(net, oracle)
     if step is None:
 
         def step(state):
-            return np.asarray(admissible_eval(net, oracle, state.tolist()), dtype=np.float64)
+            return admissible_eval(net, oracle, state.tolist())
 
-    states = [tuple(x.tolist())]
     for n in range(steps):
-        x = step(x)
-        if not np.isfinite(x).all():
+        out[n + 1] = step(out[n])
+        if not np.isfinite(out[n + 1]).all():
             raise SimulationDiverged(n + 1)
-        states.append(tuple(x.tolist()))
-    return Trajectory(times=tuple(range(steps + 1)), states=tuple(states), kind="map")
+    states = tuple(map(tuple, out.tolist()))
+    return Trajectory(times=tuple(range(steps + 1)), states=states, kind="map")
 
 
 def _flat_edges(net: Network):
@@ -507,23 +522,6 @@ def _linear_field(net: Network, oracle: Oracle) -> _LinearField | None:
     )
 
 
-def _by_position(rows, n: int):
-    """(row, entry) index arrays of the p-th entry of every row, for each p.
-
-    ``rows`` holds the row of each entry, ascending, so the entries of a
-    row are contiguous and in order.
-    """
-    counts = np.bincount(rows, minlength=n)
-    pos = np.arange(len(rows)) - (counts.cumsum() - counts)[rows]
-    by_pos = pos.argsort(kind="stable")
-    lo, out = 0, []
-    for hi in np.bincount(pos).cumsum().tolist():
-        at = by_pos[lo:hi]
-        out.append((rows[at], at))
-        lo = hi
-    return out
-
-
 def _linear_map_step(net: Network, oracle: Oracle):
     """One step of a linear admissible map on state arrays, or None.
 
@@ -534,9 +532,10 @@ def _linear_map_step(net: Network, oracle: Oracle):
     merged in the exact monoid (``CodedNetwork.merge``, the memo
     ``row_sums`` uses) and kappa is applied to the merged code, memoised
     per (type pair, code); a run that merges to the identity adds -0.0,
-    which leaves every float as it is. The terms kappa * h are then added
-    to g(x) one in-row position at a time. That is the sequence of float
-    operations of ``admissible_eval``, so the result is bitwise equal to it.
+    which leaves every float as it is. One ``np.add.at`` then adds the
+    terms kappa * h to g(x) in that sorted order, as ``ufunc.at`` adds in
+    index order. That is the sequence of float operations of
+    ``admissible_eval``, so the result is bitwise equal to it.
     """
     field = _linear_field(net, oracle)
     if field is None:
@@ -547,7 +546,6 @@ def _linear_map_step(net: Network, oracle: Oracle):
     row_key = tgt * n_types + np.asarray(net.cell_types, dtype=np.int64)[src]
     view = coded(net)
     merge, values, kappa, memo = view.merge, view.values, oracle._kappa, {}
-    unmerged = _by_position(tgt, net.n)
     boundary = np.ones(n_edges, dtype=bool)
 
     def merge_codes(a, b):
@@ -568,7 +566,7 @@ def _linear_map_step(net: Network, oracle: Oracle):
             h = s[starts]
             if any_diffusive:
                 h = np.where(diffusive[edges], h - x[tgt[edges]], h)
-            folds = unmerged
+            terms = field.gains[edges] * h
             if len(starts) < n_edges:
                 sizes = np.append(starts[1:], n_edges) - starts
                 long = (sizes > 1).nonzero()[0]
@@ -577,43 +575,18 @@ def _linear_map_step(net: Network, oracle: Oracle):
                 for p in range(1, int(sizes.max())):
                     live = (sizes > p).nonzero()[0]
                     merged[live] = merge_codes(merged[live], codes[order[first[live] + p]])
-                kv = field.gains[edges]
                 sent = merged != 0
-                kv[long[sent]] = _kappa_values(
+                kv = _kappa_values(
                     kappa, n_types, values, field.pairs[edges[long[sent]]], merged[sent], memo
                 )
-                terms = kv * h
+                terms[long[sent]] = kv * h[long[sent]]
                 terms[long[~sent]] = -0.0
-                folds = _by_position(tgt[edges], net.n)
-            else:
-                terms = field.gains[edges] * h
             total = field.slope * x
             total[field.zero_g] = 0.0
-            for rows, at in folds:
-                total[rows] += terms[at]
+            np.add.at(total, tgt[edges], terms)
         return total
 
     return step
-
-
-def _linear_parts(net: Network, oracle: Oracle):
-    """The matrix A of a linear admissible field, or None if it is not linear.
-
-    Linearity is decided by ``_linear_field``. A is returned as (row,
-    column, value) triples, repeats adding up, with one diagonal triple on
-    every row.
-    """
-    field = _linear_field(net, oracle)
-    if field is None:
-        return None
-    tgt, gains, diffusive = field.tgt, field.gains, field.diffusive
-    diag = field.slope - np.bincount(tgt[diffusive], weights=gains[diffusive], minlength=net.n)
-    cells = np.arange(net.n, dtype=np.int64)
-    return (
-        np.concatenate((tgt, cells)),
-        np.concatenate((field.src, cells)),
-        np.concatenate((gains, diag)),
-    )
 
 
 def _identity_plus(rows, cols, vals, n: int):
@@ -651,15 +624,21 @@ def _product(rows, cols, vals, csr):
 def _rk4_propagator(net: Network, oracle: Oracle, dt: float):
     """One RK4 step of a linear field as a CSR matrix, or None if not linear.
 
-    For x' = Ax a classical RK4 step is exactly x -> Mx with
-    M = I + hA(I + h/2 A(I + h/3 A(I + h/4 A))); the Horner form is built
-    from sparse products, so nothing of size n x n is ever allocated and
-    every row keeps its diagonal entry.
+    Linearity is decided by ``_linear_field``. For x' = Ax a classical RK4
+    step is exactly x -> Mx with M = I + hA(I + h/2 A(I + h/3 A(I + h/4 A)));
+    A is taken as (row, column, value) triples, repeats adding up, with one
+    diagonal triple on every row, and the Horner form is built from sparse
+    products, so nothing of size n x n is ever allocated and every row
+    keeps its diagonal entry.
     """
-    parts = _linear_parts(net, oracle)
-    if parts is None:
+    field = _linear_field(net, oracle)
+    if field is None:
         return None
-    rows, cols, vals = parts
+    tgt, gains, diffusive = field.tgt, field.gains, field.diffusive
+    cells = np.arange(net.n, dtype=np.int64)
+    rows, cols = np.concatenate((tgt, cells)), np.concatenate((field.src, cells))
+    diag = field.slope - np.bincount(tgt[diffusive], weights=gains[diffusive], minlength=net.n)
+    vals = np.concatenate((gains, diag))
     with np.errstate(over="ignore", invalid="ignore"):
         m = _identity_plus(rows, cols, vals * (dt / 4.0), net.n)
         for h in (dt / 3.0, dt / 2.0, dt):
@@ -737,53 +716,39 @@ def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) ->
     Linear fields step in blocks through the stack [M; M^2; ...; M^B] of
     their propagator (see ``_power_stack``): from the state that ends one
     block, one ``take``, one multiply and one ``reduceat`` write the B rows
-    of the next, and a last partial block of r rows uses the first r*n
-    rows of the stack. B > 1 only when M's pattern is closed under
+    of the next. B > 1 only when M's pattern is closed under
     multiplication and the stacked powers are finite, with B * nnz(M) at
-    most ``_STACK_ENTRIES``; otherwise B = 1 and each block is one step of
-    M. B never depends on t_end, so the orbit to an earlier time is
-    bitwise the first rows of the orbit to a later one. The orbit is
+    most ``_STACK_ENTRIES``; otherwise B = 1. The orbit array, allocated
+    before M is built, has room for a last whole block (B * n is at most
+    ``_STACK_ENTRIES``), and the up to B - 1 rows past the last step are
+    dropped. B never depends on t_end, so the orbit to an earlier time is
+    bitwise the first rows of the orbit to a later one. The kept rows are
     checked for non-finite states once at the end. Any other field is
     evaluated stage by stage through ``admissible_eval``.
     """
     steps = _check_times(t_end, dt)
-    x = np.asarray([float(v) for v in x0], dtype=np.float64)
-    if x.shape[0] != net.n:
-        raise DimensionMismatch(f"x0 has {x.shape[0]} entries, network has {net.n} cells")
-    if not np.isfinite(x).all():
-        raise SimulationDiverged(0)
-    try:
-        out = np.empty((steps + 1, net.n), dtype=np.float64)
-    except (MemoryError, OverflowError, ValueError):
-        raise SizeLimitError(
-            f"an orbit of {steps} steps of {net.n} cells does not fit in memory"
-        ) from None
-    out[0] = x
+    out = _orbit_buffer(net, x0, steps + max(1, _STACK_ENTRIES // net.n), steps)
     prop = _rk4_propagator(net, oracle, dt)
     if prop is not None:
         indptr, cols, data, depth = _power_stack(prop, net.n)
-        n = net.n
-        full, rest = divmod(steps, depth)
-        sources = out[: full * depth : depth]
-        blocks = out.reshape(-1)[n : n + full * depth * n].reshape(full, depth * n)
+        blocks = -(-steps // depth)
+        sources = out[: blocks * depth : depth]
+        following = out[1 : blocks * depth + 1].reshape(blocks, depth * net.n)
         starts = indptr[:-1]
         buf = np.empty(len(cols))
         reduceat = np.add.reduceat
         with np.errstate(over="ignore", invalid="ignore"):
-            for state, following in zip(sources, blocks):
+            for state, rows in zip(sources, following):
                 state.take(cols, out=buf)
                 buf *= data
-                reduceat(buf, starts, out=following)
-            if rest:
-                size = indptr[rest * n]
-                head = buf[:size]
-                out[full * depth].take(cols[:size], out=head)
-                head *= data[:size]
-                reduceat(head, starts[: rest * n], out=out[full * depth + 1 :].reshape(-1))
-            finite = np.isfinite(out).all(axis=1)
+                reduceat(buf, starts, out=rows)
+        out = out[: steps + 1]
+        finite = np.isfinite(out).all(axis=1)
         if not finite.all():
             raise SimulationDiverged(int(finite.argmin()))
         return out
+
+    x = out[0]
 
     def rhs(state):
         return np.asarray(admissible_eval(net, oracle, state.tolist()))
@@ -799,7 +764,7 @@ def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) ->
         if not np.isfinite(x).all():
             raise SimulationDiverged(n + 1)
         out[n + 1] = x
-    return out
+    return out[: steps + 1]
 
 
 def simulate_ode(net: Network, oracle: Oracle, x0, t_end: float, dt: float) -> Trajectory:

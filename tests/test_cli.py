@@ -237,6 +237,7 @@ def test_simulate_ode_runs(runner, net_file, tmp_path):
         ["--tend", "1", "--dt", "0"],
         ["--steps", "-1"],
         ["--tend", "1e12"],
+        ["--steps", "1000000000000000"],
     ],
 )
 def test_simulate_bad_time_arguments_are_one_json_error(runner, net_file, tmp_path, mode):

@@ -340,6 +340,9 @@ class TestSimulation:
     def test_negative_steps_are_rejected(self, triangle3):
         with pytest.raises(DimensionMismatch):
             simulate_map(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], -1)
+        # a zero start never diverges: only refusing to allocate the orbit stops it
+        with pytest.raises(SizeLimitError):
+            simulate_map(triangle3, linear_oracle(triangle3), [0.0, 0.0, 0.0], 10**15)
 
     def test_linear_map_divergence_names_first_non_finite_step(self, triangle3):
         blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=1e30)})
@@ -637,6 +640,27 @@ def test_linear_map_plan_merges_every_row_of_a_lifted_ring(period, coupling):
     assert orbit == _stepped_orbit(net, oracle, x0, 20)
     assert orbit[1] is None
     assert all(state[c] == state[c % period] for state in orbit[0] for c in range(n))
+
+
+@pytest.mark.parametrize("coupling", ["neighbor", "diffusive"])
+def test_linear_map_plan_folds_wide_rows_in_order(coupling):
+    # 24 inputs a row at states from 1e-8 to 1e8 round differently in almost
+    # any other order of adds, so each row checks a long fold
+    rng = random.Random(5)
+    n, spec = 40, ResistorParallel()
+    cells = [f"c{i}" for i in range(n)]
+    edges = [
+        (cells[c], cells[d], spec.from_resistance(rng.randint(1, 97)))
+        for c in range(n)
+        for d in rng.sample(range(n), 24)
+    ]
+    net = Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(spec, 1), edges)
+    oracle = linear_oracle(net, coupling=coupling)
+    step = _linear_map_step(net, oracle)
+    for _ in range(20):
+        x = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, 8) for _ in range(n)]
+        out = step(np.asarray(x)).tolist()
+        assert _hex_orbit([out]) == _hex_orbit([admissible_eval(net, oracle, x)])
 
 
 def _per_value_csv(traj, cells):
