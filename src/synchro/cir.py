@@ -25,7 +25,7 @@ from itertools import chain
 from .coding import CodedNetwork, coded
 from .errors import PartitionError
 from .network import Network
-from .partition import Partition, is_finer
+from .partition import Partition
 
 
 def kernel_name() -> str:
@@ -65,8 +65,10 @@ def _require_below_types(net: Network, partition: Partition) -> None:
         raise PartitionError(
             f"partition covers {len(partition)} cells, network has {net.n}"
         )
-    if not is_finer(partition, net.type_partition()):
-        raise PartitionError("partition mixes cells of different types")
+    type_of: dict[int, int] = {}
+    for color, t in zip(partition.colors, net.cell_types):
+        if type_of.setdefault(color, t) != t:
+            raise PartitionError("partition mixes cells of different types")
 
 
 def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:

@@ -4,6 +4,9 @@ All analysis output is JSON on stdout (pass --pretty for an indented,
 human-friendly form); errors go to stderr as one machine-readable JSON
 object. Exit codes: 0 success, 1 domain error (not balanced, budget
 exceeded, diverged), 2 usage or parse error.
+
+Only ``simulate`` and ``witness`` import the dynamics layer, and with it
+numpy, inside their bodies; every other command starts without them.
 """
 from __future__ import annotations
 
@@ -17,14 +20,6 @@ from click.core import ParameterSource
 
 from .balance import is_balanced, quotient
 from .cir import cir, top
-from .dynamics import (
-    admissible_eval,
-    parse_oracle,
-    simulate_map,
-    simulate_ode,
-    trajectory_csv,
-    unbalance_witness,
-)
 from .errors import (
     NotBalancedError,
     SchemaError,
@@ -218,6 +213,8 @@ def lattice_command(budget, as_dot, network_file, pretty):
 @guarded
 def simulate_command(oracle_file, x0_file, steps, tend, dt, network_file):
     """Simulate admissible dynamics; trajectory goes to stdout as CSV."""
+    from .dynamics import parse_oracle, simulate_map, simulate_ode, trajectory_csv
+
     if (steps is None) == (tend is None):
         raise click.UsageError("pass exactly one of --steps (map) or --tend (flow)")
     dt_source = click.get_current_context().get_parameter_source("dt")
@@ -253,6 +250,8 @@ def simulate_command(oracle_file, x0_file, steps, tend, dt, network_file):
 @guarded
 def witness_command(partition_text, network_file, pretty):
     """Construct a desynchronizing oracle for an unbalanced partition."""
+    from .dynamics import admissible_eval, unbalance_witness
+
     net = _load(network_file)
     part = parse_partition(partition_text, net.cells)
     oracle, state = unbalance_witness(net, part)

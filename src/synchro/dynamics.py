@@ -27,6 +27,8 @@ terms with one ``np.add.at`` in that order, which is the order of
 ``admissible_eval``, so its floats are bitwise equal to it. Any other
 oracle steps through ``admissible_eval`` itself. Every orbit is one array
 allocated up front, so one too long to hold fails before its first step.
+``simulate_map`` and map-mode ``quotient_match`` share that array loop,
+``_iterate_map``; only ``simulate_map`` converts the orbit to tuples.
 
 ODE integration is classical fixed-step RK4. When the field is linear
 (g is ``zero`` or ``scale``, h is ``neighbor`` or ``diffusive``), one RK4
@@ -404,8 +406,9 @@ def _orbit_buffer(net: Network, x0, rows: int, steps: int) -> np.ndarray:
     return out
 
 
-def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
-    """Iterate the admissible map; aborts on the first non-finite state.
+def _iterate_map(net: Network, oracle: Oracle, x0, steps: int) -> np.ndarray:
+    """The (steps + 1, n) orbit of the admissible map from x0; aborts on the
+    first non-finite state.
 
     A linear ``OracleSpec`` steps through ``_linear_map_step``, any other
     oracle through ``admissible_eval``; both give the same floats.
@@ -423,7 +426,13 @@ def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
         out[n + 1] = step(out[n])
         if not np.isfinite(out[n + 1]).all():
             raise SimulationDiverged(n + 1)
-    states = tuple(map(tuple, out.tolist()))
+    return out
+
+
+def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
+    """Iterate the admissible map; aborts on the first non-finite state."""
+    orbit = _iterate_map(net, oracle, x0, steps)
+    states = tuple(map(tuple, orbit.tolist()))
     return Trajectory(times=tuple(range(steps + 1)), states=states, kind="map")
 
 
@@ -786,17 +795,17 @@ def quotient_match(
 ) -> float:
     """Max deviation between the full orbit from a synchronized start and
     the lifted orbit of the quotient network under the same oracle."""
+    if mode not in ("map", "ode"):
+        raise ValueError(f"mode must be 'map' or 'ode', got {mode!r}")
     qres = quotient(net, partition)
     reduced0 = [float(v) for v in reduced0]
     x0 = lift(partition, reduced0)
     if mode == "map":
-        full_arr = np.asarray(simulate_map(net, oracle, x0, steps).states)
-        red_arr = np.asarray(simulate_map(qres.quotient, oracle, reduced0, steps).states)
-    elif mode == "ode":
+        full_arr = _iterate_map(net, oracle, x0, steps)
+        red_arr = _iterate_map(qres.quotient, oracle, reduced0, steps)
+    else:
         full_arr = _integrate_rk4(net, oracle, x0, horizon, dt)
         red_arr = _integrate_rk4(qres.quotient, oracle, reduced0, horizon, dt)
-    else:
-        raise ValueError(f"mode must be 'map' or 'ode', got {mode!r}")
     lift_idx = [c - 1 for c in partition.colors]
     return float(np.max(np.abs(full_arr - red_arr[:, lift_idx])))
 

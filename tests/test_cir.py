@@ -69,6 +69,18 @@ def test_rejects_type_mixing(resistor6):
         cir(resistor6, Partition.single(6))
 
 
+@pytest.mark.parametrize("check", [is_balanced, cir, cir_iteration])
+@pytest.mark.parametrize("partition, message", [
+    (Partition.from_colors([1, 1, 1, 2, 2, 2]), "partition mixes cells of different types"),
+    (Partition.trivial(5), "partition covers 5 cells, network has 6"),
+])
+def test_partition_errors_name_the_fault(resistor6, check, partition, message):
+    # resistor6 types its cells a,a,b,b,a,a, so 1,2,3;4,5,6 mixes a and b
+    with pytest.raises(PartitionError) as err:
+        check(resistor6, partition)
+    assert str(err.value) == message
+
+
 def test_ranks_strictly_increase_then_repeat():
     for net in corpus.corpus_networks()[:20]:
         rng = random.Random(net.n * 17)

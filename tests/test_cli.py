@@ -1,18 +1,26 @@
 """End-to-end command-line behavior: outputs, exit codes, round trips."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import corpus
+import synchro
 from conftest import make_chain3, make_resistor6, make_triangle3
 from synchro import (
     MonoidRegistry,
     NaturalAdd,
     Network,
+    format_partition,
     parse_network,
     parse_partition,
     quotient,
     serialize_network,
+    top,
 )
 from synchro.cli import main
 
@@ -507,3 +515,83 @@ def test_weight_beyond_float_range_is_domain_error(runner, tmp_path, mode):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"] == "domain"
+
+
+# Runs each argv through cli.main in one fresh interpreter and records, after
+# the import and after every command, its exit code and which of numpy and
+# the dynamics layer have been loaded.
+_COLD_START = """
+import json, sys
+import synchro.cli
+
+def loaded():
+    return [name for name in ("numpy", "synchro.dynamics") if name in sys.modules]
+
+seen = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    try:
+        synchro.cli.main(argv, standalone_mode=False)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    seen.append([argv[0], code, loaded()])
+with open(sys.argv[2], "w") as handle:
+    json.dump(seen, handle)
+"""
+
+
+def test_only_simulation_loads_numpy_and_the_dynamics_layer(tmp_path):
+    net = corpus.corpus_networks()[2]
+    path = tmp_path / "net.json"
+    path.write_text(serialize_network(net))
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("{}")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text(",".join(["1.0"] * net.n) + "\n")
+    part = format_partition(top(net), net.cells)
+    net_file = str(path)
+    runs = [
+        ["validate", net_file],
+        ["top", net_file],
+        ["cir", net_file],
+        ["balanced", "-p", part, net_file],
+        ["quotient", "-p", part, net_file],
+        ["lattice", net_file],
+        ["dot", "-p", part, net_file],
+        ["simulate", "--oracle", str(oracle), "--x0", str(x0), "--steps", "2", net_file],
+    ]
+    src = str(Path(synchro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "seen.json"
+    subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(runs), str(out)],
+                   env=env, cwd=tmp_path, check=True, capture_output=True, timeout=120)
+    seen = json.loads(out.read_text())
+    assert [(name, code) for name, code, _ in seen] == [
+        ("import", 0), *((argv[0], 0) for argv in runs)
+    ]
+    assert [(name, mods) for name, _, mods in seen[:-1]] == [
+        (name, []) for name, _, _ in seen[:-1]
+    ]
+    assert seen[-1][2] == ["numpy", "synchro.dynamics"]
+
+
+_DYNAMICS_EXPORTS = (
+    "Coupling", "GFunc", "IndicatorOracle", "Oracle", "OracleSpec", "Trajectory",
+    "admissible_eval", "coupling_oracle", "linear_oracle", "linearity_check",
+    "oracle_consistency_check", "quotient_match", "simulate_map", "simulate_ode",
+    "trajectory_csv", "unbalance_witness",
+)
+
+
+def test_dynamics_exports_resolve_on_first_access():
+    from synchro import dynamics
+
+    assert synchro.dynamics is dynamics
+    listed = dir(synchro)
+    for name in _DYNAMICS_EXPORTS:
+        assert getattr(synchro, name) is getattr(dynamics, name)
+        assert name in listed and name in synchro.__all__
+    assert "dynamics" in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        synchro.no_such_name

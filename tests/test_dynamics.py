@@ -35,6 +35,7 @@ from synchro import (
     linearity_check,
     oracle_consistency_check,
     parse_partition,
+    quotient,
     quotient_match,
     simulate_map,
     simulate_ode,
@@ -402,6 +403,15 @@ class TestQuotientMatch:
         )
         assert dev <= 1e-8
 
+    def test_bad_mode_raises_before_the_quotient_is_built(self, triangle3, monkeypatch):
+        def no_quotient(*args):
+            raise AssertionError("quotient built before the mode was checked")
+
+        monkeypatch.setattr(dynamics, "quotient", no_quotient)
+        with pytest.raises(ValueError, match="mode must be 'map' or 'ode', got 'flow'"):
+            quotient_match(triangle3, Partition.trivial(3), linear_oracle(triangle3),
+                           [1.0, 2.0, 3.0], mode="flow")
+
     def test_map_quotient_tolerance(self, resistor6):
         part = parse_partition("1,2;3;4;5,6", resistor6.cells)
         dev = quotient_match(
@@ -748,3 +758,31 @@ class TestTrajectoryCsv:
     def test_matches_per_value_repr_on_special_values(self, rows, kind):
         text, expected = _csv_of_rows(rows, kind)
         assert text == expected
+
+
+def _map_deviation_from_trajectories(net, part, oracle, reduced, steps):
+    """Map-mode ``quotient_match`` rebuilt from ``simulate_map`` trajectories."""
+    full = np.asarray(simulate_map(net, oracle, lift(part, reduced), steps).states)
+    red = np.asarray(simulate_map(quotient(net, part).quotient, oracle, reduced, steps).states)
+    return float(np.max(np.abs(full - red[:, [c - 1 for c in part.colors]])))
+
+
+@pytest.mark.parametrize("which", range(len(_CORPORA)), ids=lambda w: _CORPORA[w].__name__)
+def test_map_quotient_match_equals_its_trajectory_reference(which):
+    compared = 0
+    for k in range(_CORPORA[which].CORPUS_SIZE):
+        net, elements = _balanced_colorings((which, k))
+        oracle = linear_oracle(net, coupling="diffusive")
+        for part in elements:
+            reduced = [0.5 + 0.25 * l for l in range(part.rank)]
+            try:
+                expected = _map_deviation_from_trajectories(net, part, oracle, reduced, 12)
+            except SimulationDiverged as err:
+                with pytest.raises(SimulationDiverged) as got:
+                    quotient_match(net, part, oracle, reduced, mode="map", steps=12)
+                assert got.value.step == err.step
+                continue
+            dev = quotient_match(net, part, oracle, reduced, mode="map", steps=12)
+            assert dev.hex() == expected.hex()
+            compared += 1
+    assert compared
