@@ -80,21 +80,21 @@ class CodedNetwork:
             self.values.append(value)
         return code
 
-    def combine_codes(self, a: int, b: int) -> int:
-        """The code of the parallel sum of two coded values."""
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        spec = self.specs[a]
-        return self.code(spec, spec.combine(self.values[a], self.values[b]))
-
     def merge(self, a: int, b: int) -> int:
-        """``combine_codes`` through the pair memo."""
+        """The code of the parallel sum of two coded values, through the pair memo.
+
+        Codes hold only carrier values checked at ingest, so the sum skips
+        the carrier checks of ``MonoidSpec.combine``.
+        """
         pair = (a, b) if a <= b else (b, a)
         c = self.memo.get(pair)
         if c is None:
-            c = self.memo[pair] = self.combine_codes(a, b)
+            if a == 0 or b == 0:
+                c = a or b
+            else:
+                spec = self.specs[a]
+                c = self.code(spec, spec._combine(self.values[a], self.values[b]))
+            self.memo[pair] = c
         return c
 
     def row_sums(self, colors, row: int) -> dict:

@@ -37,13 +37,14 @@ M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so M is built once as sparse
 rows from the coded edges (kappa evaluated once per distinct weight) and
 each step costs O(nnz(M)); the floats differ from stage-by-stage RK4 only
 in summation order. The orbit advances B steps per array call through the
-stacked propagator [M; M^2; ...; M^B]. B > 1 only when M's pattern is
-closed under multiplication (every power keeps it, so per-step work stays
-nnz(M)) and every stacked power is finite; B is then the largest power of
-two with B * nnz(M) within ``_STACK_ENTRIES``. The orbit is computed in
-whole blocks and cut to its steps; B depends on M alone, so an orbit to
-an earlier time is bitwise a prefix of a longer one. Any other
-field is evaluated stage by stage through the merged-input evaluation.
+stacked propagator [M; M^2; ...; M^B], kept as dense n x n powers. B > 1
+only when two such powers fit in ``_STACK_ENTRIES`` and every stacked
+power is finite; B is then the largest power of two with B * n * n within
+that bound, so larger networks step one at a time and never allocate
+anything n x n. The orbit is computed in whole blocks and cut to its
+steps; B depends on M alone, so an orbit to an earlier time is bitwise a
+prefix of a longer one. Any other field is evaluated stage by stage
+through the merged-input evaluation.
 Exactness claims stop at the monoid algebra, never float trajectories.
 """
 from __future__ import annotations
@@ -610,23 +611,18 @@ def _identity_plus(rows, cols, vals, n: int):
     return indptr, keys % n, data
 
 
-def _pairs(cols, indptr):
-    """(left, right) entry indices of a product with a CSR matrix.
+def _product(rows, cols, vals, csr):
+    """The triples of (triples) @ (CSR matrix), one per multiplied pair.
 
-    Each entry in column ``cols[e]`` meets every entry of the CSR row of
+    Each triple in column ``cols[e]`` meets every entry of the CSR row of
     that index: ``left`` repeats e once per such entry and ``right`` gives
     the entry's position in the CSR arrays.
     """
+    indptr, indices, data = csr
     counts = indptr[cols + 1] - indptr[cols]
     ends = np.cumsum(counts)
     right = np.repeat(indptr[cols] - (ends - counts), counts) + np.arange(ends[-1])
-    return np.repeat(np.arange(len(cols)), counts), right
-
-
-def _product(rows, cols, vals, csr):
-    """The triples of (triples) @ (CSR matrix), one per multiplied pair."""
-    indptr, indices, data = csr
-    left, right = _pairs(cols, indptr)
+    left = np.repeat(np.arange(len(cols)), counts)
     return rows[left], indices[right], vals[left] * data[right]
 
 
@@ -664,47 +660,31 @@ _STACK_ENTRIES = 2048
 def _power_stack(m, n: int):
     """The stack [M; M^2; ...; M^B] of a CSR propagator as CSR over B*n rows.
 
-    Every power is stored on M's own pattern, so B > 1 only when that
-    pattern is closed under multiplication (every row holds its diagonal,
-    so each product pattern then equals it) and only while every power is
-    finite; B is the largest power of two with B * nnz(M) within
-    ``_STACK_ENTRIES``. The powers double, S_2k = [S_k; S_k M^k], through
-    one product plan on the fixed pattern: the pairs of entries that meet,
-    sorted by the entry they add into. They are carried as D_k = M^k - I,
-    D_j+k = D_j + D_k + D_j D_k, so rounding scales with D and not with
-    the unit diagonal. B depends on M alone. Returns (indptr, indices,
-    data, B); with B = 1 that is M itself.
+    B = 1, M itself, when two dense n x n powers would exceed
+    ``_STACK_ENTRIES`` or M has a non-finite entry. Otherwise the powers
+    are dense: M is scattered into an n x n array and the stack doubles,
+    S_2k = [S_k; S_k M^k], while every new power is finite and B * n * n
+    stays within ``_STACK_ENTRIES``. The powers are carried as
+    D_k = M^k - I, D_j+k = D_j + D_k + D_j D_k, so rounding scales with D
+    and not with the unit diagonal. B depends on M alone. Returns
+    (indptr, indices, data, B).
     """
     indptr, indices, data = m
-    nnz = len(indices)
-    powers = data[None, :]
-    if 2 * nnz <= _STACK_ENTRIES and np.isfinite(data).all():
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        keys = rows * n + indices
-        left, right = _pairs(indices, indptr)
-        want = rows[left] * n + indices[right]
-        at = np.minimum(np.searchsorted(keys, want), nnz - 1)
-        if (keys[at] == want).all():
-            order = at.argsort(kind="stable")
-            left, right = left[order], right[order]
-            segments = np.concatenate(([0], np.bincount(at, minlength=nnz).cumsum()[:-1]))
-            diagonal = rows == indices
-            deltas = powers.copy()
-            deltas[0, diagonal] -= 1.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                while 2 * deltas.size <= _STACK_ENTRIES:
-                    last = deltas[-1]
-                    doubled = np.add.reduceat(deltas[:, left] * last[right], segments, axis=1)
-                    doubled += deltas
-                    doubled += last
-                    if not np.isfinite(doubled).all():
-                        break
-                    deltas = np.concatenate((deltas, doubled))
-            deltas[:, diagonal] += 1.0
-            powers = np.concatenate((powers, deltas[1:]))
-    depth = len(powers)
-    starts = (indptr[:-1] + nnz * np.arange(depth)[:, None]).ravel()
-    return np.append(starts, depth * nnz), np.tile(indices, depth), powers.ravel(), depth
+    if 2 * n * n > _STACK_ENTRIES or not np.isfinite(data).all():
+        return indptr, indices, data, 1
+    cells = np.arange(n)
+    deltas = np.zeros((1, n, n))
+    deltas[0, np.repeat(cells, np.diff(indptr)), indices] = data
+    deltas[0, cells, cells] -= 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while 2 * deltas.size <= _STACK_ENTRIES:
+            doubled = deltas + deltas[-1] + deltas @ deltas[-1]
+            if not np.isfinite(doubled).all():
+                break
+            deltas = np.concatenate((deltas, doubled))
+    deltas[:, cells, cells] += 1.0
+    depth = len(deltas)
+    return np.arange(0, depth * n * n + 1, n), np.tile(cells, depth * n), deltas.ravel(), depth
 
 
 def _check_times(t_end: float, dt: float) -> int:
@@ -725,9 +705,9 @@ def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) ->
     Linear fields step in blocks through the stack [M; M^2; ...; M^B] of
     their propagator (see ``_power_stack``): from the state that ends one
     block, one ``take``, one multiply and one ``reduceat`` write the B rows
-    of the next. B > 1 only when M's pattern is closed under
-    multiplication and the stacked powers are finite, with B * nnz(M) at
-    most ``_STACK_ENTRIES``; otherwise B = 1. The orbit array, allocated
+    of the next. B > 1 only when two dense n x n powers fit in
+    ``_STACK_ENTRIES`` and the stacked powers are finite, with B * n * n
+    at most that bound; otherwise B = 1. The orbit array, allocated
     before M is built, has room for a last whole block (B * n is at most
     ``_STACK_ENTRIES``), and the up to B - 1 rows past the last step are
     dropped. B never depends on t_end, so the orbit to an earlier time is

@@ -26,10 +26,18 @@ from .partition import Partition
 
 
 def _cell_index(cells: list[str], type_names: list[str]) -> dict[str, int]:
-    """Position of each cell id; rejects an empty or repeated cell list and
-    repeated type names. Shared by ``Network.build`` and ``network_from_json``."""
+    """Position of each cell id; rejects an empty or repeated cell list, a
+    cell id that partition text cannot name (empty, holding ``,`` or ``;``,
+    or with leading or trailing whitespace) and repeated type names.
+    Shared by ``Network.build`` and ``network_from_json``."""
     if not cells:
         raise SchemaError("network must have >=1 cell")
+    for cell in cells:
+        if not cell or cell.strip() != cell or "," in cell or ";" in cell:
+            raise SchemaError(
+                f"cell id {cell!r} cannot be named in partition text: ids must be"
+                " nonempty, hold no ',' or ';' and have no leading or trailing whitespace"
+            )
     index = {cell: i for i, cell in enumerate(cells)}
     if len(index) != len(cells):
         dupes = sorted(c for c, k in Counter(cells).items() if k > 1)

@@ -414,6 +414,12 @@ def _schema_error(runner, tmp_path, doc):
     return err["detail"]
 
 
+def test_cell_id_that_partition_text_cannot_name_is_schema_error(runner, tmp_path):
+    doc = dict(_DOC, cells=[{"id": "a", "type": "t"}, {"id": "b", "type": "t"},
+                            {"id": "a,b", "type": "t"}])
+    assert "'a,b'" in _schema_error(runner, tmp_path, doc)
+
+
 def test_edge_to_list_is_schema_error(runner, tmp_path):
     doc = dict(_DOC, edges=[{"to": ["a"], "from": "b", "weight": {"n": 1}}])
     assert "edges[0].to" in _schema_error(runner, tmp_path, doc)

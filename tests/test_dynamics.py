@@ -252,16 +252,44 @@ class TestSimulation:
             assert dev <= 1e-12, (net, kind)
 
     def test_ode_orbit_to_an_earlier_time_is_a_bitwise_prefix(self, triangle3):
-        oracle = linear_oracle(triangle3, coupling="diffusive")
-        dt = 1e-3
-        depth = stack_depth(triangle3, oracle, dt)
-        assert depth > 1
-        x0 = [1.0, -2.0, 0.5]
-        whole = simulate_ode(triangle3, oracle, x0, 4 * depth * dt, dt)
-        for short in (depth - 1, depth + depth // 2 + 1):  # both end mid-block
-            head = simulate_ode(triangle3, oracle, x0, short * dt, dt)
-            assert len(head) == short + 1
-            assert _hex_orbit(head.states) == _hex_orbit(whole.states[: short + 1])
+        # corpus network 8: 7 cells whose propagator pattern is not closed
+        # under multiplication, so its powers fill in
+        for net in (triangle3, corpus.corpus_networks()[8]):
+            oracle = linear_oracle(net, coupling="diffusive")
+            dt = 1e-3
+            depth = stack_depth(net, oracle, dt)
+            assert depth > 1
+            x0 = [(1.0, -2.0, 0.5)[c % 3] for c in range(net.n)]
+            whole = simulate_ode(net, oracle, x0, 4 * depth * dt, dt)
+            for short in (depth - 1, depth + depth // 2 + 1):  # both end mid-block
+                head = simulate_ode(net, oracle, x0, short * dt, dt)
+                assert len(head) == short + 1
+                assert _hex_orbit(head.states) == _hex_orbit(whole.states[: short + 1])
+
+    def test_every_small_corpus_propagator_stacks_to_the_bound(self):
+        for net, kind in itertools.product(corpus.corpus_networks(), ("neighbor", "diffusive")):
+            propagator = _rk4_propagator(net, linear_oracle(net, coupling=kind), 1e-3)
+            expected = 1
+            if np.isfinite(propagator[2]).all():
+                while 2 * expected * net.n**2 <= dynamics._STACK_ENTRIES:
+                    expected *= 2
+            assert _power_stack(propagator, net.n)[3] == expected, (net, kind)
+
+    def test_stacked_blocks_are_repeated_one_step_products(self):
+        def dense(indptr, cols, data, n_cols):
+            out = np.zeros((len(indptr) - 1, n_cols))
+            np.add.at(out, (np.repeat(np.arange(len(out)), np.diff(indptr)), cols), data)
+            return out
+
+        for net, kind in itertools.product(corpus.corpus_networks(), ("neighbor", "diffusive")):
+            propagator = _rk4_propagator(net, linear_oracle(net, coupling=kind), 1e-3)
+            *stack, depth = _power_stack(propagator, net.n)
+            m = dense(*propagator, net.n)
+            blocks = dense(*stack, net.n).reshape(depth, net.n, net.n)
+            power = np.eye(net.n)
+            for block in blocks:
+                power = m @ power
+                assert np.abs(block - power).max() <= 1e-13, (net, kind)
 
     def test_zero_start_stays_zero_under_a_blowing_up_field(self, triangle3):
         blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=1e30)})

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from synchro import (
     ResistorParallel,
     SchemaError,
     SizeLimitError,
+    format_partition,
     in_neighborhood,
     network_from_json,
     network_to_json,
@@ -90,6 +92,29 @@ def test_duplicate_ids_are_named_once_in_sorted_order():
     cells = ["b", "a", "c", "b", "a", "b"]
     with pytest.raises(SchemaError, match=r"duplicate cell ids: \['a', 'b'\]$"):
         Network.build(cells, ["t"] * len(cells), ["t"], registry, [])
+
+
+_UNNAMEABLE_IDS = ["", "a,b", "a;b", " d", "d ", "\tx", "x\n"]
+
+
+@pytest.mark.parametrize("bad", _UNNAMEABLE_IDS)
+def test_cell_ids_that_partition_text_cannot_name_are_rejected(bad):
+    cells = ["c", bad]
+    message = rf"cell id {re.escape(repr(bad))} cannot be named in partition text"
+    with pytest.raises(SchemaError, match=message):
+        Network.build(cells, ["t", "t"], ["t"], MonoidRegistry.uniform(NA, 1), [])
+    doc = {"types": ["t"], "cells": [{"id": c, "type": "t"} for c in cells],
+           "monoids": [{"target_type": "t", "source_type": "t", "kind": "natural_add"}],
+           "edges": []}
+    with pytest.raises(SchemaError, match=message):
+        parse_network(json.dumps(doc))
+
+
+def test_inner_whitespace_in_a_cell_id_round_trips_through_partition_text():
+    cells = ["a b", "c"]
+    net = Network.build(cells, ["t", "t"], ["t"], MonoidRegistry.uniform(NA, 1), [])
+    part = parse_partition("a b;c", net.cells)
+    assert parse_partition(format_partition(part, net.cells), net.cells) == part
 
 
 def test_one_duplicate_id_in_a_large_document_is_rejected_quickly():
