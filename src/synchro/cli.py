@@ -240,7 +240,7 @@ def simulate_command(oracle_file, x0_file, steps, tend, dt, network_file):
         traj = simulate_map(net, oracle, x0, steps)
     else:
         traj = simulate_ode(net, oracle, x0, tend, dt)
-    click.echo(trajectory_csv(traj, net.cells), nl=False)
+    sys.stdout.writelines(trajectory_csv(traj, net.cells))
 
 
 @main.command(name="witness")

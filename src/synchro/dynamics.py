@@ -28,7 +28,7 @@ terms with one ``np.add.at`` in that order, which is the order of
 oracle steps through ``admissible_eval`` itself. Every orbit is one array
 allocated up front, so one too long to hold fails before its first step.
 ``simulate_map`` and map-mode ``quotient_match`` share that array loop,
-``_iterate_map``; only ``simulate_map`` converts the orbit to tuples.
+``_iterate_map``, and a ``Trajectory`` holds the orbit array itself.
 
 ODE integration is classical fixed-step RK4. When the field is linear
 (g is ``zero`` or ``scale``, h is ``neighbor`` or ``diffusive``), one RK4
@@ -36,14 +36,10 @@ step is exactly x -> Mx for the fixed propagator
 M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so M is built once as sparse
 rows from the coded edges (kappa evaluated once per distinct weight) and
 each step costs O(nnz(M)); the floats differ from stage-by-stage RK4 only
-in summation order. The orbit advances B steps per array call through the
-stacked propagator [M; M^2; ...; M^B], kept as dense n x n powers. B > 1
-only when two such powers fit in ``_STACK_ENTRIES`` and every stacked
-power is finite; B is then the largest power of two with B * n * n within
-that bound, so larger networks step one at a time and never allocate
-anything n x n. The orbit is computed in whole blocks and cut to its
-steps; B depends on M alone, so an orbit to an earlier time is bitwise a
-prefix of a longer one. Any other field is evaluated stage by stage
+in summation order. A small finite M advances B steps per ``np.dot``
+through its dense power stack [M; M^2; ...; M^B] (``_power_stack``);
+larger networks step one at a time on the sparse rows of M and never
+allocate anything n x n. Any other field is evaluated stage by stage
 through the merged-input evaluation.
 Exactness claims stop at the monoid algebra, never float trajectories.
 """
@@ -377,12 +373,17 @@ def oracle_consistency_check(
 # -- simulation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A uniformly sampled orbit: one state row per time point."""
+    """A uniformly sampled orbit: one state row per time point.
+
+    ``states`` is the read-only (len, n) float64 orbit array; its
+    ``tolist()`` gives the rows as lists of Python floats. Trajectories
+    compare and hash by identity, as == on arrays has no single truth value.
+    """
 
     times: tuple
-    states: tuple[tuple[float, ...], ...]
+    states: np.ndarray
     kind: str  # map | ode
 
     def __len__(self):
@@ -417,12 +418,9 @@ def _iterate_map(net: Network, oracle: Oracle, x0, steps: int) -> np.ndarray:
     if steps < 0:
         raise DimensionMismatch("steps must be non-negative")
     out = _orbit_buffer(net, x0, steps + 1, steps)
-    step = _linear_map_step(net, oracle)
-    if step is None:
-
-        def step(state):
-            return admissible_eval(net, oracle, state.tolist())
-
+    step = _linear_map_step(net, oracle) or (
+        lambda state: admissible_eval(net, oracle, state.tolist())
+    )
     for n in range(steps):
         out[n + 1] = step(out[n])
         if not np.isfinite(out[n + 1]).all():
@@ -433,8 +431,8 @@ def _iterate_map(net: Network, oracle: Oracle, x0, steps: int) -> np.ndarray:
 def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
     """Iterate the admissible map; aborts on the first non-finite state."""
     orbit = _iterate_map(net, oracle, x0, steps)
-    states = tuple(map(tuple, orbit.tolist()))
-    return Trajectory(times=tuple(range(steps + 1)), states=states, kind="map")
+    orbit.flags.writeable = False
+    return Trajectory(times=tuple(range(steps + 1)), states=orbit, kind="map")
 
 
 def _flat_edges(net: Network):
@@ -651,27 +649,25 @@ def _rk4_propagator(net: Network, oracle: Oracle, dt: float):
     return m
 
 
-# The most entries the stacked propagator [M; M^2; ...; M^B] may hold. A
-# block then costs far more than the ~1 us overhead of its three array
-# calls; bounds from 1024 to 8192 timed alike on small corpus orbits.
+# The most entries the dense stack [M; M^2; ...; M^B] may hold. On 10,000-
+# step corpus orbits under ``np.dot``, 1024 ran 1.1-1.3x slower and 8192
+# 10-20 % faster, but 8192 stacks up to 64 cells and takes B to 512.
 _STACK_ENTRIES = 2048
 
 
 def _power_stack(m, n: int):
-    """The stack [M; M^2; ...; M^B] of a CSR propagator as CSR over B*n rows.
+    """The stack [M; M^2; ...; M^B] of a CSR propagator as a dense (B*n) x n
+    array, or None (M steps on its sparse rows) when two dense n x n
+    powers would exceed ``_STACK_ENTRIES`` or M has a non-finite entry.
 
-    B = 1, M itself, when two dense n x n powers would exceed
-    ``_STACK_ENTRIES`` or M has a non-finite entry. Otherwise the powers
-    are dense: M is scattered into an n x n array and the stack doubles,
-    S_2k = [S_k; S_k M^k], while every new power is finite and B * n * n
-    stays within ``_STACK_ENTRIES``. The powers are carried as
-    D_k = M^k - I, D_j+k = D_j + D_k + D_j D_k, so rounding scales with D
-    and not with the unit diagonal. B depends on M alone. Returns
-    (indptr, indices, data, B).
+    The stack doubles, S_2k = [S_k; S_k M^k], while every new power is
+    finite and B * n * n stays within ``_STACK_ENTRIES``. The powers are
+    carried as D_k = M^k - I, D_j+k = D_j + D_k + D_j D_k, so rounding
+    scales with D and not with the unit diagonal. B depends on M alone.
     """
     indptr, indices, data = m
     if 2 * n * n > _STACK_ENTRIES or not np.isfinite(data).all():
-        return indptr, indices, data, 1
+        return None
     cells = np.arange(n)
     deltas = np.zeros((1, n, n))
     deltas[0, np.repeat(cells, np.diff(indptr)), indices] = data
@@ -683,8 +679,7 @@ def _power_stack(m, n: int):
                 break
             deltas = np.concatenate((deltas, doubled))
     deltas[:, cells, cells] += 1.0
-    depth = len(deltas)
-    return np.arange(0, depth * n * n + 1, n), np.tile(cells, depth * n), deltas.ravel(), depth
+    return deltas.reshape(-1, n)
 
 
 def _check_times(t_end: float, dt: float) -> int:
@@ -702,35 +697,36 @@ def _check_times(t_end: float, dt: float) -> int:
 def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) -> np.ndarray:
     """RK4 sweep returning the whole orbit as a (steps+1, n) array.
 
-    Linear fields step in blocks through the stack [M; M^2; ...; M^B] of
-    their propagator (see ``_power_stack``): from the state that ends one
-    block, one ``take``, one multiply and one ``reduceat`` write the B rows
-    of the next. B > 1 only when two dense n x n powers fit in
-    ``_STACK_ENTRIES`` and the stacked powers are finite, with B * n * n
-    at most that bound; otherwise B = 1. The orbit array, allocated
-    before M is built, has room for a last whole block (B * n is at most
-    ``_STACK_ENTRIES``), and the up to B - 1 rows past the last step are
-    dropped. B never depends on t_end, so the orbit to an earlier time is
-    bitwise the first rows of the orbit to a later one. The kept rows are
-    checked for non-finite states once at the end. Any other field is
-    evaluated stage by stage through ``admissible_eval``.
+    A linear field with a dense power stack writes each block of B rows
+    with one ``np.dot`` of the stack and the state that ends the block
+    before; without one, each row is one ``take``, multiply and
+    ``reduceat`` on the sparse rows of M. The orbit array has room for a
+    last whole block (B * n is at most ``_STACK_ENTRIES``) whose rows past
+    the last step are dropped; B never depends on t_end, so the orbit to
+    an earlier time is bitwise a prefix of the orbit to a later one. The
+    kept rows are checked for non-finite states once at the end. Any
+    other field is evaluated stage by stage through ``admissible_eval``.
     """
     steps = _check_times(t_end, dt)
     out = _orbit_buffer(net, x0, steps + max(1, _STACK_ENTRIES // net.n), steps)
     prop = _rk4_propagator(net, oracle, dt)
     if prop is not None:
-        indptr, cols, data, depth = _power_stack(prop, net.n)
+        stack = _power_stack(prop, net.n)
+        depth = 1 if stack is None else len(stack) // net.n
         blocks = -(-steps // depth)
         sources = out[: blocks * depth : depth]
         following = out[1 : blocks * depth + 1].reshape(blocks, depth * net.n)
-        starts = indptr[:-1]
-        buf = np.empty(len(cols))
-        reduceat = np.add.reduceat
         with np.errstate(over="ignore", invalid="ignore"):
-            for state, rows in zip(sources, following):
-                state.take(cols, out=buf)
-                buf *= data
-                reduceat(buf, starts, out=rows)
+            if stack is None:
+                indptr, cols, data = prop
+                starts, buf = indptr[:-1], np.empty(len(cols))
+                for state, row in zip(sources, following):
+                    state.take(cols, out=buf)
+                    buf *= data
+                    np.add.reduceat(buf, starts, out=row)
+            else:
+                for state, rows in zip(sources, following):
+                    np.dot(stack, state, out=rows)
         out = out[: steps + 1]
         finite = np.isfinite(out).all(axis=1)
         if not finite.all():
@@ -742,8 +738,7 @@ def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) ->
     def rhs(state):
         return np.asarray(admissible_eval(net, oracle, state.tolist()))
 
-    half = dt / 2.0
-    sixth = dt / 6.0
+    half, sixth = dt / 2.0, dt / 6.0
     for n in range(steps):
         k1 = rhs(x)
         k2 = rhs(x + half * k1)
@@ -759,8 +754,9 @@ def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) ->
 def simulate_ode(net: Network, oracle: Oracle, x0, t_end: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 with the admissible vector field."""
     orbit = _integrate_rk4(net, oracle, x0, t_end, dt)
+    orbit.flags.writeable = False
     times = tuple(n * float(dt) for n in range(orbit.shape[0]))
-    return Trajectory(times=times, states=tuple(map(tuple, orbit.tolist())), kind="ode")
+    return Trajectory(times=times, states=orbit, kind="ode")
 
 
 def quotient_match(
@@ -867,27 +863,30 @@ def linearity_check(
 # -- CLI-facing plumbing -----------------------------------------------------
 
 
-def trajectory_csv(traj: Trajectory, cells) -> str:
-    """One row per time point: t (or step) followed by one column per cell.
+def trajectory_csv(traj: Trajectory, cells):
+    """Yields the CSV lines, newline included: a header, then per time point
+    t (or step) and one column per cell, each value printed as its ``repr``.
 
-    Every state value prints as its ``repr``. A row with at most half as
-    many distinct values as cells, such as a row of a synchronized orbit,
-    formats each distinct value once and maps the cells through that
-    table: equal nonzero floats have the same bits, so the same ``repr``.
-    0.0 and -0.0 compare equal but print differently, so a row holding a
-    zero of either sign formats every cell on its own.
+    A row with at most half as many distinct values as cells, such as a
+    row of a synchronized orbit, formats each distinct value once and maps
+    the cells through that table: equal nonzero floats have the same bits,
+    so the same ``repr``. 0.0 and -0.0 compare equal and share one key, so
+    the cells holding a zero are then formatted on their own.
     """
     head, stamp = ("t", repr) if traj.kind == "ode" else ("n", str)
-    lines = [",".join([head, *cells])]
-    for t, state in zip(traj.times, traj.states):
+    yield ",".join([head, *cells]) + "\n"
+    for t, row in zip(traj.times, traj.states):
+        state = row.tolist()
         distinct = dict.fromkeys(state)
-        if 2 * len(distinct) <= len(state) and 0.0 not in distinct:
+        if 2 * len(distinct) <= len(state):
             text = dict(zip(distinct, map(repr, distinct)))
-            cols = map(text.__getitem__, state)
+            cols = list(map(text.__getitem__, state))
+            if 0.0 in text:  # one key for both zeros: print each zero itself
+                for i in np.flatnonzero(row == 0.0).tolist():
+                    cols[i] = repr(state[i])
         else:
             cols = map(repr, state)
-        lines.append(",".join((stamp(t), *cols)))
-    return "\n".join(lines) + "\n"
+        yield ",".join((stamp(t), *cols)) + "\n"
 
 
 # Per oracle section: type-name fields, default kind, numeric parameters per kind.

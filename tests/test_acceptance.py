@@ -226,7 +226,7 @@ def test_criterion_8_dynamics_invariance():
         for part in brute:
             x0 = lift(part, [1.0 + k for k in range(part.rank)])
             traj = simulate_map(net, oracle, x0, 100)
-            for state in traj.states:
+            for state in traj.states.tolist():
                 for cls in part.classes():
                     anchor = state[cls[0]].hex()
                     assert all(state[i].hex() == anchor for i in cls[1:])

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior: outputs, exit codes, round trips."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -232,6 +235,100 @@ def test_simulate_ode_runs(runner, net_file, tmp_path):
     rows = [[float(field) for field in line.split(",")] for line in lines[1:]]
     assert [len(row) for row in rows] == [4] * 11
     assert rows[0] == [0.0, 1.0, 1.0, 2.0]
+
+
+def _subprocess_env(**extra):
+    """The environment of a ``python -m synchro`` child that imports this checkout."""
+    src = str(Path(synchro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _ring_inputs(tmp_path, n):
+    """A 3-offset NaturalAdd ring, a decaying linear oracle and x0 files."""
+    cells = [f"c{i}" for i in range(n)]
+    edges = [(cells[i], cells[(i + s) % n], 1) for i in range(n) for s in (-1, 1, 2)]
+    net = Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1), edges)
+    (tmp_path / "ring.json").write_text(serialize_network(net))
+    (tmp_path / "oracle.json").write_text(json.dumps({
+        "g": [{"type": "t", "kind": "scale", "a": -1.0}],
+        "kappa": [{"target_type": "t", "source_type": "t", "scale": 0.15}],
+    }))
+    (tmp_path / "x0.csv").write_text(",".join(repr(float(i % 7)) for i in range(n)) + "\n")
+    return ["--oracle", str(tmp_path / "oracle.json"), "--x0", str(tmp_path / "x0.csv"),
+            str(tmp_path / "ring.json")]
+
+
+class _PeakFromFirstWrite(io.StringIO):
+    """A stdout sink that keeps no output: it counts the lines, and at the
+    first one it notes the traced memory and resets the tracemalloc peak."""
+
+    lines = 0
+    before = None
+
+    def write(self, text):
+        if self.before is None:
+            self.before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_simulate_streams_rows_holding_little_more_than_the_orbit(tmp_path):
+    n, rows = 5000, 201
+    args = _ring_inputs(tmp_path, n)
+    sink = _PeakFromFirstWrite()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            main(["simulate", "--tend", "0.2", *args], standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == rows + 1
+    orbit = rows * n * 8  # 8.04 MB of float64 states
+    # Measured (CPython 3.11, numpy 2.4): the orbit plus 8.5 MB, mostly the
+    # parsed network, is held when the first line is written, and printing
+    # adds 0.4 MB, about one formatted row. Printing the whole CSV as one
+    # string from tuples of Python floats held 59 MB here.
+    assert peak - sink.before < 1e6
+    assert peak < orbit + 12e6
+
+
+def test_simulate_into_a_reader_that_closes_early_exits_1_without_traceback(tmp_path):
+    args = _ring_inputs(tmp_path, 300)  # 1001 rows, about 6 MB of CSV
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "synchro", "simulate", "--tend", "1.0", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(), cwd=tmp_path,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"t,c0,c1,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1  # click's exit status on EPIPE
+    finally:
+        proc.kill()
+    assert err == b""
+
+
+def test_simulate_tend_on_a_stacked_network_does_not_depend_on_blas_threads(tmp_path):
+    from synchro.dynamics import _power_stack, _rk4_propagator, parse_oracle
+
+    net = corpus.corpus_networks()[8]  # 7 cells: a dense power stack of B = 32
+    oracle = '{"g": [{"type": "%s", "kind": "scale", "a": -1.0}]}' % net.type_names[0]
+    assert _power_stack(_rk4_propagator(net, parse_oracle(oracle, net), 1e-3), net.n) is not None
+    (tmp_path / "net.json").write_text(serialize_network(net))
+    (tmp_path / "oracle.json").write_text(oracle)
+    (tmp_path / "x0.csv").write_text(",".join(repr(0.5 + c / 3) for c in range(net.n)) + "\n")
+    argv = [sys.executable, "-m", "synchro", "simulate", "--oracle", "oracle.json",
+            "--x0", "x0.csv", "--tend", "1.0", "net.json"]
+    outputs = [
+        subprocess.run(argv, env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), cwd=tmp_path,
+                       check=True, capture_output=True, timeout=120).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0].count(b"\n") == 1002
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -566,12 +663,10 @@ def test_only_simulation_loads_numpy_and_the_dynamics_layer(tmp_path):
         ["dot", "-p", part, net_file],
         ["simulate", "--oracle", str(oracle), "--x0", str(x0), "--steps", "2", net_file],
     ]
-    src = str(Path(synchro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "seen.json"
     subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(runs), str(out)],
-                   env=env, cwd=tmp_path, check=True, capture_output=True, timeout=120)
+                   env=_subprocess_env(), cwd=tmp_path, check=True, capture_output=True,
+                   timeout=120)
     seen = json.loads(out.read_text())
     assert [(name, code) for name, code, _ in seen] == [
         ("import", 0), *((argv[0], 0) for argv in runs)

@@ -58,9 +58,15 @@ def unit_oracle(net):
     return coupling_oracle(net.registry, len(net.type_names), kappa_scale=1.0)
 
 
+def power_depth(propagator, n):
+    """B of the dense stack [M; ...; M^B], or 1 when M steps on its sparse rows."""
+    stack = _power_stack(propagator, n)
+    return 1 if stack is None else len(stack) // n
+
+
 def stack_depth(net, oracle, dt):
     """How many RK4 steps one array call of the linear ODE path advances."""
-    return _power_stack(_rk4_propagator(net, oracle, dt), net.n)[3]
+    return power_depth(_rk4_propagator(net, oracle, dt), net.n)
 
 
 class TestAdmissibleEval:
@@ -178,20 +184,20 @@ class TestSimulation:
     def test_zero_oracle_constant(self, triangle3):
         oracle = OracleSpec(triangle3.registry, 1, kappa={(0, 0): lambda w: 0.0})
         traj = simulate_map(triangle3, oracle, [1.0, 2.0, 3.0], 5)
-        assert all(s == (0.0, 0.0, 0.0) for s in traj.states[1:])
+        assert all(s == [0.0, 0.0, 0.0] for s in traj.states[1:].tolist())
         still = OracleSpec(
             triangle3.registry, 1,
             g={0: GFunc("custom", fn=lambda x: x)},
             kappa={(0, 0): lambda w: 0.0},
         )
         traj = simulate_map(triangle3, still, [1.0, 2.0, 3.0], 5)
-        assert all(s == (1.0, 2.0, 3.0) for s in traj.states)
+        assert all(s == [1.0, 2.0, 3.0] for s in traj.states.tolist())
 
     def test_one_step_is_evaluation(self, triangle3):
         oracle = unit_oracle(triangle3)
         x0 = [1.0, 2.0, 3.0]
         traj = simulate_map(triangle3, oracle, x0, 1)
-        assert list(traj.states[1]) == admissible_eval(triangle3, oracle, x0)
+        assert traj.states[1].tolist() == admissible_eval(triangle3, oracle, x0)
 
     def test_divergence_aborts_with_step(self, triangle3):
         blower = OracleSpec(
@@ -207,7 +213,7 @@ class TestSimulation:
         part = parse_partition("1,2;3", triangle3.cells)
         oracle = linear_oracle(triangle3)
         traj = simulate_map(triangle3, oracle, [5.0, 5.0, 7.0], 100)
-        for state in traj.states:
+        for state in traj.states.tolist():
             assert state[0].hex() == state[1].hex()
 
     def test_signed_zero_inputs_keep_bitwise_synchrony(self):
@@ -219,13 +225,13 @@ class TestSimulation:
         part = parse_partition("a,b;p,s;q,r", net.cells)
         x0 = lift(part, [0.0, 0.0, -0.0])
         traj = simulate_map(net, linear_oracle(net), x0, 1)
-        a, b = traj.states[1][0], traj.states[1][1]
+        a, b = traj.states[1, :2].tolist()
         assert a.hex() == b.hex()
 
     def test_ode_smoke_decays(self, triangle3):
         oracle = linear_oracle(triangle3)
         traj = simulate_ode(triangle3, oracle, [1.0, 2.0, 3.0], 5.0, 1e-2)
-        assert max(abs(v) for v in traj.states[-1]) < max(abs(v) for v in traj.states[0])
+        assert np.abs(traj.states[-1]).max() < np.abs(traj.states[0]).max()
 
     def test_fast_and_slow_ode_paths_agree(self):
         same_h = {"neighbor": lambda x, y: y, "diffusive": lambda x, y: y - x}
@@ -244,11 +250,7 @@ class TestSimulation:
             fast = simulate_ode(net, base, x0, steps * 1e-3, 1e-3)
             stagewise = simulate_ode(net, slow, x0, steps * 1e-3, 1e-3)
             assert len(fast) == len(stagewise) == steps + 1
-            dev = max(
-                abs(a - b)
-                for sa, sb in zip(fast.states, stagewise.states)
-                for a, b in zip(sa, sb)
-            )
+            dev = np.abs(fast.states - stagewise.states).max()
             assert dev <= 1e-12, (net, kind)
 
     def test_ode_orbit_to_an_earlier_time_is_a_bitwise_prefix(self, triangle3):
@@ -264,7 +266,8 @@ class TestSimulation:
             for short in (depth - 1, depth + depth // 2 + 1):  # both end mid-block
                 head = simulate_ode(net, oracle, x0, short * dt, dt)
                 assert len(head) == short + 1
-                assert _hex_orbit(head.states) == _hex_orbit(whole.states[: short + 1])
+                prefix = whole.states[: short + 1].tolist()
+                assert _hex_orbit(head.states.tolist()) == _hex_orbit(prefix)
 
     def test_every_small_corpus_propagator_stacks_to_the_bound(self):
         for net, kind in itertools.product(corpus.corpus_networks(), ("neighbor", "diffusive")):
@@ -273,19 +276,18 @@ class TestSimulation:
             if np.isfinite(propagator[2]).all():
                 while 2 * expected * net.n**2 <= dynamics._STACK_ENTRIES:
                     expected *= 2
-            assert _power_stack(propagator, net.n)[3] == expected, (net, kind)
+            assert power_depth(propagator, net.n) == expected, (net, kind)
 
     def test_stacked_blocks_are_repeated_one_step_products(self):
-        def dense(indptr, cols, data, n_cols):
-            out = np.zeros((len(indptr) - 1, n_cols))
-            np.add.at(out, (np.repeat(np.arange(len(out)), np.diff(indptr)), cols), data)
-            return out
-
         for net, kind in itertools.product(corpus.corpus_networks(), ("neighbor", "diffusive")):
             propagator = _rk4_propagator(net, linear_oracle(net, coupling=kind), 1e-3)
-            *stack, depth = _power_stack(propagator, net.n)
-            m = dense(*propagator, net.n)
-            blocks = dense(*stack, net.n).reshape(depth, net.n, net.n)
+            stack = _power_stack(propagator, net.n)
+            assert stack.dtype == np.float64 and stack.flags.c_contiguous
+            assert stack.shape == (power_depth(propagator, net.n) * net.n, net.n)
+            indptr, cols, data = propagator
+            m = np.zeros((net.n, net.n))
+            np.add.at(m, (np.repeat(np.arange(net.n), np.diff(indptr)), cols), data)
+            blocks = stack.reshape(-1, net.n, net.n)
             power = np.eye(net.n)
             for block in blocks:
                 power = m @ power
@@ -297,7 +299,7 @@ class TestSimulation:
         assert stack_depth(triangle3, blower, dt) > 1  # a finite power is stacked
         traj = simulate_ode(triangle3, blower, [0.0, 0.0, 0.0], 1.0, dt)
         assert len(traj) == 101
-        assert all(v.hex() == "0x0.0p+0" for state in traj.states for v in state)
+        assert all(v.hex() == "0x0.0p+0" for state in traj.states.tolist() for v in state)
 
     def test_dense_propagator_above_the_stack_bound_steps_one_at_a_time(self):
         n = 100  # every cell reaches every other in two steps, so M is dense
@@ -307,7 +309,7 @@ class TestSimulation:
         oracle = linear_oracle(net)
         propagator = _rk4_propagator(net, oracle, 1e-2)
         assert len(propagator[1]) == n * n > dynamics._STACK_ENTRIES
-        assert _power_stack(propagator, n)[3] == 1
+        assert _power_stack(propagator, n) is None
         tracemalloc.start()
         try:
             traj = simulate_ode(net, oracle, [float(i % 7) for i in range(n)], 0.2, 1e-2)
@@ -326,11 +328,12 @@ class TestSimulation:
         assert k >= 1
         traj = simulate_ode(triangle3, blower, x0, (k - 1) * dt, dt)
         assert len(traj) == k
-        assert all(math.isfinite(v) for state in traj.states for v in state)
+        assert np.isfinite(traj.states).all()
 
-    def test_ode_states_are_python_floats(self, triangle3):
+    def test_ode_states_are_a_read_only_float64_orbit(self, triangle3):
         traj = simulate_ode(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], 0.02, 1e-2)
-        assert all(type(v) is float for state in traj.states for v in state)
+        _assert_orbit_array(traj, 3, 3)
+        assert traj.times == (0.0, 0.01, 0.02)
         assert all(type(t) is float for t in traj.times)
 
     def test_large_ring_allocates_no_dense_matrix(self):
@@ -381,8 +384,9 @@ class TestSimulation:
         k = err.value.step
         assert k >= 2
         traj = simulate_map(triangle3, blower, x0, k - 1)
-        assert all(math.isfinite(v) for state in traj.states for v in state)
-        assert not all(map(math.isfinite, admissible_eval(triangle3, blower, traj.states[-1])))
+        assert np.isfinite(traj.states).all()
+        last = traj.states[-1].tolist()
+        assert not all(map(math.isfinite, admissible_eval(triangle3, blower, last)))
 
     def test_custom_g_maps_through_admissible_eval(self, triangle3, monkeypatch):
         calls = []
@@ -402,14 +406,24 @@ class TestSimulation:
         )
         traj = simulate_map(triangle3, custom, x0, 4)
         assert len(calls) == 4
-        assert _hex_orbit(traj.states) == _stepped_orbit(triangle3, custom, x0, 4)[0]
+        assert _hex_orbit(traj.states.tolist()) == _stepped_orbit(triangle3, custom, x0, 4)[0]
 
-    def test_map_states_are_python_floats(self, triangle3):
+    def test_map_states_are_a_read_only_float64_orbit(self, triangle3):
         sin_g = OracleSpec(triangle3.registry, 1, g={0: GFunc("custom", fn=math.sin)})
         for oracle in (linear_oracle(triangle3), sin_g):
             traj = simulate_map(triangle3, oracle, [1, 2, 3], 3)
-            assert all(type(state) is tuple for state in traj.states)
-            assert all(type(v) is float for state in traj.states for v in state)
+            _assert_orbit_array(traj, 4, 3)
+            assert traj.states[0].tolist() == [1.0, 2.0, 3.0]
+            assert traj.times == (0, 1, 2, 3)
+
+    def test_trajectories_compare_and_hash_by_identity(self, triangle3):
+        oracle = linear_oracle(triangle3)
+        a = simulate_map(triangle3, oracle, [1.0, 2.0, 3.0], 3)
+        b = simulate_map(triangle3, oracle, [1.0, 2.0, 3.0], 3)
+        assert np.array_equal(a.states, b.states) and a.times == b.times
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
 
 class TestQuotientMatch:
@@ -496,15 +510,16 @@ class TestLinearity:
         part = parse_partition("1,2;3", triangle3.cells)
         combo = unit_oracle(triangle3) + linear_oracle(triangle3)
         traj = simulate_map(triangle3, combo, [2.0, 2.0, 5.0], 10)
-        for state in traj.states:
+        for state in traj.states.tolist():
             assert state[0].hex() == state[1].hex()
 
 
 class TestPlumbing:
     def test_trajectory_csv_shape(self, triangle3):
         traj = simulate_map(triangle3, unit_oracle(triangle3), [1.0, 2.0, 3.0], 2)
-        text = trajectory_csv(traj, triangle3.cells)
-        lines = text.strip().splitlines()
+        lines = list(trajectory_csv(traj, triangle3.cells))
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        lines = [line.rstrip("\n") for line in lines]
         assert lines[0] == "n,1,2,3"
         assert len(lines) == 4
 
@@ -621,6 +636,15 @@ def test_linear_oracle_of_weight_beyond_float_range_is_size_limit_error():
         linear_oracle(net)
 
 
+def _assert_orbit_array(traj, rows, n):
+    """``states`` is the read-only C-contiguous float64 orbit, rows of Python floats by tolist."""
+    states = traj.states
+    assert type(states) is np.ndarray and states.dtype == np.float64
+    assert states.shape == (rows, n) == (len(traj), n) and states.flags.c_contiguous
+    assert not states.flags.writeable
+    assert all(type(v) is float for state in states.tolist() for v in state)
+
+
 def _hex_orbit(states):
     return [[v.hex() for v in state] for state in states]
 
@@ -640,7 +664,7 @@ def _stepped_orbit(net, oracle, x, steps):
 def _map_orbit(net, oracle, x, steps):
     """``simulate_map`` in the form of ``_stepped_orbit``."""
     try:
-        return _hex_orbit(simulate_map(net, oracle, x, steps).states), None
+        return _hex_orbit(simulate_map(net, oracle, x, steps).states.tolist()), None
     except SimulationDiverged as err:
         return _map_orbit(net, oracle, x, err.step - 1)[0], err.step
 
@@ -705,15 +729,20 @@ def _per_value_csv(traj, cells):
     """The CSV with every value formatted on its own, the form trajectory_csv must match."""
     stamp = repr if traj.kind == "ode" else str
     lines = [",".join(["t" if traj.kind == "ode" else "n", *cells])]
-    lines += [",".join((stamp(t), *map(repr, state))) for t, state in zip(traj.times, traj.states)]
+    rows = zip(traj.times, traj.states.tolist())
+    lines += [",".join((stamp(t), *map(repr, state))) for t, state in rows]
     return "\n".join(lines) + "\n"
 
 
 def _csv_of_rows(rows, kind="map"):
     times = tuple(i / 8 for i in range(len(rows))) if kind == "ode" else tuple(range(len(rows)))
-    traj = dynamics.Trajectory(times=times, states=tuple(map(tuple, rows)), kind=kind)
+    traj = dynamics.Trajectory(times=times, states=np.array(rows, dtype=np.float64), kind=kind)
     cells = [f"c{i}" for i in range(len(rows[0]))]
-    return trajectory_csv(traj, cells), _per_value_csv(traj, cells)
+    return _csv_text(traj, cells), _per_value_csv(traj, cells)
+
+
+def _csv_text(traj, cells):
+    return "".join(trajectory_csv(traj, cells))
 
 
 def _ring(n):
@@ -740,8 +769,8 @@ class TestTrajectoryCsv:
             ' "kappa": [{"target_type": "t", "source_type": "t", "scale": 0.25}]}', net
         )
         traj = simulate_map(net, oracle, lift(part, [0.3, 0.7, 1.1, 0.2]), 10)
-        assert all(len(set(state)) <= 4 for state in traj.states)
-        assert trajectory_csv(traj, net.cells) == _per_value_csv(traj, net.cells)
+        assert all(len(set(state)) <= 4 for state in traj.states.tolist())
+        assert _csv_text(traj, net.cells) == _per_value_csv(traj, net.cells)
 
     def test_row_with_both_zeros_prints_each_sign(self):
         text, expected = _csv_of_rows([[0.0, -0.0, 2.5, 2.5, 0.0, -0.0, 2.5, 2.5]])
@@ -752,6 +781,21 @@ class TestTrajectoryCsv:
         text, expected = _csv_of_rows([[-0.0, 0.1, -0.0, 0.1, -0.0, 0.1], [0.1, 0.1, -0.0, -0.0, 0.1, 0.1]])
         assert text == expected
         assert text.splitlines()[1:] == ["0,-0.0,0.1,-0.0,0.1,-0.0,0.1", "1,0.1,0.1,-0.0,-0.0,0.1,0.1"]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.0, 1.5, 0.0, 1.5, 0.0, 1.5],
+            [-0.0, 1.5, -0.0, 1.5, -0.0, 1.5],
+            [1.5, -0.0, 0.0, 1.5, 0.0, -0.0],
+            [0.0, math.nan, -0.0, math.inf, 0.0, -math.inf, -0.0, math.nan, 0.0, -0.0, 0.0, 0.0],
+            [-0.0] * 5 + [0.0] * 5,
+        ],
+        ids=["plus_zero", "minus_zero", "both_zeros", "zeros_and_non_finite", "zeros_only"],
+    )
+    def test_tabulated_rows_print_each_zero_by_its_sign(self, row):
+        text, expected = _csv_of_rows([row, [-v for v in row]], kind="ode")
+        assert text == expected
 
     def test_all_distinct_rows(self):
         rows = [[i + j / 7 for j in range(9)] for i in range(3)]
@@ -766,7 +810,7 @@ class TestTrajectoryCsv:
 
     def test_ode_times_are_stamped_with_repr(self, triangle3):
         traj = simulate_ode(triangle3, unit_oracle(triangle3), [1.0, 1.0, 2.0], 0.3, 0.1)
-        text = trajectory_csv(traj, triangle3.cells)
+        text = _csv_text(traj, triangle3.cells)
         assert text == _per_value_csv(traj, triangle3.cells)
         assert [line.split(",")[0] for line in text.splitlines()] == ["t", *map(repr, traj.times)]
 
@@ -774,7 +818,7 @@ class TestTrajectoryCsv:
         net = Network.build(["x"], ["t"], ["t"], MonoidRegistry.uniform(NaturalAdd(), 1), [])
         oracle = parse_oracle('{"g": [{"type": "t", "kind": "scale", "a": -1.0}]}', net)
         traj = simulate_map(net, oracle, [-0.0], 3)
-        assert trajectory_csv(traj, net.cells) == "n,x\n0,-0.0\n1,0.0\n2,-0.0\n3,0.0\n"
+        assert _csv_text(traj, net.cells) == "n,x\n0,-0.0\n1,0.0\n2,-0.0\n3,0.0\n"
 
     @settings(max_examples=300, deadline=None)
     @given(
