@@ -11,7 +11,6 @@ numpy, inside their bodies; every other command starts without them.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 
@@ -28,7 +27,7 @@ from .errors import (
     WitnessError,
 )
 from .lattice import DEFAULT_BUDGET, enumerate_balanced, lattice_dot, lattice_to_json
-from .network import parse_network, serialize_network, to_dot
+from .network import _write_json, parse_network, serialize_network, to_dot
 from .partition import format_partition, parse_partition
 
 
@@ -36,7 +35,7 @@ def _fail(kind: str, detail: str, extra: dict | None = None, code: int = 1):
     payload = {"error": kind, "detail": detail}
     if extra:
         payload.update(extra)
-    click.echo(json.dumps(payload, separators=(",", ":")), err=True)
+    click.echo(_write_json(payload), err=True)
     sys.exit(code)
 
 
@@ -73,10 +72,7 @@ def _load(path: str):
 
 
 def _emit(obj, pretty: bool):
-    if pretty:
-        click.echo(json.dumps(obj, indent=2))
-    else:
-        click.echo(json.dumps(obj, separators=(",", ":")))
+    click.echo(_write_json(obj, pretty), nl=not pretty)
 
 
 _pretty = click.option("--pretty", is_flag=True, help="Indent JSON output.")
@@ -172,9 +168,7 @@ def quotient_command(partition_text, network_file, pretty):
     net = _load(network_file)
     part = parse_partition(partition_text, net.cells)
     qres = quotient(net, part)
-    click.echo(serialize_network(qres.quotient, pretty=pretty), nl=False)
-    if not pretty:
-        click.echo()
+    click.echo(serialize_network(qres.quotient, pretty=pretty), nl=not pretty)
 
 
 @main.command(name="lattice")

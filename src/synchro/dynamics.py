@@ -45,7 +45,6 @@ Exactness claims stop at the monoid algebra, never float trajectories.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 import sys
@@ -64,7 +63,7 @@ from .errors import (
     WitnessError,
 )
 from .monoid import MonoidRegistry, MonoidSpec
-from .network import Network
+from .network import Network, _read_json
 from .partition import Partition, lift
 
 # -- oracle building blocks --------------------------------------------------
@@ -965,10 +964,4 @@ def parse_oracle_json(obj, net: Network) -> OracleSpec:
 
 
 def parse_oracle(text: str, net: Network) -> OracleSpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid oracle JSON: {exc.msg} (line {exc.lineno})") from None
-    except (ValueError, RecursionError) as exc:  # over-long integer literal, too deep nesting
-        raise SchemaError(f"invalid oracle JSON: {exc}") from None
-    return parse_oracle_json(obj, net)
+    return parse_oracle_json(_read_json(text), net)

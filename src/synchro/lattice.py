@@ -10,7 +10,6 @@ set partitions is kept as the oracle for small instances.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -18,30 +17,10 @@ from .balance import is_balanced
 from .cir import _converge, _sweep, top
 from .coding import coded
 from .errors import DimensionMismatch, NotBalancedError, SizeLimitError
-from .network import Network
+from .network import Network, _quote, _write_json
 from .partition import Partition, common_refinement, format_partition, is_finer
 
 DEFAULT_BUDGET = 100_000
-
-
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
 
 
 def _require_balanced(net: Network, partition: Partition, side: str) -> None:
@@ -56,15 +35,21 @@ def join(net: Network, a: Partition, b: Partition) -> Partition:
     """Least upper bound: merge cells connected by chains through a or b."""
     _require_balanced(net, a, "first")
     _require_balanced(net, b, "second")
-    uf = _UnionFind(net.n)
+    parent = list(range(net.n))
+
+    def find(i: int) -> int:  # root of i's set, halving the path on the way
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
     for part in (a, b):
         first_of: dict[int, int] = {}
         for idx, color in enumerate(part.colors):
             if color in first_of:
-                uf.union(first_of[color], idx)
+                parent[find(idx)] = find(first_of[color])
             else:
                 first_of[color] = idx
-    result = Partition.from_colors(uf.find(i) for i in range(net.n))
+    result = Partition.from_colors(find(i) for i in range(net.n))
     if not is_balanced(net, result).balanced:
         raise AssertionError(
             "join of balanced partitions came out unbalanced; this is a bug, "
@@ -154,7 +139,7 @@ class BalancedLattice:
     complete: bool
 
     def __contains__(self, partition: Partition) -> bool:
-        return partition in set(self.elements)
+        return partition in self.elements
 
 
 def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLattice:
@@ -227,18 +212,14 @@ def lattice_to_json(lat: BalancedLattice, cells) -> dict:
 
 
 def lattice_json(lat: BalancedLattice, cells, pretty: bool = False) -> str:
-    obj = lattice_to_json(lat, cells)
-    if pretty:
-        return json.dumps(obj, indent=2) + "\n"
-    return json.dumps(obj, separators=(",", ":"))
+    return _write_json(lattice_to_json(lat, cells), pretty)
 
 
 def lattice_dot(lat: BalancedLattice, cells) -> str:
     """Hasse diagram, finer partitions below coarser ones."""
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for idx, p in enumerate(lat.elements):
-        label = format_partition(p, cells).replace('"', '\\"')
-        lines.append(f'  n{idx} [shape=box, label="{label}"];')
+        lines.append(f"  n{idx} [shape=box, label={_quote(format_partition(p, cells))}];")
     for i, j in lat.covers:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

@@ -11,6 +11,11 @@ The merged sums are stored once, as interned integer codes
 (``coding.CodedNetwork``): per row, the ascending source indices and the
 weight codes. Refinement, balance and quotients read the codes directly;
 the value-level queries below decode them.
+
+Both constructors, ``Network.build`` and ``network_from_json``, check the
+cell table in ``_cell_index``. Every JSON document the package reads or
+writes goes through ``_read_json`` and ``_write_json``, and both DOT
+writers quote through ``_quote``.
 """
 from __future__ import annotations
 
@@ -25,11 +30,28 @@ from .monoid import MonoidRegistry, MonoidSpec, spec_from_json
 from .partition import Partition
 
 
-def _cell_index(cells: list[str], type_names: list[str]) -> dict[str, int]:
-    """Position of each cell id; rejects an empty or repeated cell list, a
-    cell id that partition text cannot name (empty, holding ``,`` or ``;``,
-    or with leading or trailing whitespace) and repeated type names.
-    Shared by ``Network.build`` and ``network_from_json``."""
+def _cell_index(cells, cell_types, type_names) -> tuple[dict[str, int], list[int]]:
+    """Check a cell table; return each cell id's position and each cell's type index.
+
+    Type names are strings, nonempty and unique. Each cell has one declared
+    type and a string id that partition text can name: nonempty, holding
+    no ``,`` or ``;`` and with no leading or trailing whitespace. Ids are
+    unique. A fault in one cell's entry is reported as ``cells[i]``.
+    """
+    if not all(isinstance(t, str) for t in type_names):
+        raise SchemaError("'types' must be a list of strings")
+    if not type_names:
+        raise SchemaError("'types' must not be empty")
+    if len(cell_types) != len(cells):
+        raise SchemaError("need exactly one type per cell")
+    name_to_idx = {name: i for i, name in enumerate(type_names)}
+    type_idx = []
+    for pos, (cell, tname) in enumerate(zip(cells, cell_types)):
+        if not isinstance(cell, str) or not isinstance(tname, str):
+            raise SchemaError(f"cells[{pos}]: id and type must be strings")
+        if tname not in name_to_idx:
+            raise SchemaError(f"cells[{pos}]: unknown type {tname!r}")
+        type_idx.append(name_to_idx[tname])
     if not cells:
         raise SchemaError("network must have >=1 cell")
     for cell in cells:
@@ -42,9 +64,9 @@ def _cell_index(cells: list[str], type_names: list[str]) -> dict[str, int]:
     if len(index) != len(cells):
         dupes = sorted(c for c, k in Counter(cells).items() if k > 1)
         raise SchemaError(f"duplicate cell ids: {dupes}")
-    if not type_names or len(set(type_names)) != len(type_names):
+    if len(name_to_idx) != len(type_names):
         raise SchemaError("type names must be nonempty and unique")
-    return index
+    return index, type_idx
 
 
 def _accept(view: CodedNetwork, spec: MonoidSpec, weight, source, target) -> int:
@@ -84,20 +106,12 @@ class Network:
         ``edges`` holds (target id, source id, weight) triples; repeated
         (target, source) pairs merge by the parallel sum of their monoid.
         Each weight object is checked and interned once per type pair, so
-        edges that share one weight object cost a dictionary lookup.
+        edges that share one weight object cost a dictionary lookup. The
+        cell table is checked as for the wire format; nothing is converted
+        to a string.
         """
-        cells = [str(c) for c in cells]
-        type_names = [str(t) for t in type_names]
-        index = _cell_index(cells, type_names)
-        name_to_idx = {name: i for i, name in enumerate(type_names)}
-        cell_types = list(cell_types)
-        if len(cell_types) != len(cells):
-            raise SchemaError("need exactly one type per cell")
-        type_idx = []
-        for cell, tname in zip(cells, cell_types):
-            if tname not in name_to_idx:
-                raise SchemaError(f"cell {cell!r} has unknown type {tname!r}")
-            type_idx.append(name_to_idx[tname])
+        cells, type_names = list(cells), list(type_names)
+        index, type_idx = _cell_index(cells, list(cell_types), type_names)
 
         view = CodedNetwork()
         merge = view.merge
@@ -200,6 +214,25 @@ def in_neighborhood(net: Network, cell: str) -> set[str]:
 #   "edges": [{"to","from","weight": <tagged element>}] }
 
 
+def _read_json(text: str):
+    """The document ``text`` holds; any failure to decode it is one ``SchemaError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except (ValueError, RecursionError) as exc:  # over-long integer literal, too deep nesting
+        raise SchemaError(f"invalid JSON: {exc}") from None
+
+
+def _write_json(obj, pretty: bool = False) -> str:
+    """Indented by two and ending in a newline when ``pretty``, else compact with none."""
+    if pretty:
+        return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, separators=(",", ":"))
+
+
 _CELL_KEYS = {"id", "type"}
 _EDGE_KEYS = {"to", "from", "weight"}
 
@@ -223,7 +256,7 @@ def network_from_json(obj) -> Network:
     which tells ``1``, ``1.0`` and ``true`` apart where ``==`` would not,
     and repeats merge that code into their row through the combine memo.
     Invalid weights are never cached, so each one is reported at its own
-    edge. The cell table is checked as in ``Network.build``.
+    edge.
     """
     if not isinstance(obj, dict):
         raise SchemaError("network document must be a JSON object")
@@ -233,25 +266,13 @@ def network_from_json(obj) -> Network:
         if not isinstance(obj[field], list):
             raise SchemaError(f"field {field!r} must be a list")
 
-    type_names = obj["types"]
-    if not all(isinstance(t, str) for t in type_names):
-        raise SchemaError("'types' must be a list of strings")
-    if not type_names:
-        raise SchemaError("'types' must not be empty")
-    name_to_idx = {name: i for i, name in enumerate(type_names)}
-
-    cells, type_idx = [], []
-    for pos, entry in enumerate(obj["cells"]):
+    type_names, entries = obj["types"], obj["cells"]
+    for pos, entry in enumerate(entries):
         if not isinstance(entry, dict) or entry.keys() != _CELL_KEYS:
             raise SchemaError(f"cells[{pos}] must be {{\"id\", \"type\"}}")
-        cell, tname = entry["id"], entry["type"]
-        if not isinstance(cell, str) or not isinstance(tname, str):
-            raise SchemaError(f"cells[{pos}]: id and type must be strings")
-        if tname not in name_to_idx:
-            raise SchemaError(f"cells[{pos}]: unknown type {tname!r}")
-        cells.append(cell)
-        type_idx.append(name_to_idx[tname])
-    index = _cell_index(cells, type_names)
+    cells = [entry["id"] for entry in entries]
+    index, type_idx = _cell_index(cells, [entry["type"] for entry in entries], type_names)
+    name_to_idx = {name: i for i, name in enumerate(type_names)}
 
     table: dict[tuple[int, int], MonoidSpec] = {}
     for pos, entry in enumerate(obj["monoids"]):
@@ -322,15 +343,7 @@ def parse_network(text: str) -> Network:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
-        except (ValueError, RecursionError) as exc:  # over-long integer literal, too deep nesting
-            raise SchemaError(f"invalid JSON: {exc}") from None
-        return network_from_json(obj)
+        return network_from_json(_read_json(text))
     finally:
         if enabled:
             gc.enable()
@@ -365,10 +378,7 @@ def network_to_json(net: Network) -> dict:
 
 
 def serialize_network(net: Network, pretty: bool = False) -> str:
-    obj = network_to_json(net)
-    if pretty:
-        return json.dumps(obj, indent=2) + "\n"
-    return json.dumps(obj, separators=(",", ":"))
+    return _write_json(network_to_json(net), pretty)
 
 
 # -- GraphViz export --------------------------------------------------------

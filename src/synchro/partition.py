@@ -101,9 +101,7 @@ class Partition:
         return is_finer(self, other)
 
     def __str__(self):
-        return ";".join(
-            ",".join(str(i) for i in cls) for cls in self.classes()
-        )
+        return format_partition(self, map(str, range(len(self))))
 
 
 def is_finer(a: Partition, b: Partition) -> bool:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -411,6 +412,18 @@ def test_unloadable_oracle_json_is_schema_error(runner, net_file, tmp_path, text
     assert json.loads(result.stderr)["error"] == "schema"
 
 
+def test_oracle_file_that_is_not_json_names_line_and_column(runner, net_file, tmp_path):
+    path = tmp_path / "oracle.json"
+    path.write_text('{\n  "g": [,]\n}\n')
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,1.0,2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(path), "--x0", str(x0), "--steps", "1",
+                             net_file(make_triangle3())])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr) == {
+        "error": "schema", "detail": "invalid JSON at line 2, column 9: Expecting value"}
+
+
 def test_simulate_usage_errors(runner, net_file, tmp_path):
     oracle = tmp_path / "oracle.json"
     oracle.write_text("{}")
@@ -474,6 +487,29 @@ def test_dot_with_partition(runner, net_file):
     result = invoke(runner, ["dot", "-p", "1,2;3", net_file(make_triangle3())])
     assert result.exit_code == 0
     assert result.stdout.startswith("digraph network {")
+
+
+_DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def _dot_strings(text: str) -> set[str]:
+    """The unescaped quoted strings of DOT text, after checking every one terminates."""
+    found = set()
+    for line in text.splitlines():
+        assert '"' not in _DOT_STRING.sub("", line), line
+        found.update(re.sub(r"\\(.)", r"\1", body) for body in _DOT_STRING.findall(line))
+    return found
+
+
+def test_dot_quotes_ids_holding_a_backslash_or_a_quote(runner, net_file):
+    cells = ['q"', "a\\"]
+    net = Network.build(cells, ["t", "t"], ["t"], MonoidRegistry.uniform(NaturalAdd(), 1),
+                        [(cells[0], cells[1], 1), (cells[1], cells[0], 1)])
+    path = net_file(net)
+    assert set(cells) <= _dot_strings(invoke(runner, ["dot", path]).stdout)
+    labels = json.loads(invoke(runner, ["lattice", path]).stdout)["elements"]
+    assert labels == ['q",a\\', 'q";a\\']
+    assert set(labels) <= _dot_strings(invoke(runner, ["lattice", "--dot", path]).stdout)
 
 
 def test_outputs_are_byte_deterministic(runner, net_file):

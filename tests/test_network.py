@@ -4,7 +4,6 @@ import gc
 import hashlib
 import json
 import random
-import re
 import time
 from fractions import Fraction
 
@@ -97,17 +96,29 @@ def test_duplicate_ids_are_named_once_in_sorted_order():
 _UNNAMEABLE_IDS = ["", "a,b", "a;b", " d", "d ", "\tx", "x\n"]
 
 
-@pytest.mark.parametrize("bad", _UNNAMEABLE_IDS)
-def test_cell_ids_that_partition_text_cannot_name_are_rejected(bad):
-    cells = ["c", bad]
-    message = rf"cell id {re.escape(repr(bad))} cannot be named in partition text"
-    with pytest.raises(SchemaError, match=message):
-        Network.build(cells, ["t", "t"], ["t"], MonoidRegistry.uniform(NA, 1), [])
-    doc = {"types": ["t"], "cells": [{"id": c, "type": "t"} for c in cells],
-           "monoids": [{"target_type": "t", "source_type": "t", "kind": "natural_add"}],
-           "edges": []}
-    with pytest.raises(SchemaError, match=message):
+def _table_error(cells, cell_types, type_names) -> str:
+    """The one message ``Network.build`` and ``parse_network`` give for a bad cell table."""
+    with pytest.raises(SchemaError) as built:
+        Network.build(cells, cell_types, type_names, MonoidRegistry.uniform(NA, 1), [])
+    doc = {"types": type_names,
+           "cells": [{"id": c, "type": t} for c, t in zip(cells, cell_types)],
+           "monoids": [], "edges": []}
+    with pytest.raises(SchemaError) as parsed:
         parse_network(json.dumps(doc))
+    assert str(built.value) == str(parsed.value)
+    return str(built.value)
+
+
+@pytest.mark.parametrize("bad", _UNNAMEABLE_IDS + [1, None])
+def test_cell_ids_that_partition_text_cannot_name_are_rejected(bad):
+    message = _table_error(["c", bad], ["t", "t"], ["t"])
+    if isinstance(bad, str):
+        assert message.startswith(f"cell id {bad!r} cannot be named in partition text")
+        return
+    assert message == "cells[1]: id and type must be strings"
+    # the same value as a cell's type, or as a declared type name
+    assert _table_error(["c", "d"], ["t", bad], ["t"]) == message
+    assert _table_error(["c"], ["t"], ["t", bad]) == "'types' must be a list of strings"
 
 
 def test_inner_whitespace_in_a_cell_id_round_trips_through_partition_text():
