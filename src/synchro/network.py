@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import json
+import marshal
 from collections import Counter
 from dataclasses import dataclass
 
@@ -64,8 +65,11 @@ def _cell_index(cells, cell_types, type_names) -> tuple[dict[str, int], list[int
     if len(index) != len(cells):
         dupes = sorted(c for c, k in Counter(cells).items() if k > 1)
         raise SchemaError(f"duplicate cell ids: {dupes}")
+    if "" in name_to_idx:
+        raise SchemaError("type names must be nonempty")
     if len(name_to_idx) != len(type_names):
-        raise SchemaError("type names must be nonempty and unique")
+        dupes = sorted(t for t, k in Counter(type_names).items() if k > 1)
+        raise SchemaError(f"duplicate type names: {dupes}")
     return index, type_idx
 
 
@@ -233,10 +237,6 @@ def _write_json(obj, pretty: bool = False) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-_CELL_KEYS = {"id", "type"}
-_EDGE_KEYS = {"to", "from", "weight"}
-
-
 def _edge_cell_error(pos: int, target, source, index: dict):
     """Raise the diagnostic for an edge endpoint that names no cell."""
     for field, cell in (("to", target), ("from", source)):
@@ -252,11 +252,14 @@ def network_from_json(obj) -> Network:
 
     Edges go straight from the wire into coded rows, in one pass. Each
     distinct wire weight of a type pair is parsed, checked and interned
-    once: its code is cached under ``repr`` of the loaded JSON value,
-    which tells ``1``, ``1.0`` and ``true`` apart where ``==`` would not,
-    and repeats merge that code into their row through the combine memo.
-    Invalid weights are never cached, so each one is reported at its own
-    edge.
+    once: the pair's cache keeps its code under ``marshal.dumps(wire, 2)``,
+    which writes a type code per value and so tells ``1``, ``1.0`` and
+    ``true`` apart where ``==`` would not. Version 2 writes no
+    back-references, so equal values give equal bytes. A value marshal
+    cannot write (a caller's ``Fraction``, say) is keyed by its ``repr``
+    instead; a ``str`` key never equals a ``bytes`` one. Repeats merge the
+    cached code into their row through the combine memo. Invalid weights
+    are never cached, so each one is reported at its own edge.
     """
     if not isinstance(obj, dict):
         raise SchemaError("network document must be a JSON object")
@@ -266,12 +269,16 @@ def network_from_json(obj) -> Network:
         if not isinstance(obj[field], list):
             raise SchemaError(f"field {field!r} must be a list")
 
-    type_names, entries = obj["types"], obj["cells"]
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict) or entry.keys() != _CELL_KEYS:
-            raise SchemaError(f"cells[{pos}] must be {{\"id\", \"type\"}}")
-    cells = [entry["id"] for entry in entries]
-    index, type_idx = _cell_index(cells, [entry["type"] for entry in entries], type_names)
+    type_names, cells, cell_types = obj["types"], [], []
+    for pos, entry in enumerate(obj["cells"]):
+        try:
+            if not isinstance(entry, dict) or len(entry) != 2:
+                raise KeyError
+            cells.append(entry["id"])
+            cell_types.append(entry["type"])
+        except KeyError:
+            raise SchemaError(f"cells[{pos}] must be {{\"id\", \"type\"}}") from None
+    index, type_idx = _cell_index(cells, cell_types, type_names)
     name_to_idx = {name: i for i, name in enumerate(type_names)}
 
     table: dict[tuple[int, int], MonoidSpec] = {}
@@ -301,25 +308,36 @@ def network_from_json(obj) -> Network:
     view = CodedNetwork()
     merge = view.merge
     rows: list[dict[int, int]] = [{} for _ in cells]
-    codes: dict[tuple[int, int, str], int] = {}  # (type pair, repr of wire weight) -> code
+    ntypes = len(type_names)
+    # target type * ntypes + source type -> {wire key -> code}
+    caches: dict[int, dict] = {i * ntypes + j: {} for i, j in table}
     for pos, entry in enumerate(obj["edges"]):
-        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
-            raise SchemaError(f"edges[{pos}] must be {{\"to\", \"from\", \"weight\"}}")
-        target, source, wire = entry["to"], entry["from"], entry["weight"]
+        try:
+            if not isinstance(entry, dict) or len(entry) != 3:
+                raise KeyError
+            target, source, wire = entry["to"], entry["from"], entry["weight"]
+        except KeyError:
+            raise SchemaError(
+                f"edges[{pos}] must be {{\"to\", \"from\", \"weight\"}}"
+            ) from None
         try:
             c, d = index[target], index[source]
         except (KeyError, TypeError):
             _edge_cell_error(pos, target, source, index)
         i, j = type_idx[c], type_idx[d]
-        key = (i, j, repr(wire))
+        codes = caches.get(i * ntypes + j)
+        if codes is None:
+            raise SchemaError(
+                f"edges[{pos}]: no monoid declared for pair "
+                f"({type_names[i]!r}, {type_names[j]!r})"
+            )
+        try:
+            key = marshal.dumps(wire, 2)
+        except ValueError:
+            key = repr(wire)
         code = codes.get(key)
         if code is None:
-            spec = registry.get(i, j)
-            if spec is None:
-                raise SchemaError(
-                    f"edges[{pos}]: no monoid declared for pair "
-                    f"({type_names[i]!r}, {type_names[j]!r})"
-                )
+            spec = table[i, j]
             try:
                 weight = spec.element_from_json(wire)
             except SchemaError as exc:

@@ -121,6 +121,18 @@ def test_cell_ids_that_partition_text_cannot_name_are_rejected(bad):
     assert _table_error(["c"], ["t"], ["t", bad]) == "'types' must be a list of strings"
 
 
+@pytest.mark.parametrize(
+    "type_names, message",
+    [
+        (["t", ""], "type names must be nonempty"),
+        (["t", "t"], "duplicate type names: ['t']"),
+        (["u", "t", "u", "t", "u", "v"], "duplicate type names: ['t', 'u']"),
+    ],
+)
+def test_empty_or_repeated_type_names_are_rejected(type_names, message):
+    assert _table_error(["c"], ["t"], type_names) == message
+
+
 def test_inner_whitespace_in_a_cell_id_round_trips_through_partition_text():
     cells = ["a b", "c"]
     net = Network.build(cells, ["t", "t"], ["t"], MonoidRegistry.uniform(NA, 1), [])
@@ -357,20 +369,72 @@ def _doc(kind, weights):
 _PAIR = {"kind": "product", "parts": [{"kind": "natural_add"}, {"kind": "natural_add"}]}
 
 
+_FREE = {"kind": "free_commutative"}
+_RESISTOR = {"kind": "resistor_parallel"}
+
+
 @pytest.mark.parametrize(
     "kind, valid, invalid",
     [
+        # == and hash-equal to the valid weight
         ({"kind": "natural_add"}, {"n": 1}, {"n": True}),
         ({"kind": "natural_add"}, {"n": 1}, {"n": 1.0}),
         (_PAIR, {"tuple": [{"n": 1}, {"n": 1}]}, {"tuple": [{"n": 1}, {"n": True}]}),
+        (_FREE, {"gens": {"x": 1}}, {"gens": {"x": True}}),
+        # the valid resistance as a number, where the wire wants a string
+        (_RESISTOR, {"r": "30"}, {"r": 30}),
+        # a library caller's values that JSON cannot hold; marshal cannot
+        # write a Fraction, so those weights are keyed by their repr
+        ({"kind": "natural_add"}, {"n": 1}, {"n": Fraction(1)}),
+        (_RESISTOR, {"r": "30"}, {"r": Fraction(30)}),
+        (_FREE, {"gens": {"x": 1}}, {"gens": {"x"}}),
     ],
 )
 def test_weight_equal_to_a_cached_one_is_still_validated(kind, valid, invalid):
-    # {"n": true} and {"n": 1.0} are == and hash-equal to {"n": 1}
-    assert valid == invalid
-    with pytest.raises(SchemaError) as err:
-        parse_network(json.dumps(_doc(kind, [valid, valid, invalid, valid])))
-    assert str(err.value).startswith("edges[2].weight:")
+    for weights, pos in (([valid, valid, invalid, valid], 2), ([invalid, valid, valid], 0)):
+        doc = _doc(kind, weights)
+        reads = [(network_from_json, doc)]
+        try:
+            reads.append((parse_network, json.dumps(doc)))
+        except TypeError:  # a Fraction or a set has no JSON text
+            pass
+        for read, arg in reads:
+            with pytest.raises(SchemaError) as err:
+                read(arg)
+            assert str(err.value).startswith(f"edges[{pos}].weight:")
+
+
+def test_each_distinct_weight_is_parsed_once_per_type_pair(monkeypatch):
+    parsed = []
+    element_from_json = ResistorParallel.element_from_json
+
+    def spy(self, obj):
+        parsed.append(json.dumps(obj))
+        return element_from_json(self, obj)
+
+    monkeypatch.setattr(ResistorParallel, "element_from_json", spy)
+    weights = [{"r": "30"}, {"r": "15"}, {"r": "inf"}]
+    edges = []
+    for k in range(10000):
+        w = weights[k % 3]
+        # one shared object or a fresh copy: equal values must give one key
+        # whatever their reference counts (marshal version 4 would flag the
+        # shared "30" for back-reference but not a fresh copy's)
+        edges.append({"to": "ab"[k % 2], "from": "c",
+                      "weight": w if k % 5 else json.loads(json.dumps(w))})
+    doc = {
+        "types": ["t", "u"],
+        "cells": [{"id": "a", "type": "t"}, {"id": "b", "type": "u"}, {"id": "c", "type": "u"}],
+        "monoids": [{"target_type": tt, "source_type": "u", "kind": "resistor_parallel"}
+                    for tt in ("t", "u")],
+        "edges": edges,
+    }
+    into_a = R.sum(R.from_resistance(edge["weight"]["r"]) for edge in edges[::2])
+    for build in (network_from_json, lambda doc: parse_network(json.dumps(doc))):
+        parsed.clear()
+        net = build(doc)
+        assert sorted(parsed) == sorted(json.dumps(w) for w in weights * 2)
+        assert net.entry("a", "c") == into_a
 
 
 def test_build_from_generator_of_fresh_weights_equals_list_build():
