@@ -80,19 +80,18 @@ def is_balanced(net: Network, partition: Partition) -> BalanceResult:
     _require_below_types(net, partition)
     view = coded(net)
     colors = partition.colors
-    new, _, _ = _sweep(view, colors)
+    new, new_rank, _ = _sweep(view, colors)
+    if new_rank == partition.rank:  # the sweep split no class
+        return BalanceResult(balanced=True)
     first: dict[int, int] = {}  # old color -> its first cell
-    for idx, old in enumerate(colors):
+    for idx, old in enumerate(colors):  # some class split, so this loop breaks
         c = first.setdefault(old, idx)
         if new[c] != new[idx]:
-            sums_c = view.row_sums(colors, c)
-            sums_d = view.row_sums(colors, idx)
-            color = min(k for k in sums_c.keys() | sums_d.keys() if sums_c.get(k) != sums_d.get(k))
-            return BalanceResult(
-                balanced=False,
-                counterexample=(net.cells[c], net.cells[idx], color),
-            )
-    return BalanceResult(balanced=True)
+            break
+    sums_c = view.row_sums(colors, c)
+    sums_d = view.row_sums(colors, idx)
+    color = min(k for k in sums_c.keys() | sums_d.keys() if sums_c.get(k) != sums_d.get(k))
+    return BalanceResult(balanced=False, counterexample=(net.cells[c], net.cells[idx], color))
 
 
 def _merged_id(members) -> str:

@@ -15,10 +15,32 @@ canonical. ``cir`` records every sweep; ``top``, the meet and lattice
 enumeration run the converged-only loop on plain int lists and build one
 Partition at the end. Lattice enumeration also stops a seed as soon as a
 sweep lands on a balanced coloring it already knows.
+
+Lattice enumeration may also abandon a seed. A seed splits one class K of
+a balanced parent p into A and K - A; its smaller side is
+min(|A|, |K - A|), and a piece is a class of a sweep's output restricted
+to K. The seed is abandoned, with no result, once some sweep leaves a
+piece smaller than its smaller side. No lower cover of p is lost, for
+any commutative monoid and without subtracting weights:
+
+1. Each sweep output is coarser than every balanced coloring finer than
+   the seed: two cells in one class of such a coloring have equal sums
+   over the colors of any coarser coloring, so no sweep separates them.
+2. So if a cover q of p splits K, every union P of q-pieces of K gives a
+   seed s_P whose refinement is q: that refinement is balanced, strictly
+   finer than p and coarser than q, and nothing lies strictly between.
+3. Take the P whose smaller side is smallest. Every piece its run sees is
+   a union of q-pieces of K, so one smaller than that side would be a
+   union with a smaller side still.
+4. That seed therefore finishes and returns q, in any seed order.
+5. What an abandoned seed would have returned is balanced and strictly
+   finer than p, so it is a cover of p or lies below one, and every cover
+   is found. The covers are still the maximal results, and the walk down
+   the covers still reaches every element.
 """
 from __future__ import annotations
 
-from collections.abc import Set
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from itertools import chain
 
@@ -110,19 +132,32 @@ def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
 
 
 def _converge(
-    view: CodedNetwork, colors, rank: int, known: Set[tuple[int, ...]] = frozenset()
-) -> tuple[int, ...]:
+    view: CodedNetwork,
+    colors,
+    rank: int,
+    known: Set[tuple[int, ...]] = frozenset(),
+    split: tuple[Sequence[int], int] | None = None,
+) -> tuple[int, ...] | None:
     """Sweep until the rank stops growing; the canonical fixed point.
 
     ``known`` holds canonical balanced colorings. Each is a fixed point of
     the sweep, so a sweep that lands on one has converged, and the
-    confirming sweep is skipped.
+    confirming sweep is skipped. ``split`` is a lattice seed's split class
+    and its smaller side: the run is abandoned, returning None, once a
+    sweep leaves a piece of that class smaller than the smaller side.
     """
     while True:
         new, new_rank, _ = _sweep(view, colors)
         colors = tuple(new)
         if new_rank == rank or colors in known:
             return colors
+        if split is not None:
+            cells, smaller = split
+            sizes: dict[int, int] = {}
+            for i in cells:
+                sizes[new[i]] = sizes.get(new[i], 0) + 1
+            if min(sizes.values()) < smaller:
+                return None
         rank = new_rank
 
 

@@ -102,11 +102,12 @@ def brute_force_balanced(net: Network, limit: int = 12) -> set[Partition]:
 
 
 def _split_seeds(parent: tuple[int, ...]):
-    """``parent`` with one class split in two, as (colors, rank) seeds.
+    """``parent`` with one class split in two, as (colors, rank, class, smaller side).
 
     Each class of size k gives its 2^(k-1) - 1 proper splits. The split-off
     part never holds the class's first cell and takes the fresh color
     rank + 1; the refinement these seeds feed ignores how colors are labelled.
+    The smaller side is the size of the smaller of the two parts.
     """
     rank = max(parent)
     for cls in Partition._from_canonical(parent).classes():
@@ -115,7 +116,8 @@ def _split_seeds(parent: tuple[int, ...]):
             for pos, idx in enumerate(cls[1:]):
                 if mask >> pos & 1:
                     seed[idx] = rank + 1
-            yield seed, rank + 1
+            split_off = mask.bit_count()
+            yield seed, rank + 1, cls, min(split_off, len(cls) - split_off)
 
 
 def _lower_covers(results: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -151,16 +153,30 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     as a sweep lands on an element already found, since balanced colorings
     are fixed points of the sweep. Every lower cover of an element is
     the refinement of one of its seeds, so its covers are the maximal
-    results of its seeds. A budget guards the worst case where essentially
-    every partition is balanced; exceeding it returns the partial set
-    flagged ``complete=False``, with the covers of those elements whose
-    seeds all ran. A budget below 1 raises ``DimensionMismatch``.
+    results of its seeds.
 
-    The budget counts distinct elements found, not seeds converged, so it
+    A seed that splits class K into A and K - A is abandoned, and gives no
+    result, once a sweep splits K into a piece smaller than
+    min(|A|, |K - A|). This loses no cover, for any monoid: each sweep
+    output is coarser than every balanced coloring finer than the seed, so
+    if a cover q splits K, the seed that splits K into a union of q-pieces
+    with the smallest smaller side refines to q, and every piece its run
+    sees is a union of q-pieces, so none is smaller than that side. An
+    abandoned seed would only have found a cover or a coloring below one,
+    so the covers are still the maximal results, and walking down them
+    still reaches every element (the steps are spelled out in
+    ``synchro.cir``).
+
+    A budget guards the worst case where essentially every partition is
+    balanced; exceeding it returns the partial set flagged
+    ``complete=False``, with the covers of those elements whose seeds all
+    ran. A budget below 1 raises ``DimensionMismatch``.
+
+    The budget counts distinct elements found, not seeds tried, so it
     bounds the size of the result but not the run time: between two new
-    elements the walk converges every seed that only finds known ones.
-    On the directed 16-ring with unit NaturalAdd weights, budget 4 still
-    converges 21,845 seeds.
+    elements the walk tries every seed that only finds known ones or is
+    abandoned. On the directed 16-ring with unit NaturalAdd weights,
+    budget 4 still tries 21,845 seeds, though most stop after one sweep.
     """
     if budget < 1:
         raise DimensionMismatch(f"budget must be at least 1, got {budget}")
@@ -174,8 +190,10 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
         next_frontier = []
         for parent in frontier:
             results = set()
-            for seed, rank in _split_seeds(parent):
-                found = _converge(view, seed, rank, seen)
+            for seed, rank, cls, smaller in _split_seeds(parent):
+                found = _converge(view, seed, rank, seen, (cls, smaller))
+                if found is None:
+                    continue
                 results.add(found)
                 if found in seen:
                     continue

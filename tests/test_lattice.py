@@ -238,15 +238,16 @@ def test_converge_with_known_elements_matches_converge_without(name):
             ) == cir(net, seed).converged.colors
 
 
-def bidirectional_ring(n: int) -> Network:
+def ring(n: int, steps) -> Network:
+    """Cell i hears cell i + s for each s in ``steps``, with unit NaturalAdd weights."""
     registry = MonoidRegistry.uniform(NaturalAdd(), 1)
     cells = [str(i + 1) for i in range(n)]
-    edges = [(cells[i], cells[(i + s) % n], 1) for i in range(n) for s in (1, -1)]
+    edges = [(cells[i], cells[(i + s) % n], 1) for i in range(n) for s in steps]
     return Network.build(cells, ["t"] * n, ["t"], registry, edges)
 
 
-def test_enumeration_skips_sweeps_that_reach_known_elements(monkeypatch):
-    net = bidirectional_ring(12)
+def sweep_counts(net: Network, monkeypatch) -> tuple[int, int, int]:
+    """Element count, sweeps to converge every seed from scratch, sweeps of the walk."""
     view = coded(net)
     elements = [p.colors for p in enumerate_balanced(net).elements]
     sweeps = 0
@@ -259,11 +260,25 @@ def test_enumeration_skips_sweeps_that_reach_known_elements(monkeypatch):
 
     monkeypatch.setattr(cir_module, "_sweep", counting_sweep)
     for parent in elements:  # every seed of the walk, converged from scratch
-        for seed, rank in _split_seeds(parent):
+        for seed, rank, *_ in _split_seeds(parent):
             _converge(view, seed, rank)
     from_scratch, sweeps = sweeps, 0
-    assert len(enumerate_balanced(net).elements) == 31
+    found = len(enumerate_balanced(net).elements)
+    return found, from_scratch, sweeps
+
+
+def test_enumeration_skips_sweeps_that_reach_known_elements(monkeypatch):
+    found, from_scratch, sweeps = sweep_counts(ring(12, (1, -1)), monkeypatch)
+    assert found == 31
     assert sweeps < from_scratch
+
+
+@pytest.mark.parametrize("steps", [(1,), (1, -1)], ids=["directed", "bidirectional"])
+def test_abandoned_seeds_halve_the_sweeps(steps, monkeypatch):
+    # a seed stops once a sweep splits its class into a piece smaller than
+    # its smaller side; most seeds of a ring stop after one sweep
+    _, from_scratch, sweeps = sweep_counts(ring(12, steps), monkeypatch)
+    assert 2 * sweeps <= from_scratch
 
 
 def test_exports(resistor6):

@@ -6,6 +6,10 @@ memo. Both run on the mixed-monoid corpus, on the non-cancellative one
 (absorbing elements: NaturalMul's 0, WithAnnihilator, SHORT), where equal
 sums do not imply equal summands, and on small networks built around rows
 of exactly two edges, which the sweep keys without ``row_sums``.
+
+The lattice walk, which abandons seeds early, is also checked against an
+unpruned walk that converges every seed, on those networks, on mod-3
+networks and on rings of up to 16 cells, beyond brute force's reach.
 """
 import random
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ from synchro import (
     NaturalAdd,
     NaturalMul,
     Network,
+    ResistorParallel,
     WithAnnihilator,
     brute_force_balanced,
     cir,
@@ -29,6 +34,9 @@ from synchro import (
     is_finer,
     top,
 )
+from synchro.cir import _converge
+from synchro.coding import coded
+from synchro.lattice import _lower_covers, _split_seeds
 
 
 def ref_sums(net, colors, c):
@@ -188,3 +196,73 @@ def test_balance_and_lattice_match_reference(name):
         assert list(lattice.elements) == elements
         assert list(lattice.covers) == ref_covers(elements)
         assert lattice.top == top(net) == min(balanced, key=lambda p: p.rank)
+
+
+def unpruned_walk(net):
+    """Elements and covers from converging every seed of every element to its fixed point."""
+    view = coded(net)
+    seen = {top(net).colors}
+    below = {}
+    frontier = list(seen)
+    while frontier:
+        found = []
+        for parent in frontier:
+            results = {_converge(view, seed, rank) for seed, rank, *_ in _split_seeds(parent)}
+            below[parent] = results
+            found.extend(results - seen)
+            seen |= results
+        frontier = found
+    order = sorted(seen, key=lambda c: (max(c), c))
+    index = {c: i for i, c in enumerate(order)}
+    covers = sorted((index[q], index[p]) for p, results in below.items() for q in _lower_covers(results))
+    return order, covers
+
+
+def cyclic3_networks() -> list[Network]:
+    """Mod-3 networks, where two edges can sum to none: rings and seeded random graphs."""
+    spec = _Cyclic3()
+    nets = [_bidirectional_ring(spec, n, 1, 2) for n in (6, 8, 9)]
+    nets.append(_bidirectional_ring(spec, 9, 1, 1))
+    rng = random.Random(47)
+    for _ in range(12):
+        n = rng.randint(4, 9)
+        cells = range(1, n + 1)
+        nets.append(_one_type(spec, n, [
+            (t, s, rng.choice((1, 2))) for t in cells for s in cells if t != s and rng.random() < 0.1
+        ]))
+    return nets
+
+
+def _walks_agree(net):
+    """The walk's lattice, after checking it against ``unpruned_walk``."""
+    lattice = enumerate_balanced(net)
+    assert lattice.complete
+    assert ([p.colors for p in lattice.elements], list(lattice.covers)) == unpruned_walk(net)
+    return lattice
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA) + ["cyclic3"])
+def test_enumeration_matches_unpruned_walk(name):
+    for net in {**CORPORA, "cyclic3": cyclic3_networks}[name]():
+        _walks_agree(net)
+
+
+# balanced colorings of the bidirectional n-ring with equal weights both ways
+BIDIRECTIONAL_RING_ELEMENTS = {8: 16, 9: 15, 10: 19, 11: 13, 12: 31, 13: 15, 14: 25, 15: 27, 16: 33}
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+@pytest.mark.parametrize("shape", ["directed", "bidirectional"])
+def test_enumeration_matches_unpruned_walk_on_rings(shape, n):
+    # unit NaturalAdd weights on even rings, 30-ohm resistors on odd ones
+    spec = NaturalAdd() if n % 2 == 0 else ResistorParallel()
+    w = 1 if n % 2 == 0 else spec.from_resistance(30)
+    if shape == "directed":
+        net = _one_type(spec, n, [(i, (i - 2) % n + 1, w) for i in range(1, n + 1)])
+    else:
+        net = _bidirectional_ring(spec, n, w, w)
+    lattice = _walks_agree(net)
+    if shape == "directed":  # cell i colored i mod d, one element per divisor d of n
+        assert len(lattice.elements) == sum(n % d == 0 for d in range(1, n + 1))
+    else:
+        assert len(lattice.elements) == BIDIRECTIONAL_RING_ELEMENTS[n]
