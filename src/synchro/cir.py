@@ -37,6 +37,28 @@ any commutative monoid and without subtracting weights:
    finer than p, so it is a cover of p or lies below one, and every cover
    is found. The covers are still the maximal results, and the walk down
    the covers still reaches every element.
+
+Most seeds never reach ``_converge``: the walk screens them on their split
+class alone (``synchro.lattice._surviving_masks``), and the screen is
+exact for every commutative monoid, again without subtracting weights:
+
+1. The seed recolors only K, and p is balanced, so every row of K has
+   equal sums over each class of p other than K. Two rows of K therefore
+   share a class after the first sweep exactly when their keys (side, sum
+   from A, sum from K - A) are equal: the screen's pieces are the pieces
+   of the first sweep, and they depend on K alone, not on the rest of p.
+2. So the screen drops exactly the seeds that the first sweep abandons,
+   plus those whose first sweep lands on a known element with a piece
+   below the smaller side. Such a seed only adds a known element to p's
+   results, which cannot change the maximal results: each cover comes
+   from its seed of step 3, whose pieces are unions of cover-pieces, and
+   that seed passes the screen.
+3. The survivors reach ``_converge`` in ascending mask order, class by
+   class, as every seed did before, and no dropped seed would have found
+   a new element. The elements, their order, the covers and every
+   partial lattice are unchanged.
+4. The masks of a class are screened in blocks of 2^6, so a walk stopped
+   by its budget screens at most one block past its last seed.
 """
 from __future__ import annotations
 
@@ -97,7 +119,9 @@ def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
     """One refinement sweep under any hashable, orderable cell labels.
 
     Returns the new canonical coloring (colors 1..rank), its rank and the
-    work done: one key per row plus one visit per edge, |C| + |E| in total.
+    work done: one key per row plus one visit per edge, |C| + |E| in total,
+    which ``set_rows`` fixes when it stores the rows, so it is read off
+    the view rather than counted.
     Rows with at most two edges are keyed inline, to exactly the key the
     general path builds: two same-colored sources merge once and drop out
     when they sum to the identity, two differently colored ones are listed
@@ -106,11 +130,9 @@ def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
     """
     table: dict[tuple, int] = {}
     new: list[int] = []
-    ops = 0
     merge = view.merge
     for r, (srcs, codes) in enumerate(view.rows):
         degree = len(srcs)
-        ops += 1 + degree
         if degree == 2:
             c1, c2 = colors[srcs[0]], colors[srcs[1]]
             if c1 == c2:
@@ -128,7 +150,7 @@ def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
             sums = view.row_sums(colors, r)
             key = (colors[r], *chain.from_iterable(sorted(sums.items())))
         new.append(table.setdefault(key, len(table) + 1))
-    return new, len(table), ops
+    return new, len(table), view.n + view.n_edges
 
 
 def _converge(

@@ -174,8 +174,8 @@ def quotient_command(partition_text, network_file, pretty):
 @main.command(name="lattice")
 @click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET, show_default=True,
               help="Abort after finding more than this many distinct balanced partitions. "
-                   "Seeds that only find known partitions do not count, so this does not "
-                   "bound the run time.")
+                   "Splits that are screened out, abandoned or only find known partitions "
+                   "do not count, so this does not bound the run time.")
 @click.option("--dot", "as_dot", is_flag=True, help="Emit a Hasse diagram instead of JSON.")
 @click.argument("network_file")
 @_pretty

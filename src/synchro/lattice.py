@@ -4,9 +4,10 @@ All balanced colorings of a network form a lattice under refinement. The
 join merges classes through chains across the two inputs (a union-find
 pass) and is provably balanced; the meet refines the common refinement of
 the inputs back to a balanced coloring. Enumeration walks down from the
-maximal balanced partition, refining every single-class bipartition, and
-reads the cover relation off the same walk -- exhaustive search over all
-set partitions is kept as the oracle for small instances.
+maximal balanced partition, refining every single-class bipartition that
+survives a screen of its first sweep, and reads the cover relation off the
+same walk -- exhaustive search over all set partitions is kept as the
+oracle for small instances.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from itertools import product
 
 from .balance import is_balanced
 from .cir import _converge, _sweep, top
-from .coding import coded
+from .coding import CodedNetwork, coded
 from .errors import DimensionMismatch, NotBalancedError, SizeLimitError
 from .network import Network, _quote, _write_json
 from .partition import Partition, common_refinement, format_partition, is_finer
@@ -101,6 +102,16 @@ def brute_force_balanced(net: Network, limit: int = 12) -> set[Partition]:
     return balanced
 
 
+def _split(parent, rank: int, cls: list[int], mask: int):
+    """The seed of ``parent`` that splits off ``cls[i + 1]`` for each bit i of ``mask``."""
+    seed = list(parent)
+    for pos, idx in enumerate(cls[1:]):
+        if mask >> pos & 1:
+            seed[idx] = rank + 1
+    split_off = mask.bit_count()
+    return seed, rank + 1, cls, min(split_off, len(cls) - split_off)
+
+
 def _split_seeds(parent: tuple[int, ...]):
     """``parent`` with one class split in two, as (colors, rank, class, smaller side).
 
@@ -112,12 +123,98 @@ def _split_seeds(parent: tuple[int, ...]):
     rank = max(parent)
     for cls in Partition._from_canonical(parent).classes():
         for mask in range(1, 1 << (len(cls) - 1)):
-            seed = list(parent)
-            for pos, idx in enumerate(cls[1:]):
-                if mask >> pos & 1:
-                    seed[idx] = rank + 1
+            yield _split(parent, rank, cls, mask)
+
+
+_BLOCK_BITS = 6  # the screen visits the masks of a class 2^6 at a time
+
+
+def _surviving_masks(view: CodedNetwork, cls: list[int]):
+    """The masks of a balanced coloring's class K whose split survives its first sweep, ascending.
+
+    A row of K is keyed by (side, sum from side 0, sum from side 1) over its
+    in-edges from K, and a mask survives when no key is held by fewer rows
+    than its smaller side (``synchro.cir`` shows why). Masks are visited in
+    Gray-code order within blocks of 2^6, so each step moves one cell and
+    rekeys only the rows it touches, without subtracting; each block's
+    survivors are yielded before the next block is screened.
+    """
+    k = len(cls)
+    merge = view.merge
+    pos = {c: i for i, c in enumerate(cls)}
+    ins = []  # per row of K: its in-edges from K, as (position in K, code)
+    feeds: list[list[tuple[int, int]]] = [[] for _ in cls]  # per cell: (row of K it feeds, code)
+    keys = []  # per row of K: (side, sum from side 0, sum from side 1)
+    counts: dict[tuple[int, int, int], int] = {}  # rows per key
+    for r, c in enumerate(cls):
+        srcs, codes = view.rows[c]
+        ins.append([(pos[s], w) for s, w in zip(srcs, codes) if s in pos])
+        total = 0
+        for s, w in ins[r]:
+            feeds[s].append((r, w))
+            total = merge(total, w) if total else w
+        keys.append((0, total, 0))
+        counts[keys[r]] = counts.get(keys[r], 0) + 1
+    side = [0] * k  # 1 for the split-off cells
+
+    def recount(r: int, new: tuple[int, int, int]) -> None:
+        old = keys[r]
+        if new != old:
+            keys[r] = new
+            if counts[old] == 1:
+                del counts[old]
+            else:
+                counts[old] -= 1
+            counts[new] = counts.get(new, 0) + 1
+
+    def move(c: int) -> None:  # c changes side; rekey its row and the rows it feeds
+        t = side[c] = 1 - side[c]
+        recount(c, (t, *keys[c][1:]))
+        for r, w in feeds[c]:
+            rest = 0  # the sum from side 1 - t, rebuilt without c
+            for s, v in ins[r]:
+                if side[s] != t:
+                    rest = merge(rest, v) if rest else v
+            old = keys[r]
+            got = merge(old[1 + t], w) if old[1 + t] else w
+            recount(r, (old[0], rest, got) if t else (old[0], got, rest))
+
+    n_masks = 1 << (k - 1)
+    block = min(n_masks, 1 << _BLOCK_BITS)
+    current = 0
+    for high in range(0, n_masks, block):
+        survivors = []
+        for i in range(block):
+            mask = high | i ^ (i >> 1)
+            moved, current = mask ^ current, mask
+            while moved:  # one cell within a block, more between blocks
+                bit = moved & -moved
+                moved ^= bit
+                move(bit.bit_length())
             split_off = mask.bit_count()
-            yield seed, rank + 1, cls, min(split_off, len(cls) - split_off)
+            smaller = min(split_off, k - split_off)
+            if smaller and len(counts) * smaller <= k and min(counts.values()) >= smaller:
+                survivors.append(mask)
+        yield from sorted(survivors)
+
+
+def _screened_seeds(view: CodedNetwork, parent: tuple[int, ...], screened: dict):
+    """The seeds of ``_split_seeds(parent)`` that survive their first sweep, in its order.
+
+    ``parent`` must be balanced. The survivors depend on the class alone,
+    so ``screened`` keeps them per class once a class is screened to its end.
+    """
+    rank = max(parent)
+    for cls in Partition._from_canonical(parent).classes():
+        masks = screened.get(tuple(cls))
+        if masks is None:
+            masks = []
+            for mask in _surviving_masks(view, cls):
+                masks.append(mask)
+                yield _split(parent, rank, cls, mask)
+            screened[tuple(cls)] = masks
+        else:
+            yield from (_split(parent, rank, cls, mask) for mask in masks)
 
 
 def _lower_covers(results: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -167,6 +264,19 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     still reaches every element (the steps are spelled out in
     ``synchro.cir``).
 
+    Seeds are screened before they are built. A split of K recolors only
+    K in a balanced parent, so its first sweep tells rows of K apart by
+    (side, sum from A, sum from K - A) over in-edges from K alone. The
+    screen walks the masks of K in Gray-code order, in blocks of 2^6,
+    rekeying only the rows a moved cell touches, and drops each split
+    whose first sweep would abandon it or land, too finely cut, on a known
+    element; the seed that finds each cover passes, so the maximal results
+    stay the same. The survivors depend on K alone and are reused for
+    every element with class K. They are converged in ascending mask
+    order as before, so the elements, covers and partial lattices are
+    unchanged, and a stopped walk screens at most one block past its last
+    seed.
+
     A budget guards the worst case where essentially every partition is
     balanced; exceeding it returns the partial set flagged
     ``complete=False``, with the covers of those elements whose seeds all
@@ -174,9 +284,10 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
 
     The budget counts distinct elements found, not seeds tried, so it
     bounds the size of the result but not the run time: between two new
-    elements the walk tries every seed that only finds known ones or is
-    abandoned. On the directed 16-ring with unit NaturalAdd weights,
-    budget 4 still tries 21,845 seeds, though most stop after one sweep.
+    elements the walk screens every split and converges every survivor
+    that only finds known ones or is abandoned. On the directed 16-ring
+    with unit NaturalAdd weights, budget 4 still screens 21,887 splits and
+    converges 1,350 of them, with 3,444 sweeps in all.
     """
     if budget < 1:
         raise DimensionMismatch(f"budget must be at least 1, got {budget}")
@@ -185,12 +296,13 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     seen: set[tuple[int, ...]] = {maximal.colors}
     below: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # element -> its seeds' results
     frontier = [maximal.colors]
+    screened: dict[tuple[int, ...], list[int]] = {}  # class -> masks that survive its screen
     complete = True
     while frontier and complete:
         next_frontier = []
         for parent in frontier:
             results = set()
-            for seed, rank, cls, smaller in _split_seeds(parent):
+            for seed, rank, cls, smaller in _screened_seeds(view, parent, screened):
                 found = _converge(view, seed, rank, seen, (cls, smaller))
                 if found is None:
                     continue

@@ -35,6 +35,7 @@ from synchro.lattice import _split_seeds
 
 # the package exports a function named ``cir``, which shadows the module
 cir_module = importlib.import_module("synchro.cir")
+lattice_module = importlib.import_module("synchro.lattice")
 
 
 def all_to_all(n: int) -> Network:
@@ -279,6 +280,53 @@ def test_abandoned_seeds_halve_the_sweeps(steps, monkeypatch):
     # its smaller side; most seeds of a ring stop after one sweep
     _, from_scratch, sweeps = sweep_counts(ring(12, steps), monkeypatch)
     assert 2 * sweeps <= from_scratch
+
+
+# converges and sweeps of the walk (``top`` included) on unit NaturalAdd
+# rings, as first measured with the screen; converging every seed took
+# 2,148 / 3,018, 2,925 / 4,358, 33,057 / 36,525 and 34,171 / 37,788
+WALK_WORK = {
+    (12, "directed"): (385, 1255),
+    (12, "bidirectional"): (756, 2189),
+    (16, "directed"): (2095, 5563),
+    (16, "bidirectional"): (1611, 5228),
+}
+
+
+@pytest.mark.parametrize("n, shape", sorted(WALK_WORK))
+def test_screen_leaves_few_seeds_to_converge(n, shape, monkeypatch):
+    calls = {"_converge": 0, "_sweep": 0}
+    for module, name in ((lattice_module, "_converge"), (cir_module, "_sweep")):
+        def counting(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    enumerate_balanced(ring(n, (1,) if shape == "directed" else (1, -1)))
+    converges, sweeps = WALK_WORK[n, shape]
+    assert calls["_converge"] <= converges and calls["_sweep"] <= sweeps
+
+
+def test_bidirectional_18_ring_lattice():
+    assert len(enumerate_balanced(ring(18, (1, -1))).elements) == 42
+
+
+def test_budget_stopped_walk_converges_the_same_seeds(monkeypatch):
+    # every coloring of all_to_all is balanced, so every seed survives the
+    # screen and reaches a new element: the walk converges the first 1000
+    # seeds of the top, in order, and no others
+    net = all_to_all(14)
+    converged = []
+    real = lattice_module._converge
+
+    def recording(view, seed, *args):
+        converged.append(seed)
+        return real(view, seed, *args)
+
+    monkeypatch.setattr(lattice_module, "_converge", recording)
+    assert not enumerate_balanced(net, budget=1000).complete
+    expected = itertools.islice(_split_seeds(top(net).colors), 1000)
+    assert converged == [seed for seed, *_ in expected]
 
 
 def test_exports(resistor6):

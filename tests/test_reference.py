@@ -9,9 +9,12 @@ of exactly two edges, which the sweep keys without ``row_sums``.
 
 The lattice walk, which abandons seeds early, is also checked against an
 unpruned walk that converges every seed, on those networks, on mod-3
-networks and on rings of up to 16 cells, beyond brute force's reach.
+networks and on rings of up to 16 cells, beyond brute force's reach. The
+screen that picks which seeds the walk converges is checked against one
+full sweep of every seed.
 """
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -34,9 +37,9 @@ from synchro import (
     is_finer,
     top,
 )
-from synchro.cir import _converge
+from synchro.cir import _converge, _sweep
 from synchro.coding import coded
-from synchro.lattice import _lower_covers, _split_seeds
+from synchro.lattice import _lower_covers, _screened_seeds, _split_seeds
 
 
 def ref_sums(net, colors, c):
@@ -251,18 +254,51 @@ def test_enumeration_matches_unpruned_walk(name):
 BIDIRECTIONAL_RING_ELEMENTS = {8: 16, 9: 15, 10: 19, 11: 13, 12: 31, 13: 15, 14: 25, 15: 27, 16: 33}
 
 
-@pytest.mark.parametrize("n", range(8, 17))
-@pytest.mark.parametrize("shape", ["directed", "bidirectional"])
-def test_enumeration_matches_unpruned_walk_on_rings(shape, n):
-    # unit NaturalAdd weights on even rings, 30-ohm resistors on odd ones
+def _ring(shape: str, n: int) -> Network:
+    """Directed or bidirectional n-ring: unit NaturalAdd weights if n is even, 30-ohm resistors if odd."""
     spec = NaturalAdd() if n % 2 == 0 else ResistorParallel()
     w = 1 if n % 2 == 0 else spec.from_resistance(30)
     if shape == "directed":
-        net = _one_type(spec, n, [(i, (i - 2) % n + 1, w) for i in range(1, n + 1)])
-    else:
-        net = _bidirectional_ring(spec, n, w, w)
-    lattice = _walks_agree(net)
+        return _one_type(spec, n, [(i, (i - 2) % n + 1, w) for i in range(1, n + 1)])
+    return _bidirectional_ring(spec, n, w, w)
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+@pytest.mark.parametrize("shape", ["directed", "bidirectional"])
+def test_enumeration_matches_unpruned_walk_on_rings(shape, n):
+    lattice = _walks_agree(_ring(shape, n))
     if shape == "directed":  # cell i colored i mod d, one element per divisor d of n
         assert len(lattice.elements) == sum(n % d == 0 for d in range(1, n + 1))
     else:
         assert len(lattice.elements) == BIDIRECTIONAL_RING_ELEMENTS[n]
+
+
+def first_sweep_survivors(view, parent):
+    """The seeds of ``parent`` whose first sweep leaves no piece of their class below their smaller side."""
+    kept = []
+    for seed, rank, cls, smaller in _split_seeds(parent):
+        new, _, _ = _sweep(view, seed)
+        if min(Counter(new[i] for i in cls).values()) >= smaller:
+            kept.append((seed, rank, cls, smaller))
+    return kept
+
+
+SCREEN_FAMILIES = {
+    **CORPORA,
+    "cyclic3": cyclic3_networks,
+    "rings": lambda: [_ring(shape, n) for n in range(8, 13) for shape in ("directed", "bidirectional")],
+    "all_to_all": lambda: [
+        _one_type(NaturalAdd(), 6, [(t, s, 1) for t in range(1, 7) for s in range(1, 7) if t != s])
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_FAMILIES))
+def test_screen_keeps_exactly_the_seeds_that_survive_one_sweep(name):
+    # one screen cache per network, so classes met again come from the cache
+    for net in SCREEN_FAMILIES[name]():
+        view = coded(net)
+        screened = {}
+        for element in enumerate_balanced(net).elements:
+            expected = first_sweep_survivors(view, element.colors)
+            assert list(_screened_seeds(view, element.colors, screened)) == expected
