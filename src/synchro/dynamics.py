@@ -31,16 +31,19 @@ allocated up front, so one too long to hold fails before its first step.
 ``_iterate_map``, and a ``Trajectory`` holds the orbit array itself.
 
 ODE integration is classical fixed-step RK4. When the field is linear
-(g is ``zero`` or ``scale``, h is ``neighbor`` or ``diffusive``), one RK4
-step is exactly x -> Mx for the fixed propagator
-M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so M is built once as sparse
-rows from the coded edges (kappa evaluated once per distinct weight) and
-each step costs O(nnz(M)); the floats differ from stage-by-stage RK4 only
-in summation order. A small finite M advances B steps per ``np.dot``
-through its dense power stack [M; M^2; ...; M^B] (``_power_stack``);
-larger networks step one at a time on the sparse rows of M and never
-allocate anything n x n. Any other field is evaluated stage by stage
-through the merged-input evaluation.
+(g is ``zero`` or ``scale``, h is ``neighbor`` or ``diffusive``), the field
+is x' = Ax and one RK4 step is exactly x -> Mx with
+M = I + hA(I + h/2 A(I + h/3 A(I + h/4 A))). A is taken once as sparse
+(row, column, value) triples from the coded edges, kappa evaluated once
+per distinct weight (``_rk4_operator``). On networks of at most 45
+cells (one dense n x n power within ``_STACK_ENTRIES``) with a finite M,
+M is formed densely from a dense A and the orbit advances B steps per
+``np.dot`` through its dense power stack [M; M^2; ...; M^B]
+(``_power_stack``). Every other linear flow applies M to the state by
+Horner on A, four scatter-adds over the triples per step, and never
+forms M. The floats differ from stage-by-stage RK4 only in summation
+order. Any other field is evaluated stage by stage through the
+merged-input evaluation.
 Exactness claims stop at the monoid algebra, never float trajectories.
 """
 from __future__ import annotations
@@ -499,7 +502,7 @@ def _linear_field(net: Network, oracle: Oracle) -> _LinearField | None:
     The field is linear when ``oracle`` is an ``OracleSpec`` whose g is
     ``zero`` or ``scale`` on every type of a cell and whose h is
     ``neighbor`` or ``diffusive`` on every type pair that carries an edge.
-    The RK4 propagator and the map step both decide here. A pair the
+    The RK4 operator and the map step both decide here. A pair the
     oracle's registry lacks raises ``MonoidMismatch``.
     """
     if not isinstance(oracle, OracleSpec):
@@ -596,82 +599,57 @@ def _linear_map_step(net: Network, oracle: Oracle):
     return step
 
 
-def _identity_plus(rows, cols, vals, n: int):
-    """CSR arrays (indptr, indices, data) of I plus the summed triples."""
-    cells = np.arange(n, dtype=np.int64)
-    keys, inverse = np.unique(
-        np.concatenate((rows, cells)) * n + np.concatenate((cols, cells)), return_inverse=True
-    )
-    data = np.bincount(inverse, weights=np.concatenate((vals, np.ones(n))))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return indptr, keys % n, data
+def _rk4_operator(net: Network, oracle: Oracle):
+    """A of a linear field x' = Ax as (row, column, value) triples, or None.
 
-
-def _product(rows, cols, vals, csr):
-    """The triples of (triples) @ (CSR matrix), one per multiplied pair.
-
-    Each triple in column ``cols[e]`` meets every entry of the CSR row of
-    that index: ``left`` repeats e once per such entry and ``right`` gives
-    the entry's position in the CSR arrays.
-    """
-    indptr, indices, data = csr
-    counts = indptr[cols + 1] - indptr[cols]
-    ends = np.cumsum(counts)
-    right = np.repeat(indptr[cols] - (ends - counts), counts) + np.arange(ends[-1])
-    left = np.repeat(np.arange(len(cols)), counts)
-    return rows[left], indices[right], vals[left] * data[right]
-
-
-def _rk4_propagator(net: Network, oracle: Oracle, dt: float):
-    """One RK4 step of a linear field as a CSR matrix, or None if not linear.
-
-    Linearity is decided by ``_linear_field``. For x' = Ax a classical RK4
-    step is exactly x -> Mx with M = I + hA(I + h/2 A(I + h/3 A(I + h/4 A)));
-    A is taken as (row, column, value) triples, repeats adding up, with one
-    diagonal triple on every row, and the Horner form is built from sparse
-    products, so nothing of size n x n is ever allocated and every row
-    keeps its diagonal entry.
+    Linearity is decided by ``_linear_field``. The triples are the coded
+    edges with their kappa values, then one diagonal triple per row: the
+    slope of g minus the diffusive gains of the row. Repeated (row, column)
+    pairs add up.
     """
     field = _linear_field(net, oracle)
     if field is None:
         return None
     tgt, gains, diffusive = field.tgt, field.gains, field.diffusive
     cells = np.arange(net.n, dtype=np.int64)
-    rows, cols = np.concatenate((tgt, cells)), np.concatenate((field.src, cells))
     diag = field.slope - np.bincount(tgt[diffusive], weights=gains[diffusive], minlength=net.n)
-    vals = np.concatenate((gains, diag))
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _identity_plus(rows, cols, vals * (dt / 4.0), net.n)
-        for h in (dt / 3.0, dt / 2.0, dt):
-            m = _identity_plus(*_product(rows, cols, vals * h, m), net.n)
-    return m
+    rows, cols = np.concatenate((tgt, cells)), np.concatenate((field.src, cells))
+    return rows, cols, np.concatenate((gains, diag))
 
 
 # The most entries the dense stack [M; M^2; ...; M^B] may hold. On 10,000-
 # step corpus orbits under ``np.dot``, 1024 ran 1.1-1.3x slower and 8192
-# 10-20 % faster, but 8192 stacks up to 64 cells and takes B to 512.
+# 10-20 % faster, but 8192 stacks up to 90 cells and takes B to 512.
 _STACK_ENTRIES = 2048
 
 
-def _power_stack(m, n: int):
-    """The stack [M; M^2; ...; M^B] of a CSR propagator as a dense (B*n) x n
-    array, or None (M steps on its sparse rows) when two dense n x n
-    powers would exceed ``_STACK_ENTRIES`` or M has a non-finite entry.
+def _power_stack(a, n: int, dt: float):
+    """The stack [M; M^2; ...; M^B] of one RK4 step of x' = Ax as a dense
+    (B*n) x n array, or None (the flow steps on A itself) when one dense
+    n x n power would exceed ``_STACK_ENTRIES`` or M has a non-finite entry.
 
-    The stack doubles, S_2k = [S_k; S_k M^k], while every new power is
-    finite and B * n * n stays within ``_STACK_ENTRIES``. The powers are
-    carried as D_k = M^k - I, D_j+k = D_j + D_k + D_j D_k, so rounding
-    scales with D and not with the unit diagonal. B depends on M alone.
+    A comes as the triples of ``_rk4_operator``, scattered into a dense
+    array. M - I = hA(I + h/2 A(I + h/3 A(I + h/4 A))) is formed by dense
+    products; the stack doubles, S_2k = [S_k; S_k M^k], while every new
+    power is finite and B * n * n stays within ``_STACK_ENTRIES``. The
+    powers are carried as D_k = M^k - I, D_j+k = D_j + D_k + D_j D_k, so
+    rounding scales with D and not with the unit diagonal. B depends on A
+    and dt alone.
     """
-    indptr, indices, data = m
-    if 2 * n * n > _STACK_ENTRIES or not np.isfinite(data).all():
+    if n * n > _STACK_ENTRIES:
         return None
+    rows, cols, vals = a
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), vals)
     cells = np.arange(n)
-    deltas = np.zeros((1, n, n))
-    deltas[0, np.repeat(cells, np.diff(indptr)), indices] = data
-    deltas[0, cells, cells] -= 1.0
     with np.errstate(over="ignore", invalid="ignore"):
+        delta = dense * (dt / 4.0)
+        for h in (dt / 3.0, dt / 2.0, dt):
+            scaled = dense * h
+            delta = scaled + scaled @ delta
+        if not np.isfinite(delta).all():
+            return None
+        deltas = delta[np.newaxis]
         while 2 * deltas.size <= _STACK_ENTRIES:
             doubled = deltas + deltas[-1] + deltas @ deltas[-1]
             if not np.isfinite(doubled).all():
@@ -698,32 +676,38 @@ def _integrate_rk4(net: Network, oracle: Oracle, x0, t_end: float, dt: float) ->
 
     A linear field with a dense power stack writes each block of B rows
     with one ``np.dot`` of the stack and the state that ends the block
-    before; without one, each row is one ``take``, multiply and
-    ``reduceat`` on the sparse rows of M. The orbit array has room for a
-    last whole block (B * n is at most ``_STACK_ENTRIES``) whose rows past
-    the last step are dropped; B never depends on t_end, so the orbit to
-    an earlier time is bitwise a prefix of the orbit to a later one. The
-    kept rows are checked for non-finite states once at the end. Any
-    other field is evaluated stage by stage through ``admissible_eval``.
+    before. Without one, each step applies M to the state x by Horner on
+    A, x + hA(x + h/2 A(x + h/3 A(x + h/4 Ax))): each of the four stages
+    gathers the previous stage at the columns of A, multiplies by the
+    values of A times the stage's step, sums per row with ``np.bincount``
+    and adds x, so nothing n x n is formed. The orbit array has room for
+    a last whole block (B * n is at most ``_STACK_ENTRIES``) whose rows
+    past the last step are dropped; B never depends on t_end, so the
+    orbit to an earlier time is bitwise a prefix of the orbit to a later
+    one. The kept rows are checked for non-finite states once at the end.
+    Any other field is evaluated stage by stage through
+    ``admissible_eval``.
     """
     steps = _check_times(t_end, dt)
     out = _orbit_buffer(net, x0, steps + max(1, _STACK_ENTRIES // net.n), steps)
-    prop = _rk4_propagator(net, oracle, dt)
-    if prop is not None:
-        stack = _power_stack(prop, net.n)
-        depth = 1 if stack is None else len(stack) // net.n
-        blocks = -(-steps // depth)
-        sources = out[: blocks * depth : depth]
-        following = out[1 : blocks * depth + 1].reshape(blocks, depth * net.n)
+    a = _rk4_operator(net, oracle)
+    if a is not None:
+        stack = _power_stack(a, net.n, dt)
         with np.errstate(over="ignore", invalid="ignore"):
             if stack is None:
-                indptr, cols, data = prop
-                starts, buf = indptr[:-1], np.empty(len(cols))
-                for state, row in zip(sources, following):
-                    state.take(cols, out=buf)
-                    buf *= data
-                    np.add.reduceat(buf, starts, out=row)
+                rows, cols, vals = a
+                stages = [vals * h for h in (dt / 4.0, dt / 3.0, dt / 2.0, dt)]
+                terms = np.empty(len(vals))
+                for state, nxt in zip(out[:steps], out[1 : steps + 1]):
+                    acc = state
+                    for scaled in stages:
+                        np.multiply(acc.take(cols), scaled, out=terms)
+                        acc = np.add(state, np.bincount(rows, terms, net.n), out=nxt)
             else:
+                depth = len(stack) // net.n
+                blocks = -(-steps // depth)
+                sources = out[: blocks * depth : depth]
+                following = out[1 : blocks * depth + 1].reshape(blocks, depth * net.n)
                 for state, rows in zip(sources, following):
                     np.dot(stack, state, out=rows)
         out = out[: steps + 1]

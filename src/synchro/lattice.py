@@ -103,27 +103,18 @@ def brute_force_balanced(net: Network, limit: int = 12) -> set[Partition]:
 
 
 def _split(parent, rank: int, cls: list[int], mask: int):
-    """The seed of ``parent`` that splits off ``cls[i + 1]`` for each bit i of ``mask``."""
+    """The seed of ``parent`` that splits off ``cls[i + 1]`` for each bit i of ``mask``.
+
+    It is (colors, rank, class, smaller side): the split-off cells take the
+    fresh color rank + 1, and the smaller side is the size of the smaller
+    part. The refinement these seeds feed ignores how colors are labelled.
+    """
     seed = list(parent)
     for pos, idx in enumerate(cls[1:]):
         if mask >> pos & 1:
             seed[idx] = rank + 1
     split_off = mask.bit_count()
     return seed, rank + 1, cls, min(split_off, len(cls) - split_off)
-
-
-def _split_seeds(parent: tuple[int, ...]):
-    """``parent`` with one class split in two, as (colors, rank, class, smaller side).
-
-    Each class of size k gives its 2^(k-1) - 1 proper splits. The split-off
-    part never holds the class's first cell and takes the fresh color
-    rank + 1; the refinement these seeds feed ignores how colors are labelled.
-    The smaller side is the size of the smaller of the two parts.
-    """
-    rank = max(parent)
-    for cls in Partition._from_canonical(parent).classes():
-        for mask in range(1, 1 << (len(cls) - 1)):
-            yield _split(parent, rank, cls, mask)
 
 
 _BLOCK_BITS = 6  # the screen visits the masks of a class 2^6 at a time
@@ -199,7 +190,8 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
 
 
 def _screened_seeds(view: CodedNetwork, parent: tuple[int, ...], screened: dict):
-    """The seeds of ``_split_seeds(parent)`` that survive their first sweep, in its order.
+    """The ``_split`` seeds of ``parent`` that survive their first sweep:
+    classes in order of their first cell, masks ascending within each.
 
     ``parent`` must be balanced. The survivors depend on the class alone,
     so ``screened`` keeps them per class once a class is screened to its end.

@@ -313,23 +313,30 @@ def test_simulate_into_a_reader_that_closes_early_exits_1_without_traceback(tmp_
 
 
 def test_simulate_tend_on_a_stacked_network_does_not_depend_on_blas_threads(tmp_path):
-    from synchro.dynamics import _power_stack, _rk4_propagator, parse_oracle
+    from synchro.dynamics import _power_stack, _rk4_operator, parse_oracle
 
-    net = corpus.corpus_networks()[8]  # 7 cells: a dense power stack of B = 32
-    oracle = '{"g": [{"type": "%s", "kind": "scale", "a": -1.0}]}' % net.type_names[0]
-    assert _power_stack(_rk4_propagator(net, parse_oracle(oracle, net), 1e-3), net.n) is not None
-    (tmp_path / "net.json").write_text(serialize_network(net))
-    (tmp_path / "oracle.json").write_text(oracle)
-    (tmp_path / "x0.csv").write_text(",".join(repr(0.5 + c / 3) for c in range(net.n)) + "\n")
-    argv = [sys.executable, "-m", "synchro", "simulate", "--oracle", "oracle.json",
-            "--x0", "x0.csv", "--tend", "1.0", "net.json"]
-    outputs = [
-        subprocess.run(argv, env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), cwd=tmp_path,
-                       check=True, capture_output=True, timeout=120).stdout
-        for threads in ("1", "2")
-    ]
-    assert outputs[0].count(b"\n") == 1002
-    assert outputs[0] == outputs[1]
+    # corpus network 8: 7 cells, a dense power stack of B = 32; the 3-offset
+    # 45-cell ring is the largest stacked size, B = 1: one np.dot per step
+    n = 45
+    cells = [f"c{i}" for i in range(n)]
+    ring = Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1),
+                         [(cells[i], cells[(i + s) % n], 1) for i in range(n) for s in (-1, 1, 2)])
+    for net, depth in ((corpus.corpus_networks()[8], 32), (ring, 1)):
+        oracle = '{"g": [{"type": "%s", "kind": "scale", "a": -1.0}]}' % net.type_names[0]
+        stack = _power_stack(_rk4_operator(net, parse_oracle(oracle, net)), net.n, 1e-3)
+        assert stack.shape == (depth * net.n, net.n)
+        (tmp_path / "net.json").write_text(serialize_network(net))
+        (tmp_path / "oracle.json").write_text(oracle)
+        (tmp_path / "x0.csv").write_text(",".join(repr(0.5 + c / 3) for c in range(net.n)) + "\n")
+        argv = [sys.executable, "-m", "synchro", "simulate", "--oracle", "oracle.json",
+                "--x0", "x0.csv", "--tend", "1.0", "net.json"]
+        outputs = [
+            subprocess.run(argv, env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), cwd=tmp_path,
+                           check=True, capture_output=True, timeout=120).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0].count(b"\n") == 1002
+        assert outputs[0] == outputs[1], net.n
 
 
 @pytest.mark.parametrize(

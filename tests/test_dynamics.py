@@ -47,7 +47,7 @@ from synchro.dynamics import (
     Oracle,
     _linear_map_step,
     _power_stack,
-    _rk4_propagator,
+    _rk4_operator,
     parse_oracle,
 )
 from synchro.partition import lift
@@ -58,15 +58,22 @@ def unit_oracle(net):
     return coupling_oracle(net.registry, len(net.type_names), kappa_scale=1.0)
 
 
-def power_depth(propagator, n):
-    """B of the dense stack [M; ...; M^B], or 1 when M steps on its sparse rows."""
-    stack = _power_stack(propagator, n)
-    return 1 if stack is None else len(stack) // n
+def dense_propagator(net, oracle, dt):
+    """M = I + hA(I + h/2 A(I + h/3 A(I + h/4 A))), built densely from the triples of A."""
+    rows, cols, vals = _rk4_operator(net, oracle)
+    a = np.zeros((net.n, net.n))
+    np.add.at(a, (rows, cols), vals)
+    m = np.eye(net.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in (dt / 4.0, dt / 3.0, dt / 2.0, dt):
+            m = np.eye(net.n) + (h * a) @ m
+    return m
 
 
 def stack_depth(net, oracle, dt):
-    """How many RK4 steps one array call of the linear ODE path advances."""
-    return power_depth(_rk4_propagator(net, oracle, dt), net.n)
+    """B of the dense stack [M; ...; M^B], or 1 when the flow steps on A itself."""
+    stack = _power_stack(_rk4_operator(net, oracle), net.n, dt)
+    return 1 if stack is None else len(stack) // net.n
 
 
 class TestAdmissibleEval:
@@ -271,22 +278,20 @@ class TestSimulation:
 
     def test_every_small_corpus_propagator_stacks_to_the_bound(self):
         for net, kind in itertools.product(corpus.corpus_networks(), ("neighbor", "diffusive")):
-            propagator = _rk4_propagator(net, linear_oracle(net, coupling=kind), 1e-3)
+            oracle = linear_oracle(net, coupling=kind)
             expected = 1
-            if np.isfinite(propagator[2]).all():
+            if np.isfinite(dense_propagator(net, oracle, 1e-3)).all():
                 while 2 * expected * net.n**2 <= dynamics._STACK_ENTRIES:
                     expected *= 2
-            assert power_depth(propagator, net.n) == expected, (net, kind)
+            assert stack_depth(net, oracle, 1e-3) == expected, (net, kind)
 
     def test_stacked_blocks_are_repeated_one_step_products(self):
         for net, kind in itertools.product(corpus.corpus_networks(), ("neighbor", "diffusive")):
-            propagator = _rk4_propagator(net, linear_oracle(net, coupling=kind), 1e-3)
-            stack = _power_stack(propagator, net.n)
+            oracle = linear_oracle(net, coupling=kind)
+            stack = _power_stack(_rk4_operator(net, oracle), net.n, 1e-3)
             assert stack.dtype == np.float64 and stack.flags.c_contiguous
-            assert stack.shape == (power_depth(propagator, net.n) * net.n, net.n)
-            indptr, cols, data = propagator
-            m = np.zeros((net.n, net.n))
-            np.add.at(m, (np.repeat(np.arange(net.n), np.diff(indptr)), cols), data)
+            assert stack.shape == (stack_depth(net, oracle, 1e-3) * net.n, net.n)
+            m = dense_propagator(net, oracle, 1e-3)
             blocks = stack.reshape(-1, net.n, net.n)
             power = np.eye(net.n)
             for block in blocks:
@@ -294,22 +299,26 @@ class TestSimulation:
                 assert np.abs(block - power).max() <= 1e-13, (net, kind)
 
     def test_zero_start_stays_zero_under_a_blowing_up_field(self, triangle3):
-        blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=1e30)})
         dt = 1e-2
-        assert stack_depth(triangle3, blower, dt) > 1  # a finite power is stacked
-        traj = simulate_ode(triangle3, blower, [0.0, 0.0, 0.0], 1.0, dt)
-        assert len(traj) == 101
-        assert all(v.hex() == "0x0.0p+0" for state in traj.states.tolist() for v in state)
+        # at a = 1e30 a finite power is stacked; at a = 1e100 M itself
+        # overflows, so the flow steps on A, where 0 * inf never arises
+        for a, stacked in ((1e30, True), (1e100, False)):
+            blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=a)})
+            stack = _power_stack(_rk4_operator(triangle3, blower), 3, dt)
+            assert len(stack) > 3 if stacked else stack is None
+            traj = simulate_ode(triangle3, blower, [0.0, 0.0, 0.0], 1.0, dt)
+            assert len(traj) == 101
+            assert all(v.hex() == "0x0.0p+0" for state in traj.states.tolist() for v in state)
 
     def test_dense_propagator_above_the_stack_bound_steps_one_at_a_time(self):
-        n = 100  # every cell reaches every other in two steps, so M is dense
+        n = 300  # every cell reaches every other in two steps, so M is dense
         cells = [f"c{i}" for i in range(n)]
         edges = [(cells[0], c, 1) for c in cells[1:]] + [(c, cells[0], 1) for c in cells[1:]]
         net = Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1), edges)
         oracle = linear_oracle(net)
-        propagator = _rk4_propagator(net, oracle, 1e-2)
-        assert len(propagator[1]) == n * n > dynamics._STACK_ENTRIES
-        assert _power_stack(propagator, n) is None
+        m = dense_propagator(net, oracle, 1e-2)
+        assert np.count_nonzero(m) == n * n > dynamics._STACK_ENTRIES
+        assert _power_stack(_rk4_operator(net, oracle), n, 1e-2) is None
         tracemalloc.start()
         try:
             traj = simulate_ode(net, oracle, [float(i % 7) for i in range(n)], 0.2, 1e-2)
@@ -317,7 +326,8 @@ class TestSimulation:
         finally:
             tracemalloc.stop()
         assert len(traj) == 21
-        assert peak < 8e6  # a product plan on this pattern alone holds n**3 = 1e6 pairs
+        assert peak < 8e6  # forming M by sparse products on this hub peaks at 23 MB
+        assert np.abs(traj.states[1:] - traj.states[:-1] @ m.T).max() <= 1e-12  # each row is M x
 
     def test_linear_divergence_names_first_non_finite_step(self, triangle3):
         blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("scale", a=1e30)})

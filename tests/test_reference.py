@@ -28,6 +28,7 @@ from synchro import (
     NaturalAdd,
     NaturalMul,
     Network,
+    Partition,
     ResistorParallel,
     WithAnnihilator,
     brute_force_balanced,
@@ -39,7 +40,7 @@ from synchro import (
 )
 from synchro.cir import _converge, _sweep
 from synchro.coding import coded
-from synchro.lattice import _lower_covers, _screened_seeds, _split_seeds
+from synchro.lattice import _lower_covers, _screened_seeds, _split
 
 
 def ref_sums(net, colors, c):
@@ -199,6 +200,19 @@ def test_balance_and_lattice_match_reference(name):
         assert list(lattice.elements) == elements
         assert list(lattice.covers) == ref_covers(elements)
         assert lattice.top == top(net) == min(balanced, key=lambda p: p.rank)
+
+
+def _split_seeds(parent: tuple[int, ...]):
+    """Every ``_split`` seed of ``parent``: classes in order of their first cell,
+    masks ascending within each.
+
+    Each class of size k gives its 2^(k-1) - 1 proper splits; the split-off
+    part never holds the class's first cell.
+    """
+    rank = max(parent)
+    for cls in Partition._from_canonical(parent).classes():
+        for mask in range(1, 1 << (len(cls) - 1)):
+            yield _split(parent, rank, cls, mask)
 
 
 def unpruned_walk(net):
