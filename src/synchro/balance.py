@@ -70,19 +70,36 @@ def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature
     return RowSignature(cell=cell, owner_color=partition.colors[row], sums=sums)
 
 
+_BALANCED = BalanceResult(balanced=True)
+
+
 def is_balanced(net: Network, partition: Partition) -> BalanceResult:
     """Decide balance; on failure report the first offending cell pair.
 
     The counterexample is the first (in cell order) pair of same-colored
     cells whose sum vectors differ, together with the 1-based color where
     they first disagree.
+
+    A balanced verdict is remembered in the network's coded view
+    (``CodedNetwork.balanced``), weakly, so asking again about an equal
+    partition while one is still held skips the type check and the sweep.
+    Equal partitions have equal colors and the network never changes, so
+    the answer is the one a sweep would give. Unbalanced verdicts are not
+    remembered, and an object that cannot be weakly referenced is answered
+    but not remembered.
     """
-    _require_below_types(net, partition)
     view = coded(net)
+    if partition in view.balanced:
+        return _BALANCED
+    _require_below_types(net, partition)
     colors = partition.colors
     new, new_rank, _ = _sweep(view, colors)
     if new_rank == partition.rank:  # the sweep split no class
-        return BalanceResult(balanced=True)
+        try:
+            view.balanced.add(partition)
+        except TypeError:  # not weakly referenceable
+            pass
+        return _BALANCED
     first: dict[int, int] = {}  # old color -> its first cell
     for idx, old in enumerate(colors):  # some class split, so this loop breaks
         c = first.setdefault(old, idx)

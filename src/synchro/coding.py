@@ -21,12 +21,20 @@ interns each distinct wire weight of a type pair once, ``Network.build``
 each distinct weight object, and both merge parallel edges through the
 combine memo into the rows that ``set_rows`` stores. Every value-level
 query decodes from the codes.
+
+The view also remembers which partitions ``balance.is_balanced`` has found
+balanced on it, in a weak set: a network never changes after it is built,
+so a verdict stays true, and an entry lives only while some caller still
+holds that partition. Pickles and copies leave the set out and start empty.
 """
 from __future__ import annotations
 
+import weakref
+
 
 class CodedNetwork:
-    """Per-row source and weight-code tuples of the non-identity entries plus the intern pool."""
+    """Per-row source and weight-code tuples of the non-identity entries, plus the
+    intern pool, the combine memo and the balance-verdict memo."""
 
     __slots__ = (
         "n",
@@ -36,6 +44,7 @@ class CodedNetwork:
         "specs",
         "values",
         "memo",
+        "balanced",
     )
 
     def __init__(self):
@@ -47,6 +56,15 @@ class CodedNetwork:
         self.rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.n = 0
         self.n_edges = 0
+        self.balanced: weakref.WeakSet = weakref.WeakSet()  # partitions found balanced here
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__ if name != "balanced"}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.balanced = weakref.WeakSet()
 
     def set_rows(self, rows: list[dict[int, int]]) -> None:
         """Store merged ``{source: code}`` rows; code-0 (identity) entries are dropped."""

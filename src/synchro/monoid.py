@@ -37,6 +37,9 @@ class _Short:
     def __repr__(self):
         return "SHORT"
 
+    def __reduce__(self):  # pickles and copies are the singleton itself
+        return "SHORT"
+
 
 class _Annihilator:
     """Fresh absorbing element adjoined by WithAnnihilator."""
@@ -44,6 +47,9 @@ class _Annihilator:
     __slots__ = ()
 
     def __repr__(self):
+        return "ANNIHILATOR"
+
+    def __reduce__(self):
         return "ANNIHILATOR"
 
 

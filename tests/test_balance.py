@@ -1,5 +1,6 @@
 """Balance decisions, row signatures and quotient networks."""
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from synchro import (
     NotBalancedError,
     Partition,
     PartitionError,
+    MonoidRegistry,
+    NaturalAdd,
     ResistorParallel,
     brute_force_balanced,
     check_transitivity,
@@ -24,6 +27,7 @@ from synchro import (
     quotient_relation_holds,
     row_signature,
 )
+from synchro.coding import coded
 
 R = ResistorParallel()
 
@@ -76,6 +80,88 @@ def test_chain_counterexample(chain3):
 def test_counterexample_is_first_in_cell_order(resistor6):
     result = is_balanced(resistor6, parse_partition("1;2;3;4;5,6", resistor6.cells))
     assert result.counterexample[:2] == ("5", "6")
+
+
+@pytest.mark.parametrize(
+    "corpus_networks",
+    [corpus.corpus_networks, corpus_noncancel.corpus_networks],
+    ids=["mixed", "noncancellative"],
+)
+def test_verdict_memo_answers_as_a_sweep_does(corpus_networks):
+    """Cold, warm and through an equal fresh partition, every verdict is the same."""
+    rng = random.Random(17)
+    for net in corpus_networks()[:20]:
+        for part in [net.type_partition(), Partition.trivial(net.n)] + [
+            corpus.random_seed_partition(net, rng) for _ in range(4)
+        ]:
+            cold = is_balanced(net, part)
+            assert (part in coded(net).balanced) == cold.balanced
+            assert is_balanced(net, part) == cold
+            assert is_balanced(net, Partition.from_colors(part.colors)) == cold
+
+
+def test_unbalanced_verdicts_are_not_remembered(chain3):
+    part = parse_partition("1;2,3", chain3.cells)
+    results = [is_balanced(chain3, part) for _ in range(3)]
+    assert len(coded(chain3).balanced) == 0
+    assert results[0].counterexample == ("2", "3", 1)
+    assert results == [results[0]] * 3
+
+
+def test_memo_still_raises_partition_errors(resistor6):
+    view = coded(resistor6)
+    trivial = Partition.trivial(6)
+    assert is_balanced(resistor6, trivial).balanced
+    assert len(view.balanced) == 1
+    for bad in (Partition.trivial(5), Partition.single(6)):  # wrong length, mixed types
+        for _ in range(2):
+            with pytest.raises(PartitionError):
+                is_balanced(resistor6, bad)
+    assert len(view.balanced) == 1
+
+
+def test_networks_with_other_weights_do_not_share_verdicts(triangle3):
+    registry = MonoidRegistry.uniform(NaturalAdd(), 1)
+    edges = [("1", "1", 1), ("1", "3", 1), ("2", "1", 2), ("2", "3", 1),
+             ("3", "1", 1), ("3", "2", 1), ("3", "3", 1)]
+    other = Network.build(["1", "2", "3"], ["t"] * 3, ["t"], registry, edges)
+    part = parse_partition("1,2;3", triangle3.cells)
+    assert is_balanced(triangle3, part).balanced
+    assert part in coded(triangle3).balanced
+    assert is_balanced(other, part).counterexample == ("1", "2", 1)
+    assert len(coded(other).balanced) == 0
+
+
+def test_memo_holds_partitions_weakly(triangle3):
+    part = parse_partition("1,2;3", triangle3.cells)
+    assert is_balanced(triangle3, part).balanced
+    assert len(coded(triangle3).balanced) == 1
+    del part
+    gc.collect()
+    assert len(coded(triangle3).balanced) == 0
+
+
+class _SlottedColoring:
+    """A coloring with a Partition's reading interface that cannot be weakly referenced."""
+
+    __slots__ = ("colors",)
+
+    def __init__(self, colors):
+        self.colors = colors
+
+    def __len__(self):
+        return len(self.colors)
+
+    @property
+    def rank(self):
+        return max(self.colors)
+
+
+def test_colorings_without_weak_references_are_answered_not_remembered(triangle3, chain3):
+    assert is_balanced(triangle3, _SlottedColoring((1, 1, 2))).balanced
+    assert len(coded(triangle3).balanced) == 0
+    result = is_balanced(chain3, _SlottedColoring((1, 2, 2)))
+    assert result.counterexample == ("2", "3", 1)
 
 
 def test_quotient_triangle(triangle3):

@@ -1,5 +1,7 @@
 """Algebraic laws and the concrete weight monoids."""
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -62,6 +64,11 @@ class TestResistor:
     def test_short_circuit_absorbs(self):
         assert combine(R, R.from_resistance(0), R.from_resistance(30)) is SHORT
         assert R.annihilator is SHORT
+
+    def test_absorbing_singletons_survive_pickle_and_copy(self):
+        for tag in (SHORT, ANNIHILATOR):
+            assert pickle.loads(pickle.dumps(tag)) is tag
+            assert copy.deepcopy(tag) is tag
 
     def test_exact_fractions_survive(self):
         # 3 parallel branches of 45/2 ohm each: conductances add to 2/15

@@ -3,6 +3,7 @@ import copy
 import gc
 import hashlib
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -28,6 +29,7 @@ from synchro import (
     SizeLimitError,
     format_partition,
     in_neighborhood,
+    is_balanced,
     network_from_json,
     network_to_json,
     parse_network,
@@ -36,6 +38,7 @@ from synchro import (
     to_dot,
     top,
 )
+from synchro.coding import coded
 
 NA = NaturalAdd()
 R = ResistorParallel()
@@ -170,6 +173,25 @@ def test_round_trip_over_mixed_monoid_corpus():
 
     for net in corpus.corpus_networks():
         assert parse_network(serialize_network(net)) == net
+
+
+def test_networks_pickle_and_deep_copy_without_their_verdict_memo(resistor6, triangle3, chain3):
+    """Copies equal the original, start with an empty verdict memo and give the same verdicts.
+
+    The non-cancellative corpus carries the SHORT and ANNIHILATOR weights,
+    which must come back as the singletons the monoids test for.
+    """
+    nets = [resistor6, triangle3, chain3]
+    nets += corpus.corpus_networks() + corpus_noncancel.corpus_networks()
+    rng = random.Random(29)
+    for net in nets:
+        parts = [top(net)] + [corpus.random_seed_partition(net, rng) for _ in range(3)]
+        verdicts = [is_balanced(net, p) for p in parts]  # the memo holds top(net) now
+        assert len(coded(net).balanced) > 0
+        for copied in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+            assert copied == net
+            assert len(coded(copied).balanced) == 0
+            assert [is_balanced(copied, p) for p in parts] == verdicts
 
 
 def test_round_trip_preserves_exact_resistances(resistor6):

@@ -191,6 +191,10 @@ def test_balance_and_lattice_match_reference(name):
             result = is_balanced(net, candidate)
             assert result.balanced == (witness is None), (net, candidate)
             assert result.counterexample == witness, (net, candidate)
+            # again, warm, and through an equal fresh partition
+            assert is_balanced(net, candidate) == result, (net, candidate)
+            fresh = Partition.from_colors(candidate.colors)
+            assert is_balanced(net, fresh) == result, (net, candidate)
             if witness is None:
                 balanced.add(candidate)
         assert brute_force_balanced(net) == balanced
