@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cir import _require_below_types, _sweep
+from .cir import _color_types, _sweep
 from .coding import coded
-from .errors import NotBalancedError
+from .errors import NotBalancedError, SynchroError
 from .network import Network
 from .partition import Partition, compose
 
@@ -46,18 +46,9 @@ class QuotientResult:
     color_cells: tuple[str, ...]  # quotient cell id per color, in color order
 
 
-def _color_types(net: Network, partition: Partition) -> list[int]:
-    """Cell type index of each color (well defined below the type partition)."""
-    first = [None] * partition.rank
-    for idx, c in enumerate(partition.colors):
-        if first[c - 1] is None:
-            first[c - 1] = net.cell_types[idx]
-    return first  # type: ignore[return-value]
-
-
 def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature:
     """The per-color weight sums of one row; the trivial coloring gives the row itself."""
-    _require_below_types(net, partition)
+    color_types = _color_types(net, partition)
     row = net.index(cell)
     view = coded(net)
     codes = view.row_sums(partition.colors, row)
@@ -65,7 +56,7 @@ def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature
     # an absent slot holds its monoid's identity (None where none is registered)
     sums = tuple(
         view.values[codes[k]] if k in codes else getattr(net.registry.get(i, t), "identity", None)
-        for k, t in enumerate(_color_types(net, partition), start=1)
+        for k, t in enumerate(color_types, start=1)
     )
     return RowSignature(cell=cell, owner_color=partition.colors[row], sums=sums)
 
@@ -91,9 +82,9 @@ def is_balanced(net: Network, partition: Partition) -> BalanceResult:
     view = coded(net)
     if partition in view.balanced:
         return _BALANCED
-    _require_below_types(net, partition)
+    _color_types(net, partition)
     colors = partition.colors
-    new, new_rank, _ = _sweep(view, colors)
+    new, new_rank = _sweep(view, colors)
     if new_rank == partition.rank:  # the sweep split no class
         try:
             view.balanced.add(partition)
@@ -124,7 +115,11 @@ def _merged_id(members) -> str:
 
 
 def quotient(net: Network, partition: Partition) -> QuotientResult:
-    """The network on color classes; raises NotBalancedError with a witness pair."""
+    """The network on color classes; raises NotBalancedError with a witness pair.
+
+    Raises ``SynchroError`` when two classes would get the same merged id,
+    as the classes {a, b} and {a+b} would.
+    """
     result = is_balanced(net, partition)
     if not result.balanced:
         raise NotBalancedError(result.counterexample)
@@ -132,6 +127,15 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
     classes = partition.classes()
     color_cells = tuple(_merged_id(net.cells[i] for i in cls) for cls in classes)
     cell_types = [net.type_names[t] for t in _color_types(net, partition)]
+    first: dict[str, list[int]] = {}
+    for cls, cell in zip(classes, color_cells):
+        other = first.setdefault(cell, cls)
+        if other is not cls:
+            raise SynchroError(
+                f"classes {[net.cells[i] for i in other]} and {[net.cells[i] for i in cls]}"
+                f" would both be quotient cell {cell!r}: quotient ids join member ids"
+                " with '+' and read '+' in an id as a separator"
+            )
 
     edges = []
     for k, cls in enumerate(classes):
@@ -151,7 +155,7 @@ def quotient_relation_holds(net: Network, qres: QuotientResult) -> bool:
     on both sides, so the comparison is the entrywise one.
     """
     partition = qres.relation
-    _require_below_types(net, partition)
+    _color_types(net, partition)
     q = qres.quotient
     q_view, view = coded(q), coded(net)
     color_of = {q.index(cell): k + 1 for k, cell in enumerate(qres.color_cells)}

@@ -14,51 +14,11 @@ numbered in first-occurrence row order, which makes every sweep's output
 canonical. ``cir`` records every sweep; ``top``, the meet and lattice
 enumeration run the converged-only loop on plain int lists and build one
 Partition at the end. Lattice enumeration also stops a seed as soon as a
-sweep lands on a balanced coloring it already knows.
+sweep lands on a balanced coloring it already knows, and abandons one
+once a sweep cuts its split class too finely (``synchro.lattice`` proves
+that no cover is lost).
 
-Lattice enumeration may also abandon a seed. A seed splits one class K of
-a balanced parent p into A and K - A; its smaller side is
-min(|A|, |K - A|), and a piece is a class of a sweep's output restricted
-to K. The seed is abandoned, with no result, once some sweep leaves a
-piece smaller than its smaller side. No lower cover of p is lost, for
-any commutative monoid and without subtracting weights:
-
-1. Each sweep output is coarser than every balanced coloring finer than
-   the seed: two cells in one class of such a coloring have equal sums
-   over the colors of any coarser coloring, so no sweep separates them.
-2. So if a cover q of p splits K, every union P of q-pieces of K gives a
-   seed s_P whose refinement is q: that refinement is balanced, strictly
-   finer than p and coarser than q, and nothing lies strictly between.
-3. Take the P whose smaller side is smallest. Every piece its run sees is
-   a union of q-pieces of K, so one smaller than that side would be a
-   union with a smaller side still.
-4. That seed therefore finishes and returns q, in any seed order.
-5. What an abandoned seed would have returned is balanced and strictly
-   finer than p, so it is a cover of p or lies below one, and every cover
-   is found. The covers are still the maximal results, and the walk down
-   the covers still reaches every element.
-
-Most seeds never reach ``_converge``: the walk screens them on their split
-class alone (``synchro.lattice._surviving_masks``), and the screen is
-exact for every commutative monoid, again without subtracting weights:
-
-1. The seed recolors only K, and p is balanced, so every row of K has
-   equal sums over each class of p other than K. Two rows of K therefore
-   share a class after the first sweep exactly when their keys (side, sum
-   from A, sum from K - A) are equal: the screen's pieces are the pieces
-   of the first sweep, and they depend on K alone, not on the rest of p.
-2. So the screen drops exactly the seeds that the first sweep abandons,
-   plus those whose first sweep lands on a known element with a piece
-   below the smaller side. Such a seed only adds a known element to p's
-   results, which cannot change the maximal results: each cover comes
-   from its seed of step 3, whose pieces are unions of cover-pieces, and
-   that seed passes the screen.
-3. The survivors reach ``_converge`` in ascending mask order, class by
-   class, as every seed did before, and no dropped seed would have found
-   a new element. The elements, their order, the covers and every
-   partial lattice are unchanged.
-4. The masks of a class are screened in blocks of 2^6, so a walk stopped
-   by its budget screens at most one block past its last seed.
+Every entry point that takes a coloring checks it in ``_color_types``.
 """
 from __future__ import annotations
 
@@ -104,24 +64,27 @@ class CirTrace:
         return sum(self.ops)
 
 
-def _require_below_types(net: Network, partition: Partition) -> None:
+def _color_types(net: Network, partition: Partition) -> list[int]:
+    """The cell type index of each color, in color order.
+
+    Raises ``PartitionError`` unless the coloring covers the network's cells
+    and gives each color cells of one type.
+    """
     if len(partition) != net.n:
         raise PartitionError(
             f"partition covers {len(partition)} cells, network has {net.n}"
         )
-    type_of: dict[int, int] = {}
+    type_of: dict[int, int] = {}  # canonical colors, so first seen in color order
     for color, t in zip(partition.colors, net.cell_types):
         if type_of.setdefault(color, t) != t:
             raise PartitionError("partition mixes cells of different types")
+    return list(type_of.values())
 
 
-def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
+def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int]:
     """One refinement sweep under any hashable, orderable cell labels.
 
-    Returns the new canonical coloring (colors 1..rank), its rank and the
-    work done: one key per row plus one visit per edge, |C| + |E| in total,
-    which ``set_rows`` fixes when it stores the rows, so it is read off
-    the view rather than counted.
+    Returns the new canonical coloring (colors 1..rank) and its rank.
     Rows with at most two edges are keyed inline, to exactly the key the
     general path builds: two same-colored sources merge once and drop out
     when they sum to the identity, two differently colored ones are listed
@@ -150,7 +113,7 @@ def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int, int]:
             sums = view.row_sums(colors, r)
             key = (colors[r], *chain.from_iterable(sorted(sums.items())))
         new.append(table.setdefault(key, len(table) + 1))
-    return new, len(table), view.n + view.n_edges
+    return new, len(table)
 
 
 def _converge(
@@ -169,7 +132,7 @@ def _converge(
     sweep leaves a piece of that class smaller than the smaller side.
     """
     while True:
-        new, new_rank, _ = _sweep(view, colors)
+        new, new_rank = _sweep(view, colors)
         colors = tuple(new)
         if new_rank == rank or colors in known:
             return colors
@@ -185,26 +148,29 @@ def _converge(
 
 def cir_iteration(net: Network, partition: Partition) -> Partition:
     """One refinement sweep; balanced inputs are fixed points."""
-    _require_below_types(net, partition)
-    new, _, _ = _sweep(coded(net), partition.colors)
+    _color_types(net, partition)
+    new, _ = _sweep(coded(net), partition.colors)
     return Partition._from_canonical(tuple(new))
 
 
 def cir(net: Network, seed: Partition) -> CirTrace:
-    """Refine ``seed`` to the coarsest balanced partition finer than it."""
-    _require_below_types(net, seed)
+    """Refine ``seed`` to the coarsest balanced partition finer than it.
+
+    Each sweep keys every row once and visits every edge once, so its
+    work, ``CirTrace.ops``, is |C| + |E| whatever the coloring.
+    """
+    _color_types(net, seed)
     view = coded(net)
     colors, rank = seed.colors, seed.rank
     iterations: list[tuple[Partition, int]] = []
-    ops: list[int] = []
     while True:
-        new, new_rank, sweep_ops = _sweep(view, colors)
+        new, new_rank = _sweep(view, colors)
         iterations.append((Partition._from_canonical(tuple(new)), new_rank))
-        ops.append(sweep_ops)
         if new_rank == rank:
             break
         colors, rank = new, new_rank
-    return CirTrace(seed=seed, iterations=tuple(iterations), ops=tuple(ops))
+    ops = (view.n + view.n_edges,) * len(iterations)
+    return CirTrace(seed=seed, iterations=tuple(iterations), ops=ops)
 
 
 def top(net: Network) -> Partition:

@@ -2,8 +2,9 @@
 
 All analysis output is JSON on stdout (pass --pretty for an indented,
 human-friendly form); errors go to stderr as one machine-readable JSON
-object. Exit codes: 0 success, 1 domain error (not balanced, budget
-exceeded, diverged), 2 usage or parse error.
+object, except usage errors that click reports itself (bad or missing
+options), which print click's usage text. Exit codes: 0 success, 1 domain
+error (not balanced, budget exceeded, diverged), 2 usage or parse error.
 
 Only ``simulate`` and ``witness`` import the dynamics layer, and with it
 numpy, inside their bodies; every other command starts without them.

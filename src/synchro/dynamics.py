@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import _color_types, quotient, row_signature, is_balanced
+from .balance import quotient, row_signature, is_balanced
+from .cir import _color_types
 from .coding import coded
 from .errors import (
     DimensionMismatch,
@@ -65,8 +66,8 @@ from .errors import (
     SizeLimitError,
     WitnessError,
 )
-from .monoid import MonoidRegistry, MonoidSpec
-from .network import Network, _read_json
+from .monoid import MonoidRegistry, MonoidSpec, _kind_of
+from .network import Network, _read_json, _typed_entries
 from .partition import Partition, lift
 
 # -- oracle building blocks --------------------------------------------------
@@ -212,10 +213,8 @@ def linear_oracle(net: Network, *, gain: float = 0.5, coupling: str = "neighbor"
     sum of coupling gains is ``gain``; that keeps the vector field strictly
     stable and the iterated map inside float range over short horizons.
     """
-    tgt, _, codes, pairs = _flat_edges(net)
-    natural = {p: s.default_kappa() for p, s in net.registry.pairs()}
-    gains = _kappa_values(natural, len(net.type_names), coded(net).values, pairs, codes, {})
-    rowmax = float(np.bincount(tgt, weights=np.abs(gains), minlength=net.n).max())
+    field = _linear_field(net, coupling_oracle(net.registry, len(net.type_names)))
+    rowmax = float(np.bincount(field.tgt, weights=np.abs(field.gains), minlength=net.n).max())
     scale = gain / rowmax if math.isfinite(rowmax) and rowmax > 0 else 1.0
     return coupling_oracle(
         net.registry,
@@ -437,25 +436,6 @@ def simulate_map(net: Network, oracle: Oracle, x0, steps: int) -> Trajectory:
     return Trajectory(times=tuple(range(steps + 1)), states=orbit, kind="map")
 
 
-def _flat_edges(net: Network):
-    """Every coded edge as (target, source, weight code, type pair) arrays.
-
-    Edges come in row order: targets ascending, then sources ascending.
-    The type pair is the id target type * n_types + source type.
-    """
-    view = coded(net)
-    types = np.asarray(net.cell_types, dtype=np.int64)
-    lens = np.fromiter((len(srcs) for srcs, _ in view.rows), dtype=np.int64, count=net.n)
-    tgt = np.repeat(np.arange(net.n, dtype=np.int64), lens)
-    src = np.fromiter(
-        (d for srcs, _ in view.rows for d in srcs), dtype=np.int64, count=view.n_edges
-    )
-    codes = np.fromiter(
-        (k for _, ks in view.rows for k in ks), dtype=np.int64, count=view.n_edges
-    )
-    return tgt, src, codes, types[tgt] * len(net.type_names) + types[src]
-
-
 def _kappa_values(kappa: dict, n_types: int, values: list, pairs, codes, memo: dict):
     """kappa[pair](values[code]) for every (type pair id, code), as an array.
 
@@ -511,7 +491,17 @@ def _linear_field(net: Network, oracle: Oracle) -> _LinearField | None:
     gs = [oracle._g[i] for i in range(n_types)]
     if any(gs[i].kind not in ("zero", "scale") for i in set(net.cell_types)):
         return None
-    tgt, src, codes, pairs = _flat_edges(net)
+    view = coded(net)
+    types = np.asarray(net.cell_types, dtype=np.int64)
+    lens = np.fromiter((len(srcs) for srcs, _ in view.rows), dtype=np.int64, count=net.n)
+    tgt = np.repeat(np.arange(net.n, dtype=np.int64), lens)
+    src = np.fromiter(
+        (d for srcs, _ in view.rows for d in srcs), dtype=np.int64, count=view.n_edges
+    )
+    codes = np.fromiter(
+        (k for _, ks in view.rows for k in ks), dtype=np.int64, count=view.n_edges
+    )
+    pairs = types[tgt] * n_types + types[src]
     diffusive_pairs = []
     for p in np.unique(pairs).tolist():
         pair = divmod(p, n_types)
@@ -522,10 +512,9 @@ def _linear_field(net: Network, oracle: Oracle) -> _LinearField | None:
             return None
         if kind == "diffusive":
             diffusive_pairs.append(p)
-    types = np.asarray(net.cell_types, dtype=np.int64)
     return _LinearField(
         tgt, src, codes, pairs,
-        gains=_kappa_values(oracle._kappa, n_types, coded(net).values, pairs, codes, {}),
+        gains=_kappa_values(oracle._kappa, n_types, view.values, pairs, codes, {}),
         diffusive=np.isin(pairs, diffusive_pairs),
         slope=np.asarray([g.a if g.kind == "scale" else 0.0 for g in gs])[types],
         zero_g=np.asarray([g.kind == "zero" for g in gs], dtype=bool)[types],
@@ -886,32 +875,13 @@ def _oracle_entries(obj, net: Network, section: str):
     entries = obj.get(section, [])
     if not isinstance(entries, list):
         raise SchemaError(f"oracle field {section!r} must be a list")
-    name_to_idx = {name: i for i, name in enumerate(net.type_names)}
-    seen = set()
-    for pos, entry in enumerate(entries):
-        where = f"{section}[{pos}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where} must be an object")
-        kind = entry.get("kind", default_kind)
-        if not isinstance(kind, str) or kind not in kinds:
-            raise SchemaError(f"{where}: unknown kind {kind!r} (use {' or '.join(kinds)})")
-        extra = entry.keys() - {"kind", *name_fields, *kinds[kind]}
-        if extra:
-            raise SchemaError(
-                f"{where}: unexpected key(s) {', '.join(sorted(map(repr, extra)))} "
-                f"for {section} kind {kind!r}"
-            )
-        names = [entry.get(field) for field in name_fields]
-        for field, name in zip(name_fields, names):
-            if not isinstance(name, str) or name not in name_to_idx:
-                raise SchemaError(f"{where}.{field} must name a type, got {name!r}")
-        key = tuple(name_to_idx[name] for name in names)
+    for where, key, entry in _typed_entries(entries, section, net.type_names, name_fields):
+        try:
+            kind = _kind_of(entry, kinds, section, default_kind, name_fields)
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
         if len(key) == 2 and net.registry.get(*key) is None:
             raise SchemaError(f"{where}: no monoid is registered for this type pair")
-        if key in seen:
-            what = f"type {names[0]!r}" if len(key) == 1 else f"pair ({names[0]!r}, {names[1]!r})"
-            raise SchemaError(f"{where}: duplicate entry for {what}")
-        seen.add(key)
         params = {field: entry[field] for field in kinds[kind] if field in entry}
         for field, value in params.items():  # bool is a subclass of int, not int itself
             if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:

@@ -8,6 +8,50 @@ maximal balanced partition, refining every single-class bipartition that
 survives a screen of its first sweep, and reads the cover relation off the
 same walk -- exhaustive search over all set partitions is kept as the
 oracle for small instances.
+
+A seed (``_split``) splits one class K of a balanced parent p into A and
+K - A; its smaller side is min(|A|, |K - A|), and a piece is a class of
+a sweep's output restricted to K. The seed is abandoned, with no result,
+once some sweep leaves a piece smaller than its smaller side. No lower
+cover of p is lost, for any commutative monoid and without subtracting
+weights:
+
+1. Each sweep output is coarser than every balanced coloring finer than
+   the seed: two cells in one class of such a coloring have equal sums
+   over the colors of any coarser coloring, so no sweep separates them.
+2. So if a cover q of p splits K, every union P of q-pieces of K gives a
+   seed s_P whose refinement is q: that refinement is balanced, strictly
+   finer than p and coarser than q, and nothing lies strictly between.
+3. Take the P whose smaller side is smallest. Every piece its run sees is
+   a union of q-pieces of K, so one smaller than that side would be a
+   union with a smaller side still.
+4. That seed therefore finishes and returns q, in any seed order.
+5. What an abandoned seed would have returned is balanced and strictly
+   finer than p, so it is a cover of p or lies below one, and every cover
+   is found. The covers are still the maximal results, and the walk down
+   the covers still reaches every element.
+
+Most seeds never reach ``_converge``: the walk screens them on their split
+class alone (``_surviving_masks``), and the screen is exact for every
+commutative monoid, again without subtracting weights:
+
+1. The seed recolors only K, and p is balanced, so every row of K has
+   equal sums over each class of p other than K. Two rows of K therefore
+   share a class after the first sweep exactly when their keys (side, sum
+   from A, sum from K - A) are equal: the screen's pieces are the pieces
+   of the first sweep, and they depend on K alone, not on the rest of p.
+2. So the screen drops exactly the seeds that the first sweep abandons,
+   plus those whose first sweep lands on a known element with a piece
+   below the smaller side. Such a seed only adds a known element to p's
+   results, which cannot change the maximal results: each cover comes
+   from its seed of step 3, whose pieces are unions of cover-pieces, and
+   that seed passes the screen.
+3. The survivors reach ``_converge`` in ascending mask order, class by
+   class, as every seed did before, and no dropped seed would have found
+   a new element. The elements, their order, the covers and every
+   partial lattice are unchanged.
+4. The masks of a class are screened in blocks of 2^6, so a walk stopped
+   by its budget screens at most one block past its last seed.
 """
 from __future__ import annotations
 
@@ -125,7 +169,7 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
 
     A row of K is keyed by (side, sum from side 0, sum from side 1) over its
     in-edges from K, and a mask survives when no key is held by fewer rows
-    than its smaller side (``synchro.cir`` shows why). Masks are visited in
+    than its smaller side (the module docstring shows why). Masks are visited in
     Gray-code order within blocks of 2^6, so each step moves one cell and
     rekeys only the rows it touches, without subtracting; each block's
     survivors are yielded before the next block is screened.
@@ -244,30 +288,13 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     the refinement of one of its seeds, so its covers are the maximal
     results of its seeds.
 
-    A seed that splits class K into A and K - A is abandoned, and gives no
-    result, once a sweep splits K into a piece smaller than
-    min(|A|, |K - A|). This loses no cover, for any monoid: each sweep
-    output is coarser than every balanced coloring finer than the seed, so
-    if a cover q splits K, the seed that splits K into a union of q-pieces
-    with the smallest smaller side refines to q, and every piece its run
-    sees is a union of q-pieces, so none is smaller than that side. An
-    abandoned seed would only have found a cover or a coloring below one,
-    so the covers are still the maximal results, and walking down them
-    still reaches every element (the steps are spelled out in
-    ``synchro.cir``).
-
-    Seeds are screened before they are built. A split of K recolors only
-    K in a balanced parent, so its first sweep tells rows of K apart by
-    (side, sum from A, sum from K - A) over in-edges from K alone. The
-    screen walks the masks of K in Gray-code order, in blocks of 2^6,
-    rekeying only the rows a moved cell touches, and drops each split
-    whose first sweep would abandon it or land, too finely cut, on a known
-    element; the seed that finds each cover passes, so the maximal results
-    stay the same. The survivors depend on K alone and are reused for
-    every element with class K. They are converged in ascending mask
-    order as before, so the elements, covers and partial lattices are
-    unchanged, and a stopped walk screens at most one block past its last
-    seed.
+    Seeds are screened on their split class (``_surviving_masks``), and
+    a seed is abandoned once a sweep cuts that class into a piece smaller
+    than the seed's smaller side; the module docstring proves that
+    neither loses a cover. Survivors are converged in ascending mask
+    order, so the elements, covers and partial lattices are those of
+    converging every seed, and a stopped walk screens at most one block
+    of 2^6 masks past its last seed.
 
     A budget guards the worst case where essentially every partition is
     balanced; exceeding it returns the partial set flagged

@@ -551,20 +551,29 @@ _PARAMS = {
 }
 
 
-def spec_from_json(obj) -> MonoidSpec:
-    """Rebuild a MonoidSpec from its tagged JSON form."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError(f"monoid spec must be an object with a 'kind', got {obj!r}")
-    kind = obj["kind"]
-    if not isinstance(kind, str):
-        raise SchemaError(f"monoid 'kind' must be a string, got {kind!r}")
-    if kind not in _PARAMS:
-        raise SchemaError(f"unknown monoid kind {kind!r}")
-    extra = obj.keys() - _PARAMS[kind] - {"kind"}
+def _kind_of(obj: dict, params, what: str, default: str | None = None, names=()) -> str:
+    """The ``kind`` tag of a tagged JSON object, ``default`` when it has none.
+
+    ``params`` maps each allowed kind to the keys its object may hold
+    besides ``kind`` and the type-name fields ``names``; any other kind or
+    key is a ``SchemaError`` naming ``what`` the object describes.
+    """
+    kind = obj.get("kind", default)
+    if not isinstance(kind, str) or kind not in params:
+        raise SchemaError(f"{what} 'kind' must be one of {', '.join(params)}; got {kind!r}")
+    extra = obj.keys() - {"kind", *names, *params[kind]}
     if extra:
         raise SchemaError(
-            f"unexpected key(s) {', '.join(sorted(map(repr, extra)))} for monoid kind {kind!r}"
+            f"unexpected key(s) {', '.join(sorted(map(repr, extra)))} for {what} kind {kind!r}"
         )
+    return kind
+
+
+def spec_from_json(obj) -> MonoidSpec:
+    """Rebuild a MonoidSpec from its tagged JSON form."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"monoid spec must be an object with a 'kind', got {obj!r}")
+    kind = _kind_of(obj, _PARAMS, "monoid")
     if kind in _KINDS:
         return _KINDS[kind]()
     if kind == "free_commutative":

@@ -14,8 +14,9 @@ the value-level queries below decode them.
 
 Both constructors, ``Network.build`` and ``network_from_json``, check the
 cell table in ``_cell_index``. Every JSON document the package reads or
-writes goes through ``_read_json`` and ``_write_json``, and both DOT
-writers quote through ``_quote``.
+writes goes through ``_read_json`` and ``_write_json``, every type-keyed
+section (a network's ``monoids``, an oracle file's sections) through
+``_typed_entries``, and both DOT writers quote through ``_quote``.
 """
 from __future__ import annotations
 
@@ -71,6 +72,32 @@ def _cell_index(cells, cell_types, type_names) -> tuple[dict[str, int], list[int
         dupes = sorted(t for t, k in Counter(type_names).items() if k > 1)
         raise SchemaError(f"duplicate type names: {dupes}")
     return index, type_idx
+
+
+def _typed_entries(entries, section: str, type_names, fields):
+    """Yield ``(where, key, entry)`` for each entry of a type-keyed section.
+
+    ``where`` is ``section[i]`` and ``key`` the tuple of type indices that
+    the entry's ``fields`` name. Each entry must be an object whose fields
+    name declared types, and no key may appear twice; a fault is a
+    ``SchemaError`` that starts with ``where``.
+    """
+    name_to_idx = {name: i for i, name in enumerate(type_names)}
+    seen = set()
+    for pos, entry in enumerate(entries):
+        where = f"{section}[{pos}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where} must be an object")
+        names = [entry.get(field) for field in fields]
+        for field, name in zip(fields, names):
+            if not isinstance(name, str) or name not in name_to_idx:
+                raise SchemaError(f"{where}.{field} must name a type, got {name!r}")
+        key = tuple(name_to_idx[name] for name in names)
+        if key in seen:
+            what = f"type {names[0]!r}" if len(key) == 1 else f"pair ({names[0]!r}, {names[1]!r})"
+            raise SchemaError(f"{where}: duplicate entry for {what}")
+        seen.add(key)
+        yield where, key, entry
 
 
 def _accept(view: CodedNetwork, spec: MonoidSpec, weight, source, target) -> int:
@@ -279,30 +306,14 @@ def network_from_json(obj) -> Network:
         except KeyError:
             raise SchemaError(f"cells[{pos}] must be {{\"id\", \"type\"}}") from None
     index, type_idx = _cell_index(cells, cell_types, type_names)
-    name_to_idx = {name: i for i, name in enumerate(type_names)}
 
     table: dict[tuple[int, int], MonoidSpec] = {}
-    for pos, entry in enumerate(obj["monoids"]):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"monoids[{pos}] must be an object")
-        entry = dict(entry)
+    fields = ("target_type", "source_type")
+    for where, pair, entry in _typed_entries(obj["monoids"], "monoids", type_names, fields):
         try:
-            tt = entry.pop("target_type")
-            st = entry.pop("source_type")
-        except KeyError as exc:
-            raise SchemaError(f"monoids[{pos}] misses {exc.args[0]!r}") from None
-        for field, value in (("target_type", tt), ("source_type", st)):
-            if not isinstance(value, str):
-                raise SchemaError(f"monoids[{pos}].{field} must be a type name, got {value!r}")
-        if tt not in name_to_idx or st not in name_to_idx:
-            raise SchemaError(f"monoids[{pos}]: unknown type in pair ({tt!r}, {st!r})")
-        pair = (name_to_idx[tt], name_to_idx[st])
-        if pair in table:
-            raise SchemaError(f"monoids[{pos}]: duplicate entry for pair ({tt!r}, {st!r})")
-        try:
-            table[pair] = spec_from_json(entry)
+            table[pair] = spec_from_json({k: v for k, v in entry.items() if k not in fields})
         except SchemaError as exc:
-            raise SchemaError(f"monoids[{pos}]: {exc}") from None
+            raise SchemaError(f"{where}: {exc}") from None
     registry = MonoidRegistry(table)
 
     view = CodedNetwork()

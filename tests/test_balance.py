@@ -15,6 +15,8 @@ from synchro import (
     MonoidRegistry,
     NaturalAdd,
     ResistorParallel,
+    SchemaError,
+    SynchroError,
     brute_force_balanced,
     check_transitivity,
     compose,
@@ -305,6 +307,22 @@ def test_transitivity_with_interleaved_classes():
     report = check_transitivity(net, first, second)
     assert report.ok
     assert report.direct.cells == ("a+b+c",)
+
+
+def test_quotient_refuses_classes_whose_merged_ids_collide():
+    """Quotient ids read '+' as a separator, so {a, b} and {a+b} would both be a+b."""
+    cells = ["a", "b", "a+b"]
+    net = Network.build(cells, ["t"] * 3, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1),
+                        [("a", "a+b", 1), ("b", "a+b", 1), ("a+b", "a", 1)])
+    partition = parse_partition("a,b;a+b", cells)
+    assert is_balanced(net, partition).balanced
+    with pytest.raises(SynchroError) as err:
+        quotient(net, partition)
+    assert not isinstance(err.value, SchemaError)  # the input is valid
+    assert str(err.value).startswith(
+        "classes ['a', 'b'] and ['a+b'] would both be quotient cell 'a+b'"
+    )
+    assert quotient(net, Partition.trivial(3)).quotient.cells == ("a", "b", "a+b")
 
 
 def test_induced_partitions_stay_balanced_on_quotients():

@@ -12,8 +12,13 @@ from synchro import (
     cir_iteration,
     is_balanced,
     is_finer,
+    join,
+    meet,
     parse_partition,
+    quotient,
+    row_signature,
     top,
+    unbalance_witness,
 )
 
 
@@ -69,13 +74,23 @@ def test_rejects_type_mixing(resistor6):
         cir(resistor6, Partition.single(6))
 
 
-@pytest.mark.parametrize("check", [is_balanced, cir, cir_iteration])
+@pytest.mark.parametrize("check", [
+    is_balanced,
+    cir,
+    cir_iteration,
+    quotient,
+    pytest.param(lambda net, p: row_signature(net, p, "1"), id="row_signature"),
+    unbalance_witness,
+    pytest.param(lambda net, p: join(net, p, top(net)), id="join"),
+    pytest.param(lambda net, p: meet(net, top(net), p), id="meet"),
+])
 @pytest.mark.parametrize("partition, message", [
     (Partition.from_colors([1, 1, 1, 2, 2, 2]), "partition mixes cells of different types"),
     (Partition.trivial(5), "partition covers 5 cells, network has 6"),
 ])
 def test_partition_errors_name_the_fault(resistor6, check, partition, message):
-    # resistor6 types its cells a,a,b,b,a,a, so 1,2,3;4,5,6 mixes a and b
+    # resistor6 types its cells a,a,b,b,a,a, so 1,2,3;4,5,6 mixes a and b;
+    # join checks its first coloring and meet its second
     with pytest.raises(PartitionError) as err:
         check(resistor6, partition)
     assert str(err.value) == message

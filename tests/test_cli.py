@@ -139,6 +139,21 @@ def test_quotient_unbalanced_exits_1(runner, net_file):
     assert json.loads(result.stderr)["error"] == "not_balanced"
 
 
+def test_quotient_with_colliding_merged_ids_is_domain_error(runner, tmp_path):
+    net = Network.build(["a", "b", "a+b"], ["t"] * 3, ["t"],
+                        MonoidRegistry.uniform(NaturalAdd(), 1), [])
+    path = tmp_path / "net.json"
+    path.write_text(serialize_network(net))
+    for args in (["validate"], ["balanced", "-p", "a,b;a+b"]):
+        assert invoke(runner, args + [str(path)]).exit_code == 0, args
+    result = invoke(runner, ["quotient", "-p", "a,b;a+b", str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "domain"
+    assert "'a+b'" in err["detail"] and "['a', 'b']" in err["detail"]
+
+
 def test_lattice_json_and_dot(runner, net_file):
     path = net_file(make_resistor6())
     result = invoke(runner, ["lattice", path])
@@ -391,6 +406,9 @@ def test_simulate_bad_time_arguments_are_one_json_error(runner, net_file, tmp_pa
         ({"h": [{"target_type": "t", "source_type": "t", "kind": "diffusive"},
                 {"target_type": "t", "source_type": "t"}]},
          "h[1]: duplicate entry for pair ('t', 't')"),
+        ([], "oracle file must hold a JSON object"),
+        ({"g": [], "q": []}, "unknown oracle fields ['q']"),
+        ({"h": {}}, "oracle field 'h' must be a list"),
     ],
 )
 def test_bad_oracle_entry_is_one_schema_error(runner, net_file, tmp_path, oracle, where):
@@ -405,6 +423,36 @@ def test_bad_oracle_entry_is_one_schema_error(runner, net_file, tmp_path, oracle
     err = json.loads(result.stderr)
     assert err["error"] == "schema"
     assert err["detail"].startswith(where)
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("\n \n", "holds no initial state"),
+    ("1.0,x,2.0\n", "bad initial state"),
+])
+def test_unreadable_x0_is_one_schema_error(runner, net_file, tmp_path, text, detail):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("{}")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text(text)
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0), "--steps", "1",
+                             net_file(make_triangle3())])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)
+    assert err["error"] == "schema" and detail in err["detail"]
+
+
+def test_simulate_that_diverges_names_the_step(runner, net_file, tmp_path):
+    # x -> 1e200 x + (inputs): finite after one step, infinite after two
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text('{"g": [{"type": "t", "kind": "scale", "a": 1e200}]}')
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,1.0,2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0), "--steps", "5",
+                             net_file(make_triangle3())])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert (err["error"], err["step"]) == ("diverged", 2)
 
 
 @pytest.mark.parametrize("text", ["[" * 100000, '{"g": [{"type": "t", "a": 1' + "0" * 5000 + "}]}"])

@@ -340,6 +340,31 @@ class TestSimulation:
         assert len(traj) == k
         assert np.isfinite(traj.states).all()
 
+    def test_stage_by_stage_divergence_names_first_non_finite_step(self, triangle3):
+        # a custom g is not linear, so RK4 evaluates each stage through admissible_eval
+        blower = OracleSpec(triangle3.registry, 1, g={0: GFunc("custom", fn=lambda x: 1e20 * x)})
+        x0, dt = [1.0, 2.0, 3.0], 1.0
+        with pytest.raises(SimulationDiverged) as err:
+            simulate_ode(triangle3, blower, x0, 10.0, dt)
+        k = err.value.step
+        assert k >= 2
+        traj = simulate_ode(triangle3, blower, x0, (k - 1) * dt, dt)
+        assert len(traj) == k
+        assert np.isfinite(traj.states).all()
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda net, oracle, x0: simulate_map(net, oracle, x0, 3), id="map"),
+        pytest.param(lambda net, oracle, x0: simulate_ode(net, oracle, x0, 0.1, 1e-2), id="ode"),
+    ])
+    def test_x0_needs_one_finite_value_per_cell(self, triangle3, run):
+        oracle = linear_oracle(triangle3)
+        with pytest.raises(DimensionMismatch, match="^x0 has 2 entries, network has 3 cells$"):
+            run(triangle3, oracle, [1.0, 2.0])
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(SimulationDiverged) as err:
+                run(triangle3, oracle, [1.0, bad, 3.0])
+            assert err.value.step == 0
+
     def test_ode_states_are_a_read_only_float64_orbit(self, triangle3):
         traj = simulate_ode(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], 0.02, 1e-2)
         _assert_orbit_array(traj, 3, 3)

@@ -101,6 +101,8 @@ def test_resistor_example_lattice(resistor6):
     assert set(lat.elements) == expected
     assert lat.top == parse_partition("1,2;3;4;5,6", resistor6.cells)
     assert lat.bottom == Partition.trivial(6)
+    assert all(p in lat for p in expected)
+    assert parse_partition("1;2;3;4;5,6", resistor6.cells) not in lat  # finer than top, unbalanced
 
 
 def test_chain_lattice_is_only_trivial(chain3):

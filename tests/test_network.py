@@ -17,6 +17,7 @@ import corpus_noncancel
 from test_reference import two_edge_networks
 
 from synchro import (
+    ANNIHILATOR,
     FreeCommutative,
     MonoidMismatch,
     MonoidRegistry,
@@ -24,9 +25,11 @@ from synchro import (
     NaturalMul,
     Network,
     PartitionError,
+    ProductMonoid,
     ResistorParallel,
     SchemaError,
     SizeLimitError,
+    WithAnnihilator,
     format_partition,
     in_neighborhood,
     is_balanced,
@@ -745,3 +748,65 @@ def test_parser_fuzz_returns_network_or_schema_error(path, value):
     except SchemaError:
         return
     assert isinstance(net, Network)
+
+
+# -- error paths of the constructors and the wire reader ----------------------
+
+
+def test_cell_table_needs_types_and_one_type_per_cell():
+    assert _table_error(["c"], ["t"], []) == "'types' must not be empty"
+    with pytest.raises(SchemaError, match="^need exactly one type per cell$"):
+        Network.build(["c", "d"], ["t"], ["t"], MonoidRegistry.uniform(NA, 1), [])
+
+
+def test_unknown_cells_are_named(triangle3):
+    registry = MonoidRegistry.uniform(NA, 1)
+    with pytest.raises(SchemaError, match="^edge targets unknown cell 'z'$"):
+        Network.build(["a"], ["t"], ["t"], registry, [("z", "a", 1)])
+    with pytest.raises(SchemaError, match="^unknown cell 'z'$"):
+        triangle3.index("z")
+
+
+_ONE_PAIR = {
+    "types": ["t", "u"],
+    "cells": [{"id": "a", "type": "t"}, {"id": "b", "type": "u"}],
+    "monoids": [{"target_type": "t", "source_type": "t", "kind": "natural_add"}],
+    "edges": [],
+}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "network document must be a JSON object"),
+    ({k: v for k, v in _ONE_PAIR.items() if k != "edges"}, "missing top-level field 'edges'"),
+    (dict(_ONE_PAIR, edges=[{"to": "a", "from": "b", "weight": {"n": 1}}]),
+     "edges[0]: no monoid declared for pair ('t', 'u')"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "zz", "source_type": "t", "kind": "natural_add"}]),
+     "monoids[0].target_type must name a type, got 'zz'"),
+    (dict(_ONE_PAIR, monoids=[{"source_type": "t", "kind": "natural_add"}]),
+     "monoids[0].target_type must name a type, got None"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "u", "kind": "natural_add"},
+                              {"target_type": "t", "source_type": "u", "kind": "natural_mul"}]),
+     "monoids[1]: duplicate entry for pair ('t', 'u')"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t", "kind": "natural_sub"}]),
+     "monoids[0]: monoid 'kind' must be one of resistor_parallel, natural_add, natural_mul,"
+     " free_commutative, product, with_annihilator; got 'natural_sub'"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t"}]),
+     "monoids[0]: monoid 'kind' must be one of resistor_parallel, natural_add, natural_mul,"
+     " free_commutative, product, with_annihilator; got None"),
+])
+def test_wire_document_faults_are_named(doc, message):
+    with pytest.raises(SchemaError) as err:
+        network_from_json(doc)
+    assert str(err.value) == message
+
+
+def test_dot_labels_of_composite_weights():
+    registry = MonoidRegistry({
+        (0, 0): WithAnnihilator(NA),
+        (0, 1): ProductMonoid((FreeCommutative(("x",)), NA)),
+    })
+    net = Network.build(["a", "b", "c"], ["t", "t", "u"], ["t", "u"], registry, [
+        ("a", "b", ANNIHILATOR), ("b", "a", 3), ("a", "c", ((), 2)), ("b", "c", ((("x", 1),), 0)),
+    ])
+    labels = [line.split("label=")[1] for line in to_dot(net).splitlines() if "->" in line]
+    assert labels == ['"annihilator"];', '"({}, 2)"];', '"3"];', '"({x:1}, 0)"];']

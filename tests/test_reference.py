@@ -295,7 +295,7 @@ def first_sweep_survivors(view, parent):
     """The seeds of ``parent`` whose first sweep leaves no piece of their class below their smaller side."""
     kept = []
     for seed, rank, cls, smaller in _split_seeds(parent):
-        new, _, _ = _sweep(view, seed)
+        new, _ = _sweep(view, seed)
         if min(Counter(new[i] for i in cls).values()) >= smaller:
             kept.append((seed, rank, cls, smaller))
     return kept
