@@ -1,17 +1,29 @@
 """Command-line front end for file-based workflows.
 
 All analysis output is JSON on stdout (pass --pretty for an indented,
-human-friendly form); errors go to stderr as one machine-readable JSON
-object, except usage errors that click reports itself (bad or missing
-options), which print click's usage text. Exit codes: 0 success, 1 domain
-error (not balanced, budget exceeded, diverged), 2 usage or parse error.
+human-friendly form). Every error is one JSON object ``{"error": kind,
+"detail": message, ...}`` on stderr, written by ``_fail``, which exits
+with the kind's code. One handler on the command group turns each
+``SynchroError`` and click ``UsageError`` raised while parsing arguments
+or running a command into such an object:
+
+* 1: ``not_balanced`` (plus ``cells`` and ``color``), ``no_witness``,
+  ``diverged`` (plus ``step``), ``budget_exceeded`` (plus ``budget``) and
+  ``domain``;
+* 2: ``schema`` (unreadable or malformed input) and ``usage`` (click's
+  message for a bad option, argument or command, and the option clashes
+  of ``simulate``).
+
+``--help`` and a bare ``synchro`` print click's help, and a reader that
+closes stdout early ends the run with exit 1 and nothing on stderr. Errors
+are the same under ``main(argv, standalone_mode=False)``: the exit code is
+then the ``SystemExit`` that ``main`` raises.
 
 Only ``simulate`` and ``witness`` import the dynamics layer, and with it
 numpy, inside their bodies; every other command starts without them.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -40,24 +52,41 @@ def _fail(kind: str, detail: str, extra: dict | None = None, code: int = 1):
     sys.exit(code)
 
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except NotBalancedError as exc:
-            c, d, k = exc.counterexample
-            _fail("not_balanced", str(exc), {"cells": [c, d], "color": k})
-        except WitnessError as exc:
-            _fail("no_witness", str(exc))
-        except SimulationDiverged as exc:
-            _fail("diverged", str(exc), {"step": exc.step})
-        except SchemaError as exc:
-            _fail("schema", str(exc), code=2)
-        except SynchroError as exc:
-            _fail("domain", str(exc))
+def _reported(call, *args):
+    """``call(*args)``, with every failure written by ``_fail``."""
+    try:
+        return call(*args)
+    except click.UsageError as exc:
+        _fail("usage", exc.format_message(), code=2)
+    except NotBalancedError as exc:
+        c, d, k = exc.counterexample
+        _fail("not_balanced", str(exc), {"cells": [c, d], "color": k})
+    except WitnessError as exc:
+        _fail("no_witness", str(exc))
+    except SimulationDiverged as exc:
+        _fail("diverged", str(exc), {"step": exc.step})
+    except SchemaError as exc:
+        _fail("schema", str(exc), code=2)
+    except SynchroError as exc:
+        _fail("domain", str(exc))
 
-    return wrapper
+
+class _Synchro(click.Group):
+    """The command group and the CLI's one error boundary.
+
+    Parsing the group's own arguments, and invoking a command (parsing its
+    arguments and running its body), both go through ``_reported``. A bare
+    ``synchro`` is left to click, whose versions differ in how they show
+    the help.
+    """
+
+    def parse_args(self, ctx, args):
+        if not args:
+            return super().parse_args(ctx, args)
+        return _reported(super().parse_args, ctx, args)
+
+    def invoke(self, ctx):
+        return _reported(super().invoke, ctx)
 
 
 def _read(path: str) -> str:
@@ -83,7 +112,7 @@ _partition_opt = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Synchro)
 def main():
     """Analyze synchrony structure of weighted multi-edge cell networks."""
 
@@ -91,7 +120,6 @@ def main():
 @main.command()
 @click.argument("network_file")
 @_pretty
-@guarded
 def validate(network_file, pretty):
     """Check a network file against the schema and typing rules."""
     net = _load(network_file)
@@ -111,7 +139,6 @@ def validate(network_file, pretty):
 @_partition_opt
 @click.argument("network_file")
 @_pretty
-@guarded
 def balanced(partition_text, network_file, pretty):
     """Decide whether a partition is balanced; unbalanced exits 1."""
     net = _load(network_file)
@@ -127,7 +154,6 @@ def balanced(partition_text, network_file, pretty):
               help="Seed partition; defaults to the type partition.")
 @click.argument("network_file")
 @_pretty
-@guarded
 def cir_command(partition_text, network_file, pretty):
     """Refine a seed partition to the coarsest balanced one below it."""
     net = _load(network_file)
@@ -152,7 +178,6 @@ def cir_command(partition_text, network_file, pretty):
 
 @main.command(name="top")
 @click.argument("network_file")
-@guarded
 def top_command(network_file):
     """Print the maximal balanced partition."""
     net = _load(network_file)
@@ -163,7 +188,6 @@ def top_command(network_file):
 @_partition_opt
 @click.argument("network_file")
 @_pretty
-@guarded
 def quotient_command(partition_text, network_file, pretty):
     """Write the quotient network over a balanced partition (valid input JSON)."""
     net = _load(network_file)
@@ -180,7 +204,6 @@ def quotient_command(partition_text, network_file, pretty):
 @click.option("--dot", "as_dot", is_flag=True, help="Emit a Hasse diagram instead of JSON.")
 @click.argument("network_file")
 @_pretty
-@guarded
 def lattice_command(budget, as_dot, network_file, pretty):
     """Enumerate every balanced partition and the refinement covers."""
     net = _load(network_file)
@@ -205,7 +228,6 @@ def lattice_command(budget, as_dot, network_file, pretty):
 @click.option("--dt", type=float, default=1e-3, show_default=True,
               help="RK4 step size (flow only).")
 @click.argument("network_file")
-@guarded
 def simulate_command(oracle_file, x0_file, steps, tend, dt, network_file):
     """Simulate admissible dynamics; trajectory goes to stdout as CSV."""
     from .dynamics import parse_oracle, simulate_map, simulate_ode, trajectory_csv
@@ -242,7 +264,6 @@ def simulate_command(oracle_file, x0_file, steps, tend, dt, network_file):
 @_partition_opt
 @click.argument("network_file")
 @_pretty
-@guarded
 def witness_command(partition_text, network_file, pretty):
     """Construct a desynchronizing oracle for an unbalanced partition."""
     from .dynamics import admissible_eval, unbalance_witness
@@ -267,7 +288,6 @@ def witness_command(partition_text, network_file, pretty):
 @click.option("-p", "--partition", "partition_text", default=None,
               help="Color the nodes by this partition.")
 @click.argument("network_file")
-@guarded
 def dot_command(partition_text, network_file):
     """Emit the network as a GraphViz digraph."""
     net = _load(network_file)

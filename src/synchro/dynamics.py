@@ -210,8 +210,13 @@ def linear_oracle(net: Network, *, gain: float = 0.5, coupling: str = "neighbor"
     """The canonical linear oracle for a network: decay plus scaled coupling.
 
     g(x) = -x and the natural kappa is rescaled so the largest absolute row
-    sum of coupling gains is ``gain``; that keeps the vector field strictly
-    stable and the iterated map inside float range over short horizons.
+    sum of coupling gains is ``gain``. When every natural kappa is finite,
+    that keeps the vector field strictly stable and the iterated map inside
+    float range over short horizons. A weight whose natural kappa is ±inf
+    (``SHORT``, ``ANNIHILATOR``, a NaturalMul 0) makes that row sum
+    infinite: the kappa is then left unscaled, the field is not stable, and
+    ``simulate_map`` raises ``SimulationDiverged`` at step 1 from any finite
+    state, zero included (inf * 0 is nan).
     """
     field = _linear_field(net, coupling_oracle(net.registry, len(net.type_names)))
     rowmax = float(np.bincount(field.tgt, weights=np.abs(field.gains), minlength=net.n).max())

@@ -569,11 +569,36 @@ def _kind_of(obj: dict, params, what: str, default: str | None = None, names=())
     return kind
 
 
-def spec_from_json(obj) -> MonoidSpec:
-    """Rebuild a MonoidSpec from its tagged JSON form."""
+# The deepest nesting spec_from_json accepts: a product part or an inner
+# spec is one level below its parent. Deeper specs would run the recursive
+# methods of ProductMonoid and WithAnnihilator out of stack.
+MAX_SPEC_DEPTH = 32
+
+
+def spec_from_json(obj, where: str = "", depth: int = 0) -> MonoidSpec:
+    """Rebuild a MonoidSpec from its tagged JSON form.
+
+    A fault is a ``SchemaError`` whose message starts with the path to the
+    spec at fault: ``where``, then ``.parts[i]`` or ``.inner`` for each
+    level of nesting (no prefix for a fault in a top-level spec with an
+    empty ``where``). ``depth`` is how many levels ``obj`` lies below the
+    top spec; a spec more than ``MAX_SPEC_DEPTH`` levels down is refused.
+    """
+
+    def fault(message):
+        return SchemaError(f"{where}: {message}" if where else message)
+
+    def nested(part, step):
+        return spec_from_json(part, f"{where}.{step}" if where else step, depth + 1)
+
+    if depth > MAX_SPEC_DEPTH:
+        raise fault(f"monoid spec nested more than {MAX_SPEC_DEPTH} levels deep")
     if not isinstance(obj, dict):
-        raise SchemaError(f"monoid spec must be an object with a 'kind', got {obj!r}")
-    kind = _kind_of(obj, _PARAMS, "monoid")
+        raise fault(f"monoid spec must be an object with a 'kind', got {obj!r}")
+    try:
+        kind = _kind_of(obj, _PARAMS, "monoid")
+    except SchemaError as exc:
+        raise fault(exc) from None
     if kind in _KINDS:
         return _KINDS[kind]()
     if kind == "free_commutative":
@@ -581,16 +606,16 @@ def spec_from_json(obj) -> MonoidSpec:
         if gens is not None and not (
             isinstance(gens, list) and all(isinstance(g, str) for g in gens)
         ):
-            raise SchemaError("'generators' must be a list of strings")
+            raise fault("'generators' must be a list of strings")
         return FreeCommutative(tuple(gens) if gens is not None else None)
     if kind == "product":
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:
-            raise SchemaError("product monoid needs a nonempty 'parts' list")
-        return ProductMonoid(tuple(spec_from_json(p) for p in parts))
+            raise fault("product monoid needs a nonempty 'parts' list")
+        return ProductMonoid(tuple(nested(p, f"parts[{i}]") for i, p in enumerate(parts)))
     if "inner" not in obj:
-        raise SchemaError("with_annihilator monoid needs an 'inner' spec")
-    return WithAnnihilator(spec_from_json(obj["inner"]))
+        raise fault("with_annihilator monoid needs an 'inner' spec")
+    return WithAnnihilator(nested(obj["inner"], "inner"))
 
 
 def combine(spec: MonoidSpec, a, b):

@@ -310,10 +310,7 @@ def network_from_json(obj) -> Network:
     table: dict[tuple[int, int], MonoidSpec] = {}
     fields = ("target_type", "source_type")
     for where, pair, entry in _typed_entries(obj["monoids"], "monoids", type_names, fields):
-        try:
-            table[pair] = spec_from_json({k: v for k, v in entry.items() if k not in fields})
-        except SchemaError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        table[pair] = spec_from_json({k: v for k, v in entry.items() if k not in fields}, where)
     registry = MonoidRegistry(table)
 
     view = CodedNetwork()

@@ -27,6 +27,7 @@ from synchro import (
     top,
 )
 from synchro.cli import main
+from synchro.monoid import MAX_SPEC_DEPTH
 
 
 @pytest.fixture
@@ -46,6 +47,31 @@ def net_file(tmp_path):
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def run_in_process(args):
+    """``main(args, standalone_mode=False)``: its SystemExit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            main(args, standalone_mode=False)
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+def usage_error(runner, args) -> str:
+    """Assert that ``args`` is one JSON usage error with exit 2 under CliRunner
+    and under ``standalone_mode=False``; return its detail."""
+    result = invoke(runner, args)
+    details = []
+    for code, out, err in ((result.exit_code, result.stdout, result.stderr),
+                           run_in_process(args)):
+        assert (code, out) == (2, ""), args
+        assert err.count("\n") == 1, err
+        doc = json.loads(err)
+        assert sorted(doc) == ["detail", "error"] and doc["error"] == "usage", doc
+        details.append(doc["detail"])
+    assert details[0] == details[1]
+    return details[0]
 
 
 def test_validate_ok(runner, net_file):
@@ -185,10 +211,13 @@ def test_lattice_budget_exceeded(runner, tmp_path):
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_lattice_budget_below_one_is_a_usage_error(runner, net_file, budget):
-    result = invoke(runner, ["lattice", "--budget", budget, net_file(make_triangle3())])
+    args = ["lattice", "--budget", budget, net_file(make_triangle3())]
+    result = invoke(runner, args)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "--budget" in result.stderr
+    assert usage_error(runner, args) == (
+        f"Invalid value for '--budget': {budget} is not in the range x>=1.")
 
 
 def test_simulate_map_csv(runner, net_file, tmp_path):
@@ -485,14 +514,17 @@ def test_simulate_usage_errors(runner, net_file, tmp_path):
     x0 = tmp_path / "x0.csv"
     x0.write_text("1.0,2.0\n")  # wrong arity for a 3-cell network
     net = net_file(make_triangle3())
-    both = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0),
-                           "--steps", "2", "--tend", "1.0", net])
-    assert both.exit_code == 2
-    neither = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0), net])
-    assert neither.exit_code == 2
+    both = ["simulate", "--oracle", str(oracle), "--x0", str(x0), "--steps", "2", "--tend", "1.0",
+            net]
+    assert invoke(runner, both).exit_code == 2
+    neither = ["simulate", "--oracle", str(oracle), "--x0", str(x0), net]
+    assert invoke(runner, neither).exit_code == 2
+    for args in (both, neither):
+        assert usage_error(runner, args) == "pass exactly one of --steps (map) or --tend (flow)"
     bad_x0 = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0),
                              "--steps", "1", net])
     assert bad_x0.exit_code == 2
+    assert json.loads(bad_x0.stderr)["error"] == "schema"
 
 
 @pytest.mark.parametrize("dt", ["-1", "0.001"])
@@ -501,11 +533,57 @@ def test_simulate_dt_with_steps_is_a_usage_error(runner, net_file, tmp_path, dt)
     oracle.write_text("{}")
     x0 = tmp_path / "x0.csv"
     x0.write_text("1.0,1.0,2.0\n")
-    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0),
-                             "--steps", "2", "--dt", dt, net_file(make_triangle3())])
+    args = ["simulate", "--oracle", str(oracle), "--x0", str(x0), "--steps", "2", "--dt", dt,
+            net_file(make_triangle3())]
+    result = invoke(runner, args)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "--dt" in result.stderr
+    assert usage_error(runner, args) == (
+        "--dt sets the RK4 step of a flow; it cannot go with --steps")
+
+
+@pytest.mark.parametrize("args, detail", [
+    (["--bogus"], "No such option '--bogus'."),
+    (["bogus"], "No such command 'bogus'."),
+    (["validate", "--bogus", "net.json"], "No such option '--bogus'."),
+    (["top"], "Missing argument 'NETWORK_FILE'."),
+    (["balanced", "net.json"], "Missing option '-p' / '--partition'."),
+    (["simulate", "--oracle", "o.json", "--x0", "x0.csv", "--steps", "x", "net.json"],
+     "Invalid value for '--steps': 'x' is not a valid integer."),
+])
+def test_click_usage_errors_are_one_json_error(runner, args, detail):
+    # click versions word some messages differently, but each starts with the
+    # same word and names the same options, arguments and values
+    got = usage_error(runner, args)
+    assert got.split()[0] == detail.split()[0]
+    assert all(name in got for name in re.findall(r"'([^']*)'", detail)), got
+
+
+def test_help_and_a_bare_command_are_left_to_click(runner):
+    result = invoke(runner, ["--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith("Usage: ")
+    result = invoke(runner, ["lattice", "--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert "--budget" in result.stdout
+    # click 8.1 prints the help to stdout and exits 0; later versions print
+    # it to stderr and exit 2
+    bare = invoke(runner, [])
+    assert bare.exit_code in (0, 2)
+    assert (bare.stdout + bare.stderr).startswith("Usage: ")
+
+
+def test_domain_and_schema_errors_are_the_same_in_process(net_file, tmp_path):
+    code, out, err = run_in_process(["balanced", "-p", "1;2,3", net_file(make_chain3())])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "not_balanced", "cells": ["2", "3"], "color": 1,
+        "detail": "partition is not balanced: cells '2' and '3' share a color "
+                  "but their weight sums differ on color 1",
+    }
+    code, out, err = run_in_process(["validate", str(tmp_path / "none.json")])
+    assert (code, out, json.loads(err)["error"]) == (2, "", "schema")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
@@ -663,6 +741,40 @@ def test_annihilator_weight_with_extra_keys_is_schema_error(runner, tmp_path):
         edges=[{"to": "a", "from": "b", "weight": {"annihilator": True, "n": 5}}],
     )
     assert _schema_error(runner, tmp_path, doc).startswith("edges[0].weight:")
+
+
+def _nested(kind, depth):
+    """A network document whose one monoid is ``kind`` nested ``depth`` levels
+    around natural_add, with one edge."""
+    spec, weight, path = {"kind": "natural_add"}, {"n": 1}, "monoids[0]"
+    for _ in range(depth):
+        if kind == "product":
+            spec, weight = {"kind": kind, "parts": [spec]}, {"tuple": [weight]}
+            path += ".parts[0]"
+        else:
+            spec = {"kind": kind, "inner": spec}
+            path += ".inner"
+    doc = dict(_DOC, monoids=[{"target_type": "t", "source_type": "t", **spec}],
+               edges=[{"to": "a", "from": "b", "weight": weight}])
+    return doc, path
+
+
+@pytest.mark.parametrize("kind", ["product", "with_annihilator"])
+def test_spec_nesting_limit(runner, tmp_path, kind):
+    path = tmp_path / "net.json"
+    doc, _ = _nested(kind, MAX_SPEC_DEPTH)
+    path.write_text(json.dumps(doc))
+    for args in (["validate"], ["quotient", "-p", "a;b"], ["dot"]):
+        assert invoke(runner, args + [str(path)]).exit_code == 0, args
+    doc, where = _nested(kind, MAX_SPEC_DEPTH + 1)
+    path.write_text(json.dumps(doc))
+    for args in (["validate"], ["quotient", "-p", "a;b"], ["dot"]):
+        result = invoke(runner, args + [str(path)])
+        assert (result.exit_code, result.stdout) == (2, ""), args
+        assert json.loads(result.stderr) == {
+            "error": "schema",
+            "detail": f"{where}: monoid spec nested more than {MAX_SPEC_DEPTH} levels deep",
+        }
 
 
 # Two parallel NaturalMul edges of weight 10**4000 merge to 10**8000, which

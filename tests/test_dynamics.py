@@ -23,6 +23,7 @@ from synchro import (
     Network,
     OracleSpec,
     Partition,
+    SHORT,
     ResistorParallel,
     SchemaError,
     SimulationDiverged,
@@ -215,6 +216,15 @@ class TestSimulation:
         with pytest.raises(SimulationDiverged) as err:
             simulate_map(triangle3, blower, [1.0, 1.0, 1.0], 5)
         assert err.value.step == 2  # 1e160 is finite, squaring it is not
+
+    def test_linear_oracle_with_an_infinite_natural_kappa_diverges_at_once(self):
+        # a SHORT edge has natural kappa inf, so no scale makes the field stable
+        spec = ResistorParallel()
+        net = Network.build(["a", "b"], ["t", "t"], ["t"], MonoidRegistry.uniform(spec, 1),
+                            [("a", "b", SHORT)])
+        with pytest.raises(SimulationDiverged) as err:
+            simulate_map(net, linear_oracle(net), [1.0, 2.0], 5)
+        assert err.value.step == 1
 
     def test_discrete_invariance_is_bitwise(self, triangle3):
         part = parse_partition("1,2;3", triangle3.cells)

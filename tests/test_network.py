@@ -42,6 +42,7 @@ from synchro import (
     top,
 )
 from synchro.coding import coded
+from synchro.monoid import spec_from_json
 
 NA = NaturalAdd()
 R = ResistorParallel()
@@ -294,17 +295,18 @@ def test_parse_rejects_unknown_monoid_kind():
     assert "mystery" in str(err.value)
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "free_commutative", "generator": ["x"]},
-    {"kind": "natural_add", "bogus": 1},
-    {"kind": "resistor_parallel", "generators": []},
-    {"kind": "product", "parts": [{"kind": "natural_mul", "inner": {"kind": "natural_add"}}]},
-    {"kind": "with_annihilator", "inner": {"kind": "natural_add"}, "parts": []},
-])
-def test_monoid_specs_accept_only_their_own_keys(spec):
+@pytest.mark.parametrize("spec, where", [
+    ({"kind": "free_commutative", "generator": ["x"]}, "monoids[0]"),
+    ({"kind": "natural_add", "bogus": 1}, "monoids[0]"),
+    ({"kind": "resistor_parallel", "generators": []}, "monoids[0]"),
+    ({"kind": "product", "parts": [{"kind": "natural_mul", "inner": {"kind": "natural_add"}}]},
+     "monoids[0].parts[0]"),
+    ({"kind": "with_annihilator", "inner": {"kind": "natural_add"}, "parts": []}, "monoids[0]"),
+], ids=[f"spec{i}" for i in range(5)])
+def test_monoid_specs_accept_only_their_own_keys(spec, where):
     with pytest.raises(SchemaError) as err:
         parse_network(json.dumps(_doc(spec, [])))
-    assert str(err.value).startswith("monoids[0]: unexpected key(s)")
+    assert str(err.value).startswith(f"{where}: unexpected key(s)")
 
 
 @pytest.mark.parametrize("weight", [
@@ -793,11 +795,43 @@ _ONE_PAIR = {
     (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t"}]),
      "monoids[0]: monoid 'kind' must be one of resistor_parallel, natural_add, natural_mul,"
      " free_commutative, product, with_annihilator; got None"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t", "kind": "product",
+                               "parts": []}]),
+     "monoids[0]: product monoid needs a nonempty 'parts' list"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t",
+                               "kind": "with_annihilator"}]),
+     "monoids[0]: with_annihilator monoid needs an 'inner' spec"),
+    # a fault inside a nested spec names the path down to it
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t", "kind": "product",
+                               "parts": [{"kind": "natural_add"}, {}]}]),
+     "monoids[0].parts[1]: monoid 'kind' must be one of resistor_parallel, natural_add,"
+     " natural_mul, free_commutative, product, with_annihilator; got None"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t", "kind": "with_annihilator",
+                               "inner": {"kind": "free_commutative", "generators": [1]}}]),
+     "monoids[0].inner: 'generators' must be a list of strings"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t", "kind": "with_annihilator",
+                               "inner": 7}]),
+     "monoids[0].inner: monoid spec must be an object with a 'kind', got 7"),
+    (dict(_ONE_PAIR, monoids=[{"target_type": "t", "source_type": "t", "kind": "natural_add"},
+                              {"target_type": "t", "source_type": "u", "kind": "product",
+                               "parts": [{"kind": "natural_add"},
+                                         {"kind": "with_annihilator",
+                                          "inner": {"kind": "natural_add", "bogus": 1}}]}]),
+     "monoids[1].parts[1].inner: unexpected key(s) 'bogus' for monoid kind 'natural_add'"),
 ])
 def test_wire_document_faults_are_named(doc, message):
     with pytest.raises(SchemaError) as err:
         network_from_json(doc)
     assert str(err.value) == message
+
+
+def test_spec_fault_path_without_a_prefix():
+    with pytest.raises(SchemaError) as err:
+        spec_from_json({"kind": "product", "parts": [{"kind": "product", "parts": {}}]})
+    assert str(err.value) == "parts[0]: product monoid needs a nonempty 'parts' list"
+    with pytest.raises(SchemaError) as err:
+        spec_from_json({"kind": "product"})
+    assert str(err.value) == "product monoid needs a nonempty 'parts' list"
 
 
 def test_dot_labels_of_composite_weights():
