@@ -59,16 +59,10 @@ from .monoid import (
     ProductMonoid,
     ResistorParallel,
     WithAnnihilator,
-    combine,
-    is_identity,
     law_check,
-    monoid_sum,
-    product_monoid,
 )
 from .network import (
     Network,
-    RowView,
-    in_neighborhood,
     network_from_json,
     network_to_json,
     parse_network,

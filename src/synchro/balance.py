@@ -102,6 +102,13 @@ def is_balanced(net: Network, partition: Partition) -> BalanceResult:
     return BalanceResult(balanced=False, counterexample=(net.cells[c], net.cells[idx], color))
 
 
+def _require_balanced(net: Network, partition: Partition, message: str | None = None) -> None:
+    """Raise ``NotBalancedError`` with the counterexample unless ``partition`` is balanced."""
+    result = is_balanced(net, partition)
+    if not result.balanced:
+        raise NotBalancedError(result.counterexample, message)
+
+
 def _merged_id(members) -> str:
     """Canonical id of a merged cell: sorted flattened member parts.
 
@@ -120,9 +127,7 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
     Raises ``SynchroError`` when two classes would get the same merged id,
     as the classes {a, b} and {a+b} would.
     """
-    result = is_balanced(net, partition)
-    if not result.balanced:
-        raise NotBalancedError(result.counterexample)
+    _require_balanced(net, partition)
     view = coded(net)
     classes = partition.classes()
     color_cells = tuple(_merged_id(net.cells[i] for i in cls) for cls in classes)

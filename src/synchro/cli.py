@@ -30,7 +30,7 @@ import sys
 import click
 from click.core import ParameterSource
 
-from .balance import is_balanced, quotient
+from .balance import _require_balanced, quotient
 from .cir import cir, top
 from .errors import (
     NotBalancedError,
@@ -143,9 +143,7 @@ def balanced(partition_text, network_file, pretty):
     """Decide whether a partition is balanced; unbalanced exits 1."""
     net = _load(network_file)
     part = parse_partition(partition_text, net.cells)
-    result = is_balanced(net, part)
-    if not result.balanced:
-        raise NotBalancedError(result.counterexample)
+    _require_balanced(net, part)
     _emit({"balanced": True, "partition": format_partition(part, net.cells)}, pretty)
 
 

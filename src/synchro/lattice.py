@@ -58,28 +58,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .balance import is_balanced
+from .balance import _require_balanced, is_balanced
 from .cir import _converge, _sweep, top
 from .coding import CodedNetwork, coded
-from .errors import DimensionMismatch, NotBalancedError, SizeLimitError
+from .errors import DimensionMismatch, SizeLimitError
 from .network import Network, _quote, _write_json
 from .partition import Partition, common_refinement, format_partition, is_finer
 
 DEFAULT_BUDGET = 100_000
-
-
-def _require_balanced(net: Network, partition: Partition, side: str) -> None:
-    result = is_balanced(net, partition)
-    if not result.balanced:
-        raise NotBalancedError(
-            result.counterexample, f"{side} partition is not balanced"
-        )
+BRUTE_FORCE_LIMIT = 12
 
 
 def join(net: Network, a: Partition, b: Partition) -> Partition:
     """Least upper bound: merge cells connected by chains through a or b."""
-    _require_balanced(net, a, "first")
-    _require_balanced(net, b, "second")
+    _require_balanced(net, a, "first partition is not balanced")
+    _require_balanced(net, b, "second partition is not balanced")
     parent = list(range(net.n))
 
     def find(i: int) -> int:  # root of i's set, halving the path on the way
@@ -105,8 +98,8 @@ def join(net: Network, a: Partition, b: Partition) -> Partition:
 
 def meet(net: Network, a: Partition, b: Partition) -> Partition:
     """Greatest lower bound: refine the common refinement until balanced."""
-    _require_balanced(net, a, "first")
-    _require_balanced(net, b, "second")
+    _require_balanced(net, a, "first partition is not balanced")
+    _require_balanced(net, b, "second partition is not balanced")
     seed = common_refinement(a, b)
     return Partition._from_canonical(_converge(coded(net), seed.colors, seed.rank))
 
@@ -123,16 +116,16 @@ def _set_partitions(items: list[int]):
         yield [[first]] + sub
 
 
-def brute_force_balanced(net: Network, limit: int = 12) -> set[Partition]:
+def brute_force_balanced(net: Network) -> set[Partition]:
     """Oracle enumeration: test every partition below the type partition.
 
     Candidates are products of set partitions of each type class, so the
-    count is a product of Bell numbers; refuses networks above ``limit``
-    cells.
+    count is a product of Bell numbers; refuses networks above
+    ``BRUTE_FORCE_LIMIT`` cells.
     """
-    if net.n > limit:
+    if net.n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
-            f"brute force enumeration limited to {limit} cells, network has {net.n}"
+            f"brute force enumeration limited to {BRUTE_FORCE_LIMIT} cells, network has {net.n}"
         )
     view = coded(net)
     type_classes = net.type_partition().classes()

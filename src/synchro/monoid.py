@@ -208,7 +208,7 @@ class ResistorParallel(MonoidSpec):
             return SHORT
         return Fraction(1) / r
 
-    def resistance_str(self, value) -> str:
+    def display(self, value) -> str:
         """The resistance as text; SizeLimitError if it has too many digits to print."""
         self.check(value)
         if value is SHORT:
@@ -219,11 +219,8 @@ class ResistorParallel(MonoidSpec):
         _printable(value.denominator)
         return str(Fraction(1) / value)
 
-    def display(self, value):
-        return self.resistance_str(value)
-
     def element_to_json(self, value):
-        return {"r": self.resistance_str(value)}
+        return {"r": self.display(value)}
 
     def element_from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) != {"r"} or not isinstance(obj["r"], str):
@@ -234,7 +231,7 @@ class ResistorParallel(MonoidSpec):
             if e and abs(int(exponent)) > _MAX_EXPONENT:
                 raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
             value = self.from_resistance(text)
-            self.resistance_str(value)  # must print back within the int digit limit
+            self.display(value)  # must print back within the int digit limit
         except (ValueError, ZeroDivisionError, MonoidMismatch, SizeLimitError) as exc:
             raise SchemaError(f"bad resistance {text!r}: {exc}") from exc
         return value
@@ -413,7 +410,7 @@ class FreeCommutative(MonoidSpec):
 
 @dataclass(frozen=True)
 class ProductMonoid(MonoidSpec):
-    """Direct product of other monoids; combine acts componentwise."""
+    """Direct product of other monoids, used to merge edge types; combine acts componentwise."""
 
     parts: tuple[MonoidSpec, ...] = field(default_factory=tuple)
 
@@ -616,26 +613,6 @@ def spec_from_json(obj, where: str = "", depth: int = 0) -> MonoidSpec:
     if "inner" not in obj:
         raise fault("with_annihilator monoid needs an 'inner' spec")
     return WithAnnihilator(nested(obj["inner"], "inner"))
-
-
-def combine(spec: MonoidSpec, a, b):
-    """a ∥ b in the given monoid."""
-    return spec.combine(a, b)
-
-
-def monoid_sum(spec: MonoidSpec, items):
-    """Parallel sum of many elements; the empty sum is the identity."""
-    return spec.sum(items)
-
-
-def is_identity(spec: MonoidSpec, value) -> bool:
-    """True iff ``value`` means "no edge" in this monoid."""
-    return spec.is_identity(value)
-
-
-def product_monoid(parts) -> ProductMonoid:
-    """Direct product of the given specs (used to merge edge types)."""
-    return ProductMonoid(tuple(parts))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import gc
 import json
 import marshal
 from collections import Counter
-from dataclasses import dataclass
 
 from .coding import CodedNetwork
 from .errors import MonoidMismatch, PartitionError, SchemaError
@@ -107,14 +106,6 @@ def _accept(view: CodedNetwork, spec: MonoidSpec, weight, source, target) -> int
             f"edge {source!r} -> {target!r}: weight {weight!r} is not in {spec.describe()}"
         )
     return view.code(spec, weight)
-
-
-@dataclass(frozen=True)
-class RowView:
-    """The in-edges of one cell: (source cell id, merged weight) pairs."""
-
-    cell: str
-    entries: tuple[tuple[str, object], ...]
 
 
 class Network:
@@ -204,10 +195,6 @@ class Network:
         values = view.values
         return [(d, values[k]) for d, k in zip(srcs, codes)]
 
-    def row_view(self, cell: str) -> RowView:
-        c = self.index(cell)
-        return RowView(cell, tuple((self.cells[d], w) for d, w in self.row_items(c)))
-
     def in_neighborhood(self, cell: str) -> set[str]:
         """Cells with a non-identity merged weight into ``cell``."""
         srcs, _ = self._coded.rows[self.index(cell)]
@@ -232,10 +219,6 @@ class Network:
 
     def __repr__(self):
         return f"Network({self.n} cells, {self.edge_count()} merged edges)"
-
-
-def in_neighborhood(net: Network, cell: str) -> set[str]:
-    return net.in_neighborhood(cell)
 
 
 # -- JSON wire format -------------------------------------------------------

@@ -97,9 +97,6 @@ class Partition:
             out[c - 1].append(idx)
         return out
 
-    def is_finer(self, other: "Partition") -> bool:
-        return is_finer(self, other)
-
     def __str__(self):
         return format_partition(self, map(str, range(len(self))))
 

@@ -25,7 +25,6 @@ from synchro import (
     admissible_eval,
     brute_force_balanced,
     cir,
-    combine,
     enumerate_balanced,
     is_balanced,
     is_finer,
@@ -207,11 +206,11 @@ def test_criterion_7_monoid_laws():
         report = law_check(spec, trials=1000)
         assert report.ok, (spec.describe(), report.violations[:3])
 
-    assert combine(R, _ohm(30), _ohm(15)) == _ohm(10)
-    assert combine(R, _ohm(20), _ohm(20)) == _ohm(10)
-    assert combine(R, _ohm(30), _ohm(15)) == combine(R, _ohm(20), _ohm(20))
+    assert R.combine(_ohm(30), _ohm(15)) == _ohm(10)
+    assert R.combine(_ohm(20), _ohm(20)) == _ohm(10)
+    assert R.combine(_ohm(30), _ohm(15)) == R.combine(_ohm(20), _ohm(20))
     for w in (_ohm(42), _ohm(Fraction(7, 3)), _ohm(0)):
-        assert combine(R, w, _ohm("inf")) == w
+        assert R.combine(w, _ohm("inf")) == w
     _passed(7, "1000 clean law trials per shipped monoid; resistor identities exact")
 
 

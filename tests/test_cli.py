@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, round trips."""
 import contextlib
+import csv
+import inspect
 import io
 import json
 import os
@@ -30,9 +32,21 @@ from synchro.cli import main
 from synchro.monoid import MAX_SPEC_DEPTH
 
 
+def make_runner() -> CliRunner:
+    """A ``CliRunner`` that keeps stderr apart from stdout.
+
+    Click 8.1 mixes the two unless ``mix_stderr=False`` is passed, and its
+    ``Result.stderr`` then raises; click 8.2 keeps them apart and dropped
+    the parameter.
+    """
+    if "mix_stderr" in inspect.signature(CliRunner).parameters:
+        return CliRunner(mix_stderr=False)
+    return CliRunner()
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return make_runner()
 
 
 @pytest.fixture
@@ -201,7 +215,7 @@ def test_lattice_budget_exceeded(runner, tmp_path):
                         MonoidRegistry.uniform(NaturalAdd(), 1), edges)
     path = tmp_path / "k5.json"
     path.write_text(serialize_network(net))
-    result = CliRunner().invoke(main, ["lattice", "--budget", "3", str(path)])
+    result = make_runner().invoke(main, ["lattice", "--budget", "3", str(path)])
     assert result.exit_code == 1
     partial = json.loads(result.stdout)
     assert partial["complete"] is False
@@ -280,6 +294,47 @@ def test_simulate_ode_runs(runner, net_file, tmp_path):
     rows = [[float(field) for field in line.split(",")] for line in lines[1:]]
     assert [len(row) for row in rows] == [4] * 11
     assert rows[0] == [0.0, 1.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("mode", [["--steps", "1"], ["--tend", "0.001"]])
+def test_simulate_header_quotes_ids_that_csv_would_misread(runner, net_file, tmp_path, mode):
+    cells = ['"x', "a\nb", "p q"]
+    net = Network.build(cells, ["t"] * 3, ["t"], MonoidRegistry.uniform(NaturalAdd(), 1),
+                        [("a\nb", '"x', 1), ("p q", "a\nb", 1)])
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("{}")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,2.0,3.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0), *mode,
+                             net_file(net)])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(f'{"n" if mode[0] == "--steps" else "t"},"""x","a\nb",p q\n')
+    rows = list(csv.reader(io.StringIO(result.stdout, newline="")))
+    assert rows[0][1:] == cells
+    assert len(rows) == 3 and all(len(row) == 4 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "tend, dt, below, above",
+    [("1.0", "0.3", "0.9", "1.2"), ("0.0015", "0.001", "0.001", "0.002"),
+     ("0.0004", "0.001", "0", "0.001")],
+)
+def test_simulate_tend_off_the_dt_grid_is_a_domain_error(runner, net_file, tmp_path,
+                                                          tend, dt, below, above):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text("{}")
+    x0 = tmp_path / "x0.csv"
+    x0.write_text("1.0,1.0,2.0\n")
+    result = invoke(runner, ["simulate", "--oracle", str(oracle), "--x0", str(x0),
+                             "--tend", tend, "--dt", dt, net_file(make_triangle3())])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["error"] == "domain"
+    assert err["detail"] == (
+        f"t_end {float(tend)!r} is not a whole number of steps of dt {float(dt)!r};"
+        f" the nearest grid times are {below} and {above}"
+    )
 
 
 def _subprocess_env(**extra):
@@ -886,6 +941,32 @@ _DYNAMICS_EXPORTS = (
     "oracle_consistency_check", "quotient_match", "simulate_map", "simulate_ode",
     "trajectory_csv", "unbalance_witness",
 )
+
+
+# The public surface, pinned: a name joins or leaves it only through an edit here.
+_PUBLIC_NAMES = [
+    "ANNIHILATOR", "BalanceResult", "BalancedLattice", "CirTrace", "Coupling",
+    "DimensionMismatch", "FreeCommutative", "GFunc", "IndicatorOracle", "LawCheckReport",
+    "MonoidMismatch", "MonoidRegistry", "MonoidSpec", "NaturalAdd", "NaturalMul", "Network",
+    "NotBalancedError", "Oracle", "OracleSpec", "Partition", "PartitionError", "PolyPoint",
+    "ProductMonoid", "QuotientResult", "ResistorParallel", "RowSignature", "SHORT",
+    "SchemaError", "SimulationDiverged", "SizeLimitError", "SynchroError", "Trajectory",
+    "WithAnnihilator", "WitnessError", "admissible_eval", "balance", "brute_force_balanced",
+    "check_transitivity", "cir", "cir_iteration", "coding", "common_refinement", "compose",
+    "coupling_oracle", "dynamics", "enumerate_balanced", "errors", "format_partition",
+    "is_balanced", "is_finer", "join", "kernel_name", "lattice", "lattice_dot",
+    "lattice_json", "law_check", "lift", "linear_oracle", "linearity_check", "meet",
+    "monoid", "network", "network_from_json", "network_to_json", "oracle_consistency_check",
+    "parse_network", "parse_partition", "partition", "project", "quotient",
+    "quotient_match", "quotient_partition", "quotient_relation_holds", "row_signature",
+    "serialize_network", "simulate_map", "simulate_ode", "to_dot", "top", "trajectory_csv",
+    "unbalance_witness",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(_PUBLIC_NAMES) == 81
+    assert sorted(synchro.__all__) == _PUBLIC_NAMES
 
 
 def test_dynamics_exports_resolve_on_first_access():

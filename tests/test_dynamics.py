@@ -406,6 +406,9 @@ class TestSimulation:
             (1.0, math.nan, DimensionMismatch),
             (1.0, math.inf, DimensionMismatch),
             (1.0, 0.0, DimensionMismatch),
+            (1.0, 0.3, DimensionMismatch),  # off the dt grid
+            (0.0015, 0.001, DimensionMismatch),
+            (0.0004, 0.001, DimensionMismatch),
             (1e300, 1e-300, SizeLimitError),
             (1e12, 1e-3, SizeLimitError),
         ],
@@ -413,6 +416,13 @@ class TestSimulation:
     def test_bad_times_are_rejected(self, triangle3, t_end, dt, error):
         with pytest.raises(error):
             simulate_ode(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], t_end, dt)
+
+    def test_times_on_the_grid_pass(self, triangle3):
+        assert 0.3 / 0.1 != 3.0
+        traj = simulate_ode(triangle3, linear_oracle(triangle3), [1.0, 2.0, 3.0], 0.3, 0.1)
+        assert len(traj) == 4
+        assert dynamics._check_times(10.0, 1e-3) == 10_000
+        assert dynamics._check_times(0.0, 1e-3) == 0
 
     def test_negative_steps_are_rejected(self, triangle3):
         with pytest.raises(DimensionMismatch):

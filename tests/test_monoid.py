@@ -22,11 +22,7 @@ from synchro import (
     ResistorParallel,
     SizeLimitError,
     WithAnnihilator,
-    combine,
-    is_identity,
     law_check,
-    monoid_sum,
-    product_monoid,
 )
 from synchro.coding import CodedNetwork
 
@@ -42,27 +38,27 @@ ALL_SPECS = [R, NA, NM, FREE, PROD, ANN]
 
 class TestResistor:
     def test_thirty_parallel_fifteen_is_ten(self):
-        got = combine(R, R.from_resistance(30), R.from_resistance(15))
+        got = R.combine(R.from_resistance(30), R.from_resistance(15))
         assert got == R.from_resistance(10)
-        assert combine(R, R.from_resistance(20), R.from_resistance(20)) == R.from_resistance(10)
+        assert R.combine(R.from_resistance(20), R.from_resistance(20)) == R.from_resistance(10)
 
     def test_infinity_is_neutral(self):
         w = R.from_resistance(42)
-        assert combine(R, w, R.from_resistance("inf")) == w
+        assert R.combine(w, R.from_resistance("inf")) == w
 
     def test_sum_of_parallel_thirties(self):
-        assert monoid_sum(R, [R.from_resistance(30)] * 2) == R.from_resistance(15)
+        assert R.sum([R.from_resistance(30)] * 2) == R.from_resistance(15)
 
     def test_empty_sum_is_no_edge(self):
-        assert monoid_sum(R, []) == R.identity
-        assert R.resistance_str(monoid_sum(R, [])) == "inf"
+        assert R.sum([]) == R.identity
+        assert R.display(R.sum([])) == "inf"
 
     def test_identity_is_infinite_resistance_not_short(self):
-        assert is_identity(R, R.from_resistance("inf"))
-        assert not is_identity(R, R.from_resistance(0))
+        assert R.is_identity(R.from_resistance("inf"))
+        assert not R.is_identity(R.from_resistance(0))
 
     def test_short_circuit_absorbs(self):
-        assert combine(R, R.from_resistance(0), R.from_resistance(30)) is SHORT
+        assert R.combine(R.from_resistance(0), R.from_resistance(30)) is SHORT
         assert R.annihilator is SHORT
 
     def test_absorbing_singletons_survive_pickle_and_copy(self):
@@ -73,8 +69,8 @@ class TestResistor:
     def test_exact_fractions_survive(self):
         # 3 parallel branches of 45/2 ohm each: conductances add to 2/15
         third = R.from_resistance(Fraction(45, 2))
-        assert monoid_sum(R, [third] * 3) == Fraction(2, 15)
-        assert R.resistance_str(monoid_sum(R, [third] * 3)) == "15/2"
+        assert R.sum([third] * 3) == Fraction(2, 15)
+        assert R.display(R.sum([third] * 3)) == "15/2"
 
     def test_display_round_trip(self):
         for raw in ["30", "15/2", "inf", "0"]:
@@ -84,35 +80,35 @@ class TestResistor:
 
 class TestNaturals:
     def test_addition_identity(self):
-        assert combine(NA, 0, 7) == 7
+        assert NA.combine(0, 7) == 7
 
     def test_sum_including_zeros(self):
-        assert monoid_sum(NA, [1, 0, 1]) == 2
+        assert NA.sum([1, 0, 1]) == 2
 
     def test_zero_is_identity_for_addition(self):
-        assert is_identity(NA, 0)
-        assert not is_identity(NM, 0)
-        assert is_identity(NM, 1)
+        assert NA.is_identity(0)
+        assert not NM.is_identity(0)
+        assert NM.is_identity(1)
 
     def test_multiplication_annihilator(self):
-        assert combine(NM, 0, 9) == 0
+        assert NM.combine(0, 9) == 0
 
     def test_rejects_non_carrier(self):
         with pytest.raises(MonoidMismatch):
-            combine(NA, -1, 2)
+            NA.combine(-1, 2)
         with pytest.raises(MonoidMismatch):
-            combine(NA, True, 2)
+            NA.combine(True, 2)
 
 
 class TestFreeCommutative:
     def test_multiset_sum(self):
         a = FREE.from_counts({"a": 1})
         ab = FREE.from_counts({"a": 1, "b": 1})
-        assert combine(FREE, a, ab) == FREE.from_counts({"a": 2, "b": 1})
+        assert FREE.combine(a, ab) == FREE.from_counts({"a": 2, "b": 1})
 
     def test_identity_is_empty(self):
         assert FREE.identity == ()
-        assert is_identity(FREE, ())
+        assert FREE.is_identity(())
 
     def test_rejects_foreign_generators(self):
         with pytest.raises(MonoidMismatch):
@@ -124,15 +120,15 @@ class TestFreeCommutative:
 
 class TestProduct:
     def test_componentwise(self):
-        assert combine(PROD, (3, 2), (1, 5)) == (4, 10)
+        assert PROD.combine((3, 2), (1, 5)) == (4, 10)
 
     def test_identity_tuple(self):
         assert PROD.identity == (0, 1)
-        assert combine(PROD, (0, 1), (4, 9)) == (4, 9)
+        assert PROD.combine((0, 1), (4, 9)) == (4, 9)
 
     def test_builder_requires_parts(self):
         with pytest.raises(MonoidMismatch):
-            product_monoid([])
+            ProductMonoid([])
 
     def test_nested_json(self):
         elem = (2, 3)
@@ -142,13 +138,13 @@ class TestProduct:
 class TestWithAnnihilator:
     def test_absorbs_everything(self):
         x = ANN.inner.from_counts({"a": 2})
-        assert combine(ANN, ANNIHILATOR, x) is ANNIHILATOR
-        assert combine(ANN, x, ANNIHILATOR) is ANNIHILATOR
+        assert ANN.combine(ANNIHILATOR, x) is ANNIHILATOR
+        assert ANN.combine(x, ANNIHILATOR) is ANNIHILATOR
 
     def test_inner_behavior_preserved(self):
         x = ANN.inner.from_counts({"a": 1})
         y = ANN.inner.from_counts({"b": 1})
-        assert combine(ANN, x, y) == ANN.inner.from_counts({"a": 1, "b": 1})
+        assert ANN.combine(x, y) == ANN.inner.from_counts({"a": 1, "b": 1})
 
     def test_json_tagging(self):
         assert ANN.element_from_json({"annihilator": True}) is ANNIHILATOR

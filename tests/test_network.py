@@ -31,7 +31,6 @@ from synchro import (
     SizeLimitError,
     WithAnnihilator,
     format_partition,
-    in_neighborhood,
     is_balanced,
     network_from_json,
     network_to_json,
@@ -67,9 +66,9 @@ def test_triangle_matrix(triangle3):
 
 
 def test_in_neighborhoods(triangle3, chain3):
-    assert in_neighborhood(triangle3, "1") == {"1", "3"}
-    assert in_neighborhood(chain3, "1") == set()
-    assert in_neighborhood(chain3, "3") == {"2"}
+    assert triangle3.in_neighborhood("1") == {"1", "3"}
+    assert chain3.in_neighborhood("1") == set()
+    assert chain3.in_neighborhood("3") == {"2"}
 
 
 def test_identity_weight_edges_vanish():
@@ -372,12 +371,6 @@ def test_dot_edge_labels_show_weights(resistor6):
 
 def test_type_partition(resistor6):
     assert resistor6.type_partition().colors == (1, 1, 2, 2, 1, 1)
-
-
-def test_row_view(triangle3):
-    view = triangle3.row_view("3")
-    assert view.cell == "3"
-    assert view.entries == (("1", 1), ("2", 1), ("3", 1))
 
 
 # -- parse-time weight cache and coded storage --------------------------------
