@@ -8,8 +8,7 @@ color is the shared per-color sum vector of that color's cells.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .cir import _color_types, _sweep
 from .coding import coded
 from .errors import NotBalancedError, SynchroError
@@ -17,8 +16,7 @@ from .network import Network
 from .partition import Partition, compose
 
 
-@dataclass(frozen=True)
-class RowSignature:
+class RowSignature(Record):
     """Per-color parallel sums of one cell's incoming weights.
 
     ``sums[k]`` is the merged weight arriving from color k+1; None marks a
@@ -26,24 +24,22 @@ class RowSignature:
     exist, so nothing distinguishes the cells there).
     """
 
-    cell: str
-    owner_color: int
-    sums: tuple
+    __slots__ = ("cell", "owner_color", "sums")
 
 
-@dataclass(frozen=True)
-class BalanceResult:
-    balanced: bool
-    counterexample: tuple[str, str, int] | None = None  # (cell, cell, color)
+class BalanceResult(Record):
+    """A verdict; an unbalanced one names (cell, cell, color) as its counterexample."""
+
+    __slots__ = ("balanced", "counterexample")
+
+    def __init__(self, balanced, counterexample=None):
+        super().__init__(balanced, counterexample)
 
 
-@dataclass(frozen=True)
-class QuotientResult:
-    """A quotient network plus the coloring that produced it."""
+class QuotientResult(Record):
+    """A quotient network, the coloring that produced it and the quotient cell id per color."""
 
-    quotient: Network
-    relation: Partition
-    color_cells: tuple[str, ...]  # quotient cell id per color, in color order
+    __slots__ = ("quotient", "relation", "color_cells")
 
 
 def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature:
@@ -179,12 +175,8 @@ def quotient_relation_holds(net: Network, qres: QuotientResult) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
-    ok: bool
-    via_two_steps: Network
-    direct: Network
-    composed: Partition
+class TransitivityReport(Record):
+    __slots__ = ("ok", "via_two_steps", "direct", "composed")
 
 
 def check_transitivity(net: Network, first: Partition, second: Partition) -> TransitivityReport:

@@ -23,9 +23,9 @@ Every entry point that takes a coloring checks it in ``_color_types``.
 from __future__ import annotations
 
 from collections.abc import Sequence, Set
-from dataclasses import dataclass
 from itertools import chain
 
+from ._record import Record
 from .coding import CodedNetwork, coded
 from .errors import PartitionError
 from .network import Network
@@ -37,19 +37,16 @@ def kernel_name() -> str:
     return "pure"
 
 
-@dataclass(frozen=True)
-class CirTrace:
+class CirTrace(Record):
     """Everything one refinement run did.
 
-    ``iterations`` records the output of every sweep including the final
-    confirming one, so ranks strictly increase and then repeat once;
-    ``refining_iterations`` is the count the convergence bound
+    ``iterations`` records the (partition, rank) output of every sweep,
+    including the final confirming one, so ranks strictly increase and then
+    repeat once; ``refining_iterations`` is the count the convergence bound
     |C| - rank(seed) applies to.
     """
 
-    seed: Partition
-    iterations: tuple[tuple[Partition, int], ...]
-    ops: tuple[int, ...]
+    __slots__ = ("seed", "iterations", "ops")
 
     @property
     def converged(self) -> Partition:

@@ -51,10 +51,10 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .balance import quotient, row_signature, is_balanced
 from .cir import _color_types
 from .coding import coded
@@ -73,13 +73,13 @@ from .partition import Partition, lift
 # -- oracle building blocks --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GFunc:
-    """Internal dynamics of one cell type."""
+class GFunc(Record):
+    """Internal dynamics of one cell type: ``kind`` zero | scale (``a * x``) | custom (``fn``)."""
 
-    kind: str = "zero"  # zero | scale | custom
-    a: float = 0.0
-    fn: object = None
+    __slots__ = ("kind", "a", "fn")
+
+    def __init__(self, kind="zero", a=0.0, fn=None):
+        super().__init__(kind, a, fn)
 
     def __call__(self, x: float) -> float:
         if self.kind == "zero":
@@ -89,12 +89,13 @@ class GFunc:
         return self.fn(x)  # type: ignore[operator]
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """How a neighbor state enters the sum; linear kinds unlock fast paths."""
+class Coupling(Record):
+    """How a neighbor state enters the sum, ``kind`` neighbor | diffusive | custom (``fn``)."""
 
-    kind: str = "neighbor"  # neighbor | diffusive | custom
-    fn: object = None
+    __slots__ = ("kind", "fn")
+
+    def __init__(self, kind="neighbor", fn=None):
+        super().__init__(kind, fn)
 
     def __call__(self, x: float, y: float) -> float:
         if self.kind == "neighbor":
@@ -118,6 +119,8 @@ class Oracle:
     oracles pointwise.
     """
 
+    __slots__ = ()  # so that the record oracles hold no __dict__
+
     def evaluate(self, type_i: int, x: float, inputs) -> float:
         raise NotImplementedError
 
@@ -130,18 +133,15 @@ class Oracle:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SumOracle(Oracle):
-    parts: tuple[Oracle, ...]
+class SumOracle(Record, Oracle):
+    __slots__ = ("parts",)
 
     def evaluate(self, type_i, x, inputs):
         return sum(p.evaluate(type_i, x, inputs) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class ScaledOracle(Oracle):
-    alpha: float
-    inner: Oracle
+class ScaledOracle(Record, Oracle):
+    __slots__ = ("alpha", "inner")
 
     def evaluate(self, type_i, x, inputs):
         return self.alpha * self.inner.evaluate(type_i, x, inputs)
@@ -230,8 +230,7 @@ def linear_oracle(net: Network, *, coupling: str = "neighbor") -> OracleSpec:
     )
 
 
-@dataclass(frozen=True)
-class IndicatorOracle(Oracle):
+class IndicatorOracle(Record, Oracle):
     """Two-valued oracle that fires iff the weight arriving from neighbors
     in one designated state equals a designated parallel sum.
 
@@ -239,11 +238,7 @@ class IndicatorOracle(Oracle):
     state on its polydiagonal that this oracle maps off the polydiagonal.
     """
 
-    target_type: int
-    source_type: int
-    spec: MonoidSpec
-    target_state: float
-    target_sum: object
+    __slots__ = ("target_type", "source_type", "spec", "target_state", "target_sum")
 
     def evaluate(self, type_i, x, inputs):
         if type_i != self.target_type:
@@ -287,21 +282,14 @@ def admissible_eval(net: Network, oracle: Oracle, x) -> list[float]:
 # -- consistency fuzzing -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsistencyViolation:
-    law: str  # merge | zero_removal
-    type_pair: tuple[int, int]
-    raw_inputs: tuple
-    reduced_inputs: tuple
-    raw_value: float
-    reduced_value: float
+class ConsistencyViolation(Record):
+    """One broken rule, ``law`` merge | zero_removal, with both evaluations."""
+
+    __slots__ = ("law", "type_pair", "raw_inputs", "reduced_inputs", "raw_value", "reduced_value")
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    trials: int
-    skipped: int
-    violations: tuple[ConsistencyViolation, ...]
+class ConsistencyReport(Record):
+    __slots__ = ("trials", "skipped", "violations")
 
     @property
     def ok(self) -> bool:
@@ -316,20 +304,15 @@ def _close(a: float, b: float, rtol: float = 1e-9) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
 
-def oracle_consistency_check(
-    oracle: Oracle,
-    trials: int = 1000,
-    rng: random.Random | None = None,
-    pairs=None,
-) -> ConsistencyReport:
+def oracle_consistency_check(oracle: Oracle, trials: int = 1000, pairs=None) -> ConsistencyReport:
     """Fuzz the two self-consistency rules every oracle must obey.
 
-    Random neighborhoods with deliberately repeated states are evaluated
-    raw and with the repeats merged through the monoid; both must agree.
-    Inserting zero-weight inputs must change nothing either. Trials whose
-    outputs are non-finite carry no information and are skipped.
+    Random neighborhoods with deliberately repeated states, drawn by
+    ``random.Random(0)``, are evaluated raw and merged through the monoid;
+    both must agree. Inserting zero-weight inputs must change nothing
+    either. Trials with non-finite outputs are skipped as uninformative.
     """
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     if pairs is None:
         pairs = oracle.weight_pairs()  # type: ignore[attr-defined]
     violations: list[ConsistencyViolation] = []
@@ -377,18 +360,17 @@ def oracle_consistency_check(
 # -- simulation --------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """A uniformly sampled orbit: one state row per time point.
+class Trajectory(Record):
+    """A uniformly sampled orbit of ``kind`` map | ode: one state row per time in ``times``.
 
     ``states`` is the read-only (len, n) float64 orbit array; its
     ``tolist()`` gives the rows as lists of Python floats. Trajectories
     compare and hash by identity, as == on arrays has no single truth value.
     """
 
-    times: tuple
-    states: np.ndarray
-    kind: str  # map | ode
+    __slots__ = ("times", "states", "kind")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __len__(self):
         return len(self.states)
@@ -459,24 +441,16 @@ def _kappa_values(kappa: dict, n_types: int, values: list, pairs, codes, memo: d
     return out[inverse]
 
 
-@dataclass(frozen=True)
-class _LinearField:
+class _LinearField(Record):
     """The flat coded edges and the per-cell g of a linear admissible field.
 
-    Edge arrays come in row order (targets ascending, then sources); a
-    type pair is the id target type * n_types + source type, and ``gains``
-    holds kappa of each edge's own weight. ``slope`` is the ``a`` of g
-    ``scale`` and 0.0 for g ``zero``, which ``zero_g`` marks.
+    Fields are arrays; edge arrays come in row order (targets ascending,
+    then sources). A type pair is the id target type * n_types + source
+    type, and ``gains`` holds kappa of each edge's own weight. ``slope`` is
+    the ``a`` of g ``scale`` and 0.0 for g ``zero``, which ``zero_g`` marks.
     """
 
-    tgt: np.ndarray
-    src: np.ndarray
-    codes: np.ndarray
-    pairs: np.ndarray
-    gains: np.ndarray
-    diffusive: np.ndarray
-    slope: np.ndarray
-    zero_g: np.ndarray
+    __slots__ = ("tgt", "src", "codes", "pairs", "gains", "diffusive", "slope", "zero_g")
 
 
 def _linear_field(net: Network, oracle: Oracle) -> _LinearField | None:
@@ -800,24 +774,22 @@ def unbalance_witness(net: Network, partition: Partition):
     return oracle, lift(partition, reduced)
 
 
-@dataclass(frozen=True)
-class LinearityReport:
-    additive_deviation: float
-    homogeneous_deviation: float
-    tolerance: float
+LINEARITY_TOLERANCE = 1e-12
+
+
+class LinearityReport(Record):
+    __slots__ = ("additive_deviation", "homogeneous_deviation")
 
     @property
     def ok(self) -> bool:
-        return (
-            self.additive_deviation <= self.tolerance
-            and self.homogeneous_deviation <= self.tolerance
-        )
+        tol = LINEARITY_TOLERANCE
+        return self.additive_deviation <= tol and self.homogeneous_deviation <= tol
 
 
 def linearity_check(net: Network, oracle_a: Oracle, oracle_b: Oracle) -> LinearityReport:
     """Evaluation at a network is linear in the oracle: sums and scalings
-    of oracles evaluate to sums and scalings of the outputs, within 1e-12
-    at 20 states drawn from a fixed seed."""
+    of oracles evaluate to sums and scalings of the outputs, within
+    ``LINEARITY_TOLERANCE`` at 20 states drawn from a fixed seed."""
     rng = random.Random(0)
     add_dev = 0.0
     hom_dev = 0.0
@@ -834,7 +806,7 @@ def linearity_check(net: Network, oracle_a: Oracle, oracle_b: Oracle) -> Lineari
         hom_dev = max(
             hom_dev, max(abs(s - alpha * p) for s, p in zip(scaled, fa))
         )
-    return LinearityReport(add_dev, hom_dev, 1e-12)
+    return LinearityReport(add_dev, hom_dev)
 
 
 # -- CLI-facing plumbing -----------------------------------------------------

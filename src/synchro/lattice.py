@@ -55,9 +55,9 @@ commutative monoid, again without subtracting weights:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record
 from .balance import _require_balanced, is_balanced
 from .cir import _converge, _sweep, top
 from .coding import CodedNetwork, coded
@@ -256,15 +256,10 @@ def _lower_covers(results: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [q.colors for _, q in kept]
 
 
-@dataclass(frozen=True)
-class BalancedLattice:
-    """All balanced partitions plus the cover relation of refinement."""
+class BalancedLattice(Record):
+    """All balanced partitions plus their covers, as (finer index, coarser index) pairs."""
 
-    elements: tuple[Partition, ...]
-    covers: tuple[tuple[int, int], ...]  # (finer index, coarser index)
-    top: Partition
-    bottom: Partition
-    complete: bool
+    __slots__ = ("elements", "covers", "top", "bottom", "complete")
 
     def __contains__(self, partition: Partition) -> bool:
         return partition in self.elements

@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .errors import MonoidMismatch, SchemaError, SizeLimitError
 
 
@@ -65,6 +65,7 @@ class MonoidSpec:
     so a weight is identified by the pair (spec, value) and nothing else.
     """
 
+    __slots__ = ()  # so that the shipped specs, slotted records, hold no __dict__
     kind: str = "abstract"
 
     @property
@@ -173,10 +174,10 @@ def _as_float(x) -> float:
 _MAX_EXPONENT = 4300
 
 
-@dataclass(frozen=True)
-class ResistorParallel(MonoidSpec):
+class ResistorParallel(Record, MonoidSpec):
     """Parallel composition of resistors, carried as exact conductances."""
 
+    __slots__ = ()
     kind = "resistor_parallel"
 
     @property
@@ -252,6 +253,8 @@ class ResistorParallel(MonoidSpec):
 class _Natural(MonoidSpec):
     """The ``{"n": <int >= 0>}`` codec shared by both natural-number monoids."""
 
+    __slots__ = ()
+
     def contains(self, value):
         return _natural_ok(value)
 
@@ -267,10 +270,10 @@ class _Natural(MonoidSpec):
         return obj["n"]
 
 
-@dataclass(frozen=True)
-class NaturalAdd(_Natural):
+class NaturalAdd(Record, _Natural):
     """Nonnegative integers under addition; 0 means no edge."""
 
+    __slots__ = ()
     kind = "natural_add"
 
     @property
@@ -287,10 +290,10 @@ class NaturalAdd(_Natural):
         return _as_float
 
 
-@dataclass(frozen=True)
-class NaturalMul(_Natural):
+class NaturalMul(Record, _Natural):
     """Nonnegative integers under multiplication; the identity is 1."""
 
+    __slots__ = ()
     kind = "natural_mul"
 
     @property
@@ -316,22 +319,19 @@ class NaturalMul(_Natural):
         return kappa
 
 
-@dataclass(frozen=True)
-class FreeCommutative(MonoidSpec):
+class FreeCommutative(Record, MonoidSpec):
     """Finite multisets of string generators under multiset union.
 
     Elements are stored canonically as a tuple of (label, count) pairs sorted
     by label with counts >= 1, so structural equality is multiset equality.
-    ``generators=None`` leaves the alphabet open.
+    ``generators`` is stored sorted and deduplicated; None leaves it open.
     """
 
-    generators: tuple[str, ...] | None = None
-
+    __slots__ = ("generators",)
     kind = "free_commutative"
 
-    def __post_init__(self):
-        if self.generators is not None:
-            object.__setattr__(self, "generators", tuple(sorted(set(self.generators))))
+    def __init__(self, generators=None):
+        super().__init__(None if generators is None else tuple(sorted(set(generators))))
 
     @property
     def identity(self):
@@ -408,18 +408,17 @@ class FreeCommutative(MonoidSpec):
         return obj
 
 
-@dataclass(frozen=True)
-class ProductMonoid(MonoidSpec):
+class ProductMonoid(Record, MonoidSpec):
     """Direct product of other monoids, used to merge edge types; combine acts componentwise."""
 
-    parts: tuple[MonoidSpec, ...] = field(default_factory=tuple)
-
+    __slots__ = ("parts",)
     kind = "product"
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    def __init__(self, parts=()):
+        parts = tuple(parts)
+        if not parts:
             raise MonoidMismatch("product monoid needs at least one component")
+        super().__init__(parts)
 
     @property
     def identity(self):
@@ -471,13 +470,14 @@ class ProductMonoid(MonoidSpec):
         return {"kind": self.kind, "parts": [p.to_json() for p in self.parts]}
 
 
-@dataclass(frozen=True)
-class WithAnnihilator(MonoidSpec):
+class WithAnnihilator(Record, MonoidSpec):
     """An existing monoid with a fresh absorbing element adjoined."""
 
-    inner: MonoidSpec = field(default_factory=NaturalAdd)
-
+    __slots__ = ("inner",)
     kind = "with_annihilator"
+
+    def __init__(self, inner=NaturalAdd()):
+        super().__init__(inner)
 
     @property
     def identity(self):
@@ -615,32 +615,26 @@ def spec_from_json(obj, where: str = "", depth: int = 0) -> MonoidSpec:
     return WithAnnihilator(nested(obj["inner"], "inner"))
 
 
-@dataclass(frozen=True)
-class LawViolation:
-    law: str
-    operands: tuple
-    left: object
-    right: object
+class LawViolation(Record):
+    __slots__ = ("law", "operands", "left", "right")
 
 
-@dataclass(frozen=True)
-class LawCheckReport:
-    spec: MonoidSpec
-    trials: int
-    violations: tuple[LawViolation, ...]
+class LawCheckReport(Record):
+    __slots__ = ("spec", "trials", "violations")
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def law_check(spec: MonoidSpec, samples=None, trials: int = 1000, rng=None) -> LawCheckReport:
+def law_check(spec: MonoidSpec, samples=None, trials: int = 1000) -> LawCheckReport:
     """Fuzz associativity, commutativity, identity and absorption.
 
-    Shipped specs must come back clean; a deliberately broken spec (e.g.
-    subtraction as combine) gets its violation reported with the operands.
+    Operands come from ``samples`` or ``spec.sample``, drawn by
+    ``random.Random(0)``. Shipped specs must come back clean; a broken spec
+    (e.g. subtraction as combine) gets its violation reported with the operands.
     """
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
 
     def pick():
         if samples:

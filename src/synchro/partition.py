@@ -9,8 +9,7 @@ color-indexed accumulation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, _set
 from .errors import PartitionError, SchemaError
 
 
@@ -26,20 +25,20 @@ def _canonical(colors) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A canonical coloring of cells 0..n-1."""
+class Partition(Record):
+    """A canonical coloring of cells 0..n-1: ``colors``, a tuple of ints."""
 
-    colors: tuple[int, ...]
+    __slots__ = ("colors", "__weakref__")  # weakly held by the verdict memo
 
-    def __post_init__(self):
-        if not self.colors:
+    def __init__(self, colors):
+        if not colors:
             raise PartitionError("partition needs at least one cell")
-        if self.colors != _canonical(self.colors):
+        if colors != _canonical(colors):
             raise PartitionError(
-                f"colors {self.colors} are not in first-occurrence canonical form; "
+                f"colors {colors} are not in first-occurrence canonical form; "
                 "use Partition.from_colors"
             )
+        _set(self, "colors", colors)
 
     @staticmethod
     def from_colors(colors) -> "Partition":
@@ -52,7 +51,7 @@ class Partition:
         if not colors:
             raise PartitionError("partition needs at least one cell")
         part = object.__new__(Partition)
-        object.__setattr__(part, "colors", colors)
+        _set(part, "colors", colors)
         return part
 
     @staticmethod
@@ -175,13 +174,10 @@ def project(a: Partition, full):
     return reduced
 
 
-@dataclass(frozen=True)
-class PolyPoint:
+class PolyPoint(Record):
     """A state on the polydiagonal of a partition: full = lift(reduced)."""
 
-    partition: Partition
-    reduced: tuple
-    full: tuple
+    __slots__ = ("partition", "reduced", "full")
 
     @staticmethod
     def from_reduced(partition: Partition, reduced) -> "PolyPoint":
@@ -200,14 +196,10 @@ def parse_partition(text: str, cells) -> Partition:
     index = {cell: i for i, cell in enumerate(cells)}
     colors = [0] * len(cells)
     seen = set()
-    groups = [g for g in text.split(";")]
-    label = 0
-    for group in groups:
-        members = [m.strip() for m in group.split(",")]
-        members = [m for m in members if m]
+    for label, group in enumerate(text.split(";"), start=1):
+        members = [m for m in map(str.strip, group.split(",")) if m]
         if not members:
             raise SchemaError(f"empty class in partition string {text!r}")
-        label += 1
         for m in members:
             if m not in index:
                 raise SchemaError(f"unknown cell {m!r} in partition string")

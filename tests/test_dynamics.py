@@ -183,7 +183,6 @@ class TestConsistencyCheck:
         report = oracle_consistency_check(
             coupling_oracle(resistor6.registry, 2, coupling="diffusive"),
             trials=10_000,
-            rng=random.Random(11),
         )
         assert report.ok
 
