@@ -20,10 +20,8 @@ from .balance import (
     BalanceResult,
     QuotientResult,
     RowSignature,
-    check_transitivity,
     is_balanced,
     quotient,
-    quotient_relation_holds,
     row_signature,
 )
 from .cir import CirTrace, cir, cir_iteration, kernel_name, top
@@ -40,7 +38,6 @@ from .errors import (
 )
 from .lattice import (
     BalancedLattice,
-    brute_force_balanced,
     enumerate_balanced,
     join,
     lattice_dot,
@@ -51,7 +48,6 @@ from .monoid import (
     ANNIHILATOR,
     SHORT,
     FreeCommutative,
-    LawCheckReport,
     MonoidRegistry,
     MonoidSpec,
     NaturalAdd,
@@ -59,7 +55,6 @@ from .monoid import (
     ProductMonoid,
     ResistorParallel,
     WithAnnihilator,
-    law_check,
 )
 from .network import (
     Network,
@@ -94,8 +89,6 @@ _DYNAMICS = frozenset({
     "admissible_eval",
     "coupling_oracle",
     "linear_oracle",
-    "linearity_check",
-    "oracle_consistency_check",
     "quotient_match",
     "simulate_map",
     "simulate_ode",

@@ -13,7 +13,7 @@ from .cir import _color_types, _sweep
 from .coding import coded
 from .errors import NotBalancedError, SynchroError
 from .network import Network
-from .partition import Partition, compose
+from .partition import Partition
 
 
 class RowSignature(Record):
@@ -145,54 +145,3 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
 
     q = Network.build(color_cells, cell_types, net.type_names, net.registry, edges)
     return QuotientResult(quotient=q, relation=partition, color_cells=color_cells)
-
-
-def quotient_relation_holds(net: Network, qres: QuotientResult) -> bool:
-    """Every cell's sum vector equals its color's quotient row, in O(|C| + |E|).
-
-    Both sides are compared as their nonzero slots only: each cell's coded
-    per-color sums against the decoded row of its color's quotient cell,
-    restricted to the quotient cells of colors. An identity sum is absent
-    on both sides, so the comparison is the entrywise one.
-    """
-    partition = qres.relation
-    _color_types(net, partition)
-    q = qres.quotient
-    q_view, view = coded(q), coded(net)
-    color_of = {q.index(cell): k + 1 for k, cell in enumerate(qres.color_cells)}
-    expected = []
-    for cell in qres.color_cells:
-        srcs, codes = q_view.rows[q.index(cell)]
-        expected.append(
-            {color_of[d]: q_view.values[k] for d, k in zip(srcs, codes) if d in color_of}
-        )
-    values = view.values
-    colors = partition.colors
-    for idx, k in enumerate(colors):
-        sums = view.row_sums(colors, idx)
-        if {l: values[code] for l, code in sums.items()} != expected[k - 1]:
-            return False
-    return True
-
-
-class TransitivityReport(Record):
-    __slots__ = ("ok", "via_two_steps", "direct", "composed")
-
-
-def check_transitivity(net: Network, first: Partition, second: Partition) -> TransitivityReport:
-    """Quotient twice versus quotient once by the composed coloring.
-
-    ``second`` colors the quotient cells of ``quotient(net, first)``. Both
-    routes must give the same network cell-for-cell; quotient ids compose
-    to identical strings by construction.
-    """
-    step1 = quotient(net, first)
-    step2 = quotient(step1.quotient, second)
-    combined = compose(first, second)
-    direct = quotient(net, combined)
-    return TransitivityReport(
-        ok=step2.quotient == direct.quotient,
-        via_two_steps=step2.quotient,
-        direct=direct.quotient,
-        composed=combined,
-    )

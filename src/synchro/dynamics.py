@@ -49,7 +49,6 @@ Exactness claims stop at the monoid algebra, never float trajectories.
 from __future__ import annotations
 
 import math
-import random
 import sys
 
 import numpy as np
@@ -169,10 +168,6 @@ class OracleSpec(Oracle):
         self._kappa = {p: kappa[p] if p in kappa else spec.default_kappa() for p, spec in pairs}
         self._h = {p: h.get(p, _NEIGHBOR_H) for p, _ in pairs}
 
-    def weight_pairs(self):
-        """(target type, source type, spec) triples this oracle can see."""
-        return [(i, j, spec) for (i, j), spec in self.registry.pairs()]
-
     def evaluate(self, type_i, x, inputs):
         total = self._g[type_i](x)
         kappa, h = self._kappa, self._h
@@ -277,84 +272,6 @@ def admissible_eval(net: Network, oracle: Oracle, x) -> list[float]:
         )
         for c in range(net.n)
     ]
-
-
-# -- consistency fuzzing -----------------------------------------------------
-
-
-class ConsistencyViolation(Record):
-    """One broken rule, ``law`` merge | zero_removal, with both evaluations."""
-
-    __slots__ = ("law", "type_pair", "raw_inputs", "reduced_inputs", "raw_value", "reduced_value")
-
-
-class ConsistencyReport(Record):
-    __slots__ = ("trials", "skipped", "violations")
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _close(a: float, b: float, rtol: float = 1e-9) -> bool:
-    if a == b:
-        return True
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return False
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
-
-
-def oracle_consistency_check(oracle: Oracle, trials: int = 1000, pairs=None) -> ConsistencyReport:
-    """Fuzz the two self-consistency rules every oracle must obey.
-
-    Random neighborhoods with deliberately repeated states, drawn by
-    ``random.Random(0)``, are evaluated raw and merged through the monoid;
-    both must agree. Inserting zero-weight inputs must change nothing
-    either. Trials with non-finite outputs are skipped as uninformative.
-    """
-    rng = random.Random(0)
-    if pairs is None:
-        pairs = oracle.weight_pairs()  # type: ignore[attr-defined]
-    violations: list[ConsistencyViolation] = []
-    skipped = 0
-    for _ in range(trials):
-        i, j, spec = pairs[rng.randrange(len(pairs))]
-        x_self = rng.uniform(-3, 3)
-        states = [rng.uniform(-3, 3) for _ in range(rng.randint(1, 3))]
-        raw = []
-        for _ in range(rng.randint(1, 4)):
-            raw.append((j, spec.sample(rng), states[rng.randrange(len(states))]))
-
-        merged: dict[float, object] = {}
-        for _, w, y in raw:
-            merged[y] = spec.combine(merged[y], w) if y in merged else w
-        reduced = [(j, merged[y], y) for y in sorted(merged)]
-
-        raw_value = oracle.evaluate(i, x_self, raw)
-        reduced_value = oracle.evaluate(i, x_self, reduced)
-        if not (math.isfinite(raw_value) and math.isfinite(reduced_value)):
-            skipped += 1
-        elif not _close(raw_value, reduced_value):
-            violations.append(
-                ConsistencyViolation(
-                    "merge", (i, j), tuple(raw), tuple(reduced), raw_value, reduced_value
-                )
-            )
-
-        padded = list(raw)
-        for _ in range(rng.randint(1, 2)):
-            pos = rng.randrange(len(padded) + 1)
-            padded.insert(pos, (j, spec.identity, rng.uniform(-3, 3)))
-        padded_value = oracle.evaluate(i, x_self, padded)
-        if not (math.isfinite(padded_value) and math.isfinite(raw_value)):
-            skipped += 1
-        elif not _close(padded_value, raw_value):
-            violations.append(
-                ConsistencyViolation(
-                    "zero_removal", (i, j), tuple(padded), tuple(raw), padded_value, raw_value
-                )
-            )
-    return ConsistencyReport(trials=trials, skipped=skipped, violations=tuple(violations))
 
 
 # -- simulation --------------------------------------------------------------
@@ -743,7 +660,7 @@ def quotient_match(
     return float(np.max(np.abs(full_arr - red_arr[:, lift_idx])))
 
 
-# -- witnesses and linearity -------------------------------------------------
+# -- witnesses ---------------------------------------------------------------
 
 
 def unbalance_witness(net: Network, partition: Partition):
@@ -772,41 +689,6 @@ def unbalance_witness(net: Network, partition: Partition):
         target_sum=target_sum,
     )
     return oracle, lift(partition, reduced)
-
-
-LINEARITY_TOLERANCE = 1e-12
-
-
-class LinearityReport(Record):
-    __slots__ = ("additive_deviation", "homogeneous_deviation")
-
-    @property
-    def ok(self) -> bool:
-        tol = LINEARITY_TOLERANCE
-        return self.additive_deviation <= tol and self.homogeneous_deviation <= tol
-
-
-def linearity_check(net: Network, oracle_a: Oracle, oracle_b: Oracle) -> LinearityReport:
-    """Evaluation at a network is linear in the oracle: sums and scalings
-    of oracles evaluate to sums and scalings of the outputs, within
-    ``LINEARITY_TOLERANCE`` at 20 states drawn from a fixed seed."""
-    rng = random.Random(0)
-    add_dev = 0.0
-    hom_dev = 0.0
-    for _ in range(20):
-        x = [rng.uniform(-2, 2) for _ in range(net.n)]
-        alpha = rng.uniform(-3, 3)
-        both = admissible_eval(net, oracle_a + oracle_b, x)
-        fa = admissible_eval(net, oracle_a, x)
-        fb = admissible_eval(net, oracle_b, x)
-        add_dev = max(
-            add_dev, max(abs(s - (p + q)) for s, p, q in zip(both, fa, fb))
-        )
-        scaled = admissible_eval(net, alpha * oracle_a, x)
-        hom_dev = max(
-            hom_dev, max(abs(s - alpha * p) for s, p in zip(scaled, fa))
-        )
-    return LinearityReport(add_dev, hom_dev)
 
 
 # -- CLI-facing plumbing -----------------------------------------------------

@@ -32,8 +32,8 @@ class NotBalancedError(SynchroError):
 
 
 class SizeLimitError(SynchroError):
-    """Too large to handle: an exhaustive enumeration, or a weight too long to
-    print or beyond the float range."""
+    """Too large to handle: an orbit too long to allocate, a flow of too many
+    steps, or a weight too long to print or beyond the float range."""
 
 
 class DimensionMismatch(SynchroError):

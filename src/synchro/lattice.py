@@ -6,8 +6,7 @@ pass) and is provably balanced; the meet refines the common refinement of
 the inputs back to a balanced coloring. Enumeration walks down from the
 maximal balanced partition, refining every single-class bipartition that
 survives a screen of its first sweep, and reads the cover relation off the
-same walk -- exhaustive search over all set partitions is kept as the
-oracle for small instances.
+same walk.
 
 A seed (``_split``) splits one class K of a balanced parent p into A and
 K - A; its smaller side is min(|A|, |K - A|), and a piece is a class of
@@ -55,18 +54,15 @@ commutative monoid, again without subtracting weights:
 """
 from __future__ import annotations
 
-from itertools import product
-
 from ._record import Record
 from .balance import _require_balanced, is_balanced
-from .cir import _converge, _sweep, top
+from .cir import _converge, top
 from .coding import CodedNetwork, coded
-from .errors import DimensionMismatch, SizeLimitError
+from .errors import DimensionMismatch
 from .network import Network, _quote, _write_json
 from .partition import Partition, common_refinement, format_partition, is_finer
 
 DEFAULT_BUDGET = 100_000
-BRUTE_FORCE_LIMIT = 12
 
 
 def join(net: Network, a: Partition, b: Partition) -> Partition:
@@ -102,41 +98,6 @@ def meet(net: Network, a: Partition, b: Partition) -> Partition:
     _require_balanced(net, b, "second partition is not balanced")
     seed = common_refinement(a, b)
     return Partition._from_canonical(_converge(coded(net), seed.colors, seed.rank))
-
-
-def _set_partitions(items: list[int]):
-    """All set partitions of ``items`` as lists of classes (Bell-many)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield [[first]] + sub
-
-
-def brute_force_balanced(net: Network) -> set[Partition]:
-    """Oracle enumeration: test every partition below the type partition.
-
-    Candidates are products of set partitions of each type class, so the
-    count is a product of Bell numbers; refuses networks above
-    ``BRUTE_FORCE_LIMIT`` cells.
-    """
-    if net.n > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            f"brute force enumeration limited to {BRUTE_FORCE_LIMIT} cells, network has {net.n}"
-        )
-    view = coded(net)
-    type_classes = net.type_partition().classes()
-    balanced: set[Partition] = set()
-    per_block = [list(_set_partitions(cls)) for cls in type_classes]
-    for blocks in product(*per_block):
-        classes = [cls for block in blocks for cls in block]
-        partition = Partition.from_classes(classes, net.n)
-        if _sweep(view, partition.colors)[1] == partition.rank:
-            balanced.add(partition)
-    return balanced
 
 
 def _split(parent, rank: int, cls: list[int], mask: int):

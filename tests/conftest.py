@@ -4,10 +4,17 @@
 trace is tabulated step by step; ``triangle3`` the 3-cell loop with unit
 additive weights and one doubled input; ``chain3`` the directed path whose
 only balanced coloring is the trivial one.
+
+Every hypothesis test draws its cases from a fixed seed, so each run,
+local or CI, tries the same examples.
 """
 import pytest
+from hypothesis import settings
 
 from synchro import MonoidRegistry, NaturalAdd, Network, ResistorParallel
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def make_resistor6() -> Network:

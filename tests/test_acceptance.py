@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import corpus
+from checks import all_candidates, brute_force_balanced, law_check
 from conftest import make_chain3, make_resistor6, make_triangle3
 from synchro import (
     FreeCommutative,
@@ -23,13 +24,11 @@ from synchro import (
     ResistorParallel,
     WithAnnihilator,
     admissible_eval,
-    brute_force_balanced,
     cir,
     enumerate_balanced,
     is_balanced,
     is_finer,
     join,
-    law_check,
     lift,
     linear_oracle,
     meet,
@@ -247,7 +246,7 @@ def test_criterion_9_witness_soundness():
     balanced_sets, _ = corpus.balanced_sets()
     witnessed = 0
     for net, brute in zip(nets, balanced_sets):
-        for candidate in corpus.all_candidates(net):
+        for candidate in all_candidates(net):
             if candidate in brute:
                 continue
             oracle, state = unbalance_witness(net, candidate)
@@ -283,3 +282,25 @@ def test_criterion_10_complexity_smoke():
     slope = float(np.polyfit(np.log(sizes), np.log(totals), 1)[0])
     assert slope <= 3.2, f"super-cubic trend: slope {slope:.3f}"
     _passed(10, f"slope {slope:.3f} <= 3.2, per-sweep counts equal |C| + |E|")
+
+
+def test_bundle_family_makes_the_cubic_bound_tight():
+    """The chain of criterion 10 where every chain cell also receives a unit
+    edge from each of n input-free cells of a second type: |C| = 2n and
+    |E| = n² + n - 1, and refining from the type partition still peels off
+    one chain cell per sweep, so n sweeps of |C| + |E| grow cubically in |C|."""
+    sizes = (16, 32, 64)
+    totals = []
+    for n in sizes:
+        chain = [f"c{i}" for i in range(n)]
+        bundle = [f"b{i}" for i in range(n)]
+        edges = [(chain[i + 1], chain[i], 1) for i in range(n - 1)]
+        edges += [(c, b, 1) for c in chain for b in bundle]
+        net = Network.build(chain + bundle, ["chain"] * n + ["bundle"] * n, ["chain", "bundle"],
+                            MonoidRegistry.uniform(NaturalAdd(), 2), edges)
+        trace = cir(net, net.type_partition())
+        assert trace.ops == (net.n + net.edge_count(),) * n, "per-sweep count drifted"
+        totals.append(trace.total_ops)
+        print(f"    size {net.n:>5}  sweeps {n:>5}  total ops {trace.total_ops:>9}")
+    slope = float(np.polyfit(np.log([2 * n for n in sizes]), np.log(totals), 1)[0])
+    assert 2.8 <= slope <= 3.2, f"bundle family not cubic: slope {slope:.3f}"

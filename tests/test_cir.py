@@ -4,10 +4,10 @@ import random
 import pytest
 
 import corpus
+from checks import brute_force_balanced
 from synchro import (
     Partition,
     PartitionError,
-    brute_force_balanced,
     cir,
     cir_iteration,
     is_balanced,

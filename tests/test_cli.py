@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: outputs, exit codes, round trips."""
 import contextlib
 import csv
+import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -937,36 +939,52 @@ def test_only_simulation_loads_numpy_and_the_dynamics_layer(tmp_path):
 
 _DYNAMICS_EXPORTS = (
     "Coupling", "GFunc", "IndicatorOracle", "Oracle", "OracleSpec", "Trajectory",
-    "admissible_eval", "coupling_oracle", "linear_oracle", "linearity_check",
-    "oracle_consistency_check", "quotient_match", "simulate_map", "simulate_ode",
-    "trajectory_csv", "unbalance_witness",
+    "admissible_eval", "coupling_oracle", "linear_oracle", "quotient_match", "simulate_map",
+    "simulate_ode", "trajectory_csv", "unbalance_witness",
 )
 
 
 # The public surface, pinned: a name joins or leaves it only through an edit here.
 _PUBLIC_NAMES = [
     "ANNIHILATOR", "BalanceResult", "BalancedLattice", "CirTrace", "Coupling",
-    "DimensionMismatch", "FreeCommutative", "GFunc", "IndicatorOracle", "LawCheckReport",
-    "MonoidMismatch", "MonoidRegistry", "MonoidSpec", "NaturalAdd", "NaturalMul", "Network",
+    "DimensionMismatch", "FreeCommutative", "GFunc", "IndicatorOracle", "MonoidMismatch",
+    "MonoidRegistry", "MonoidSpec", "NaturalAdd", "NaturalMul", "Network",
     "NotBalancedError", "Oracle", "OracleSpec", "Partition", "PartitionError", "PolyPoint",
     "ProductMonoid", "QuotientResult", "ResistorParallel", "RowSignature", "SHORT",
     "SchemaError", "SimulationDiverged", "SizeLimitError", "SynchroError", "Trajectory",
-    "WithAnnihilator", "WitnessError", "admissible_eval", "balance", "brute_force_balanced",
-    "check_transitivity", "cir", "cir_iteration", "coding", "common_refinement", "compose",
-    "coupling_oracle", "dynamics", "enumerate_balanced", "errors", "format_partition",
-    "is_balanced", "is_finer", "join", "kernel_name", "lattice", "lattice_dot",
-    "lattice_json", "law_check", "lift", "linear_oracle", "linearity_check", "meet",
-    "monoid", "network", "network_from_json", "network_to_json", "oracle_consistency_check",
-    "parse_network", "parse_partition", "partition", "project", "quotient",
-    "quotient_match", "quotient_partition", "quotient_relation_holds", "row_signature",
-    "serialize_network", "simulate_map", "simulate_ode", "to_dot", "top", "trajectory_csv",
-    "unbalance_witness",
+    "WithAnnihilator", "WitnessError", "admissible_eval", "balance", "cir", "cir_iteration",
+    "coding", "common_refinement", "compose", "coupling_oracle", "dynamics",
+    "enumerate_balanced", "errors", "format_partition", "is_balanced", "is_finer", "join",
+    "kernel_name", "lattice", "lattice_dot", "lattice_json", "lift", "linear_oracle",
+    "meet", "monoid", "network", "network_from_json", "network_to_json", "parse_network",
+    "parse_partition", "partition", "project", "quotient", "quotient_match",
+    "quotient_partition", "row_signature", "serialize_network", "simulate_map",
+    "simulate_ode", "to_dot", "top", "trajectory_csv", "unbalance_witness",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(_PUBLIC_NAMES) == 81
+    assert len(_PUBLIC_NAMES) == 74
     assert sorted(synchro.__all__) == _PUBLIC_NAMES
+
+
+# The reference checkers live in tests/checks.py; the package defines none of them.
+_CHECKER_NAMES = {
+    "law_check", "LawViolation", "LawCheckReport", "oracle_consistency_check",
+    "ConsistencyViolation", "ConsistencyReport", "_close", "linearity_check",
+    "LinearityReport", "LINEARITY_TOLERANCE", "check_transitivity", "TransitivityReport",
+    "brute_force_balanced", "_set_partitions", "BRUTE_FORCE_LIMIT", "all_candidates",
+    "quotient_relation_holds",
+}
+
+
+def test_no_synchro_module_defines_a_checker():
+    names = [m.name for m in pkgutil.iter_modules(synchro.__path__) if m.name != "__main__"]
+    assert "dynamics" in names and "lattice" in names
+    for name in names:
+        module = importlib.import_module(f"synchro.{name}")
+        assert _CHECKER_NAMES.isdisjoint(vars(module)), name
+    assert not hasattr(synchro.dynamics.OracleSpec, "weight_pairs")
 
 
 def test_dynamics_exports_resolve_on_first_access():

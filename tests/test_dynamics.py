@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import corpus
 import corpus_noncancel
+from checks import linearity_check, oracle_consistency_check
 from synchro import (
     Coupling,
     DimensionMismatch,
@@ -33,8 +35,6 @@ from synchro import (
     coupling_oracle,
     enumerate_balanced,
     linear_oracle,
-    linearity_check,
-    oracle_consistency_check,
     parse_partition,
     quotient,
     quotient_match,
@@ -555,6 +555,16 @@ class TestLinearity:
         )
         report = linearity_check(triangle3, bumpy, wavy)
         assert report.ok
+
+    def test_non_finite_outputs_are_not_linear(self):
+        """A SHORT edge makes cell a's outputs infinite, so its deviations are NaN."""
+        net = Network.build(["a", "b"], ["t", "t"], ["t"],
+                            MonoidRegistry.uniform(ResistorParallel(), 1),
+                            [("a", "b", SHORT), ("b", "a", Fraction(2))])
+        report = linearity_check(net, linear_oracle(net), coupling_oracle(net.registry, 1))
+        assert math.isnan(report.additive_deviation)
+        assert math.isnan(report.homogeneous_deviation)
+        assert not report.ok
 
     def test_zero_scaling_kills_output(self, triangle3):
         oracle = 0.0 * unit_oracle(triangle3)

@@ -9,6 +9,7 @@ import pytest
 
 import corpus
 import corpus_noncancel
+from checks import brute_force_balanced
 from synchro import (
     DimensionMismatch,
     MonoidRegistry,
@@ -17,7 +18,6 @@ from synchro import (
     NotBalancedError,
     Partition,
     SizeLimitError,
-    brute_force_balanced,
     cir,
     enumerate_balanced,
     is_balanced,

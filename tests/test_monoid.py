@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checks import law_check
 from synchro import (
     ANNIHILATOR,
     SHORT,
@@ -22,7 +23,6 @@ from synchro import (
     ResistorParallel,
     SizeLimitError,
     WithAnnihilator,
-    law_check,
 )
 from synchro.coding import CodedNetwork
 

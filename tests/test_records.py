@@ -21,7 +21,6 @@ from synchro import (
     BalanceResult,
     CirTrace,
     FreeCommutative,
-    LawCheckReport,
     MonoidRegistry,
     NaturalAdd,
     NaturalMul,
@@ -33,11 +32,9 @@ from synchro import (
     ResistorParallel,
     RowSignature,
     WithAnnihilator,
-    check_transitivity,
     dynamics,
+    quotient,
 )
-from synchro.balance import TransitivityReport
-from synchro.monoid import LawViolation
 
 
 def _network():
@@ -66,8 +63,6 @@ def _records():
         (FreeCommutative, dict(generators=("x", "y"))),
         (ProductMonoid, dict(parts=(NaturalAdd(), ResistorParallel()))),
         (WithAnnihilator, dict(inner=NaturalMul())),
-        (LawViolation, dict(law="commutativity", operands=(1, 2), left=3, right=4)),
-        (LawCheckReport, dict(spec=NaturalAdd(), trials=10, violations=())),
         (Partition, dict(colors=(1, 1, 2))),
         (PolyPoint, dict(partition=Partition((1, 2, 1)), reduced=(1.0, 2.0),
                          full=(1.0, 2.0, 1.0))),
@@ -75,7 +70,6 @@ def _records():
         (BalanceResult, dict(balanced=False, counterexample=("a", "b", 1))),
         (QuotientResult, dict(quotient=net, relation=Partition.trivial(3),
                               color_cells=("a", "b", "c"))),
-        (TransitivityReport, dict(ok=True, via_two_steps=net, direct=net, composed=p)),
         (CirTrace, dict(seed=p, iterations=((Partition((1, 2, 3)), 3),) * 2, ops=(5, 5))),
         (BalancedLattice, dict(elements=(Partition.trivial(3), p), covers=((0, 1),), top=p,
                                bottom=Partition.trivial(3), complete=True)),
@@ -85,11 +79,6 @@ def _records():
         (dynamics.ScaledOracle, dict(alpha=0.5, inner=hit)),
         (dynamics.IndicatorOracle, dict(target_type=0, source_type=1, spec=WithAnnihilator(),
                                         target_state=1.0, target_sum=ANNIHILATOR)),
-        (dynamics.ConsistencyViolation, dict(law="merge", type_pair=(0, 0),
-                                             raw_inputs=((0, 1, 1.0),), reduced_inputs=(),
-                                             raw_value=1.0, reduced_value=2.0)),
-        (dynamics.ConsistencyReport, dict(trials=10, skipped=1, violations=())),
-        (dynamics.LinearityReport, dict(additive_deviation=0.0, homogeneous_deviation=1e-13)),
         (dynamics.Trajectory, dict(times=(0, 1), states=np.zeros((2, 3)), kind="map")),
         (dynamics._LinearField, arrays),
     ]
@@ -160,11 +149,11 @@ def test_fields_bind_once_each_by_position_or_name():
 
 
 def test_records_of_a_network_with_absorbing_weights_pickle_and_copy():
-    report = check_transitivity(_network(), Partition.trivial(3), Partition.trivial(3))
-    for again in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
-        assert again == report
-        assert again.direct.entry("a", "b") is SHORT
-        assert again.direct.entry("a", "c") is ANNIHILATOR
+    result = quotient(_network(), Partition.trivial(3))
+    for again in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert again == result
+        assert again.quotient.entry("a", "b") is SHORT
+        assert again.quotient.entry("a", "c") is ANNIHILATOR
 
 
 def test_partitions_take_weak_references():

@@ -21,6 +21,7 @@ import pytest
 
 import corpus
 import corpus_noncancel
+from checks import all_candidates, brute_force_balanced
 from synchro import (
     ANNIHILATOR,
     MonoidRegistry,
@@ -31,7 +32,6 @@ from synchro import (
     Partition,
     ResistorParallel,
     WithAnnihilator,
-    brute_force_balanced,
     cir,
     enumerate_balanced,
     is_balanced,
@@ -186,7 +186,7 @@ def test_every_sweep_matches_reference(name):
 def test_balance_and_lattice_match_reference(name):
     for net in CORPORA[name]():
         balanced = set()
-        for candidate in corpus.all_candidates(net):
+        for candidate in all_candidates(net):
             witness = ref_counterexample(net, candidate.colors)
             result = is_balanced(net, candidate)
             assert result.balanced == (witness is None), (net, candidate)
