@@ -36,6 +36,8 @@ from synchro import (
     quotient,
 )
 
+import checks
+
 
 def _network():
     """Three cells whose weights include SHORT and ANNIHILATOR."""
@@ -50,7 +52,8 @@ def _network():
 
 
 def _records():
-    """(class, fields by name) for every record class; each call builds fresh values."""
+    """(class, fields by name) for every record class and every report in ``checks``;
+    each call builds fresh values."""
     net = _network()
     p = Partition((1, 1, 2))
     hit = dynamics.IndicatorOracle(0, 1, NaturalAdd(), 1.0, 3)
@@ -63,6 +66,8 @@ def _records():
         (FreeCommutative, dict(generators=("x", "y"))),
         (ProductMonoid, dict(parts=(NaturalAdd(), ResistorParallel()))),
         (WithAnnihilator, dict(inner=NaturalMul())),
+        (checks.LawViolation, dict(law="commutativity", operands=(1, 2), left=3, right=4)),
+        (checks.LawCheckReport, dict(spec=NaturalAdd(), trials=10, violations=())),
         (Partition, dict(colors=(1, 1, 2))),
         (PolyPoint, dict(partition=Partition((1, 2, 1)), reduced=(1.0, 2.0),
                          full=(1.0, 2.0, 1.0))),
@@ -70,6 +75,7 @@ def _records():
         (BalanceResult, dict(balanced=False, counterexample=("a", "b", 1))),
         (QuotientResult, dict(quotient=net, relation=Partition.trivial(3),
                               color_cells=("a", "b", "c"))),
+        (checks.TransitivityReport, dict(ok=True, via_two_steps=net, direct=net, composed=p)),
         (CirTrace, dict(seed=p, iterations=((Partition((1, 2, 3)), 3),) * 2, ops=(5, 5))),
         (BalancedLattice, dict(elements=(Partition.trivial(3), p), covers=((0, 1),), top=p,
                                bottom=Partition.trivial(3), complete=True)),
@@ -79,6 +85,11 @@ def _records():
         (dynamics.ScaledOracle, dict(alpha=0.5, inner=hit)),
         (dynamics.IndicatorOracle, dict(target_type=0, source_type=1, spec=WithAnnihilator(),
                                         target_state=1.0, target_sum=ANNIHILATOR)),
+        (checks.ConsistencyViolation, dict(law="merge", type_pair=(0, 0),
+                                           raw_inputs=((0, 1, 1.0),), reduced_inputs=(),
+                                           raw_value=1.0, reduced_value=2.0)),
+        (checks.ConsistencyReport, dict(trials=10, skipped=1, violations=())),
+        (checks.LinearityReport, dict(additive_deviation=0.0, homogeneous_deviation=1e-13)),
         (dynamics.Trajectory, dict(times=(0, 1), states=np.zeros((2, 3)), kind="map")),
         (dynamics._LinearField, arrays),
     ]
@@ -185,5 +196,5 @@ def test_no_synchro_class_is_a_dataclass():
     modules = [importlib.import_module(f"synchro.{name}") for name in names]
     assert "dynamics" in names and "cli" in names
     classes = {v for m in modules for v in vars(m).values() if isinstance(v, type)}
-    assert {cls for cls, _ in _records()} <= classes
+    assert {cls for cls, _ in _records() if cls.__module__ != checks.__name__} <= classes
     assert [c.__name__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
