@@ -18,8 +18,6 @@ from importlib import import_module as _import_module
 
 from .balance import (
     BalanceResult,
-    QuotientResult,
-    RowSignature,
     is_balanced,
     quotient,
     row_signature,

@@ -16,17 +16,6 @@ from .network import Network
 from .partition import Partition
 
 
-class RowSignature(Record):
-    """Per-color parallel sums of one cell's incoming weights.
-
-    ``sums[k]`` is the merged weight arriving from color k+1; None marks a
-    column whose type pair has no registered monoid (no such edges can
-    exist, so nothing distinguishes the cells there).
-    """
-
-    __slots__ = ("cell", "owner_color", "sums")
-
-
 class BalanceResult(Record):
     """A verdict; an unbalanced one names (cell, cell, color) as its counterexample."""
 
@@ -36,25 +25,22 @@ class BalanceResult(Record):
         super().__init__(balanced, counterexample)
 
 
-class QuotientResult(Record):
-    """A quotient network, the coloring that produced it and the quotient cell id per color."""
+def row_signature(net: Network, partition: Partition, cell: str) -> tuple:
+    """The per-color parallel sums of one cell's incoming weights.
 
-    __slots__ = ("quotient", "relation", "color_cells")
-
-
-def row_signature(net: Network, partition: Partition, cell: str) -> RowSignature:
-    """The per-color weight sums of one row; the trivial coloring gives the row itself."""
+    Entry k is the merged weight from color k+1, or the monoid's identity;
+    None marks a column whose type pair has no registered monoid (no such
+    edges can exist). The trivial coloring gives the row itself.
+    """
     color_types = _color_types(net, partition)
     row = net.index(cell)
     view = coded(net)
     codes = view.row_sums(partition.colors, row)
     i = net.cell_types[row]
-    # an absent slot holds its monoid's identity (None where none is registered)
-    sums = tuple(
+    return tuple(
         view.values[codes[k]] if k in codes else getattr(net.registry.get(i, t), "identity", None)
         for k, t in enumerate(color_types, start=1)
     )
-    return RowSignature(cell=cell, owner_color=partition.colors[row], sums=sums)
 
 
 _BALANCED = BalanceResult(balanced=True)
@@ -117,11 +103,14 @@ def _merged_id(members) -> str:
     return "+".join(sorted(parts))
 
 
-def quotient(net: Network, partition: Partition) -> QuotientResult:
-    """The network on color classes; raises NotBalancedError with a witness pair.
+def quotient(net: Network, partition: Partition) -> Network:
+    """The quotient network of a balanced coloring, one cell per color.
 
-    Raises ``SynchroError`` when two classes would get the same merged id,
-    as the classes {a, b} and {a+b} would.
+    Cells come in color order, named by their members' ids joined with
+    '+'; a color's row holds its cells' shared per-color sums. Raises
+    NotBalancedError with a witness pair unless the coloring is balanced,
+    and ``SynchroError`` when two classes would get the same merged id, as
+    the classes {a, b} and {a+b} would.
     """
     _require_balanced(net, partition)
     view = coded(net)
@@ -143,5 +132,4 @@ def quotient(net: Network, partition: Partition) -> QuotientResult:
         for l, code in sorted(view.row_sums(partition.colors, cls[0]).items()):
             edges.append((color_cells[k], color_cells[l - 1], view.values[code]))
 
-    q = Network.build(color_cells, cell_types, net.type_names, net.registry, edges)
-    return QuotientResult(quotient=q, relation=partition, color_cells=color_cells)
+    return Network.build(color_cells, cell_types, net.type_names, net.registry, edges)

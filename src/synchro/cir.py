@@ -38,7 +38,7 @@ def kernel_name() -> str:
 
 
 class CirTrace(Record):
-    """Everything one refinement run did.
+    """The sweeps of one refinement run and the work of each.
 
     ``iterations`` records the (partition, rank) output of every sweep,
     including the final confirming one, so ranks strictly increase and then
@@ -46,7 +46,7 @@ class CirTrace(Record):
     |C| - rank(seed) applies to.
     """
 
-    __slots__ = ("seed", "iterations", "ops")
+    __slots__ = ("iterations", "ops")
 
     @property
     def converged(self) -> Partition:
@@ -167,7 +167,7 @@ def cir(net: Network, seed: Partition) -> CirTrace:
             break
         colors, rank = new, new_rank
     ops = (view.n + view.n_edges,) * len(iterations)
-    return CirTrace(seed=seed, iterations=tuple(iterations), ops=ops)
+    return CirTrace(iterations=tuple(iterations), ops=ops)
 
 
 def top(net: Network) -> Partition:

@@ -190,8 +190,7 @@ def quotient_command(partition_text, network_file, pretty):
     """Write the quotient network over a balanced partition (valid input JSON)."""
     net = _load(network_file)
     part = parse_partition(partition_text, net.cells)
-    qres = quotient(net, part)
-    click.echo(serialize_network(qres.quotient, pretty=pretty), nl=not pretty)
+    click.echo(serialize_network(quotient(net, part), pretty=pretty), nl=not pretty)
 
 
 @main.command(name="lattice")

@@ -59,7 +59,6 @@ from .cir import _color_types
 from .coding import coded
 from .errors import (
     DimensionMismatch,
-    MonoidMismatch,
     SchemaError,
     SimulationDiverged,
     SizeLimitError,
@@ -647,15 +646,15 @@ def quotient_match(
     the lifted orbit of the quotient network under the same oracle."""
     if mode not in ("map", "ode"):
         raise ValueError(f"mode must be 'map' or 'ode', got {mode!r}")
-    qres = quotient(net, partition)
+    q = quotient(net, partition)
     reduced0 = [float(v) for v in reduced0]
     x0 = lift(partition, reduced0)
     if mode == "map":
         full_arr = _iterate_map(net, oracle, x0, steps)
-        red_arr = _iterate_map(qres.quotient, oracle, reduced0, steps)
+        red_arr = _iterate_map(q, oracle, reduced0, steps)
     else:
         full_arr = _integrate_rk4(net, oracle, x0, horizon, dt)
-        red_arr = _integrate_rk4(qres.quotient, oracle, reduced0, horizon, dt)
+        red_arr = _integrate_rk4(q, oracle, reduced0, horizon, dt)
     lift_idx = [c - 1 for c in partition.colors]
     return float(np.max(np.abs(full_arr - red_arr[:, lift_idx])))
 
@@ -679,7 +678,7 @@ def unbalance_witness(net: Network, partition: Partition):
     i = net.cell_types[c]
     j = _color_types(net, partition)[k - 1]
     spec = net.registry.require(i, j)
-    target_sum = row_signature(net, partition, c_id).sums[k - 1]
+    target_sum = row_signature(net, partition, c_id)[k - 1]
     reduced = [1.0 + l for l in range(partition.rank)]
     oracle = IndicatorOracle(
         target_type=i,

@@ -219,12 +219,10 @@ def check_transitivity(net: Network, first: Partition, second: Partition) -> Tra
     routes must give the same network cell-for-cell; quotient ids compose
     to identical strings by construction.
     """
-    step1 = quotient(net, first)
-    step2 = quotient(step1.quotient, second)
+    step2 = quotient(quotient(net, first), second)
     combined = compose(first, second)
     direct = quotient(net, combined)
-    return TransitivityReport(step2.quotient == direct.quotient, step2.quotient,
-                              direct.quotient, combined)
+    return TransitivityReport(step2 == direct, step2, direct, combined)
 
 
 def _set_partitions(items: list[int]):

@@ -13,8 +13,8 @@ from synchro import (
     Partition,
     PartitionError,
     MonoidRegistry,
-    QuotientResult,
     NaturalAdd,
+    ProductMonoid,
     ResistorParallel,
     SchemaError,
     SynchroError,
@@ -34,23 +34,20 @@ R = ResistorParallel()
 
 def test_signature_two_type_example(resistor6):
     seed = resistor6.type_partition()
-    sig = row_signature(resistor6, seed, "1")
-    assert sig.sums == (R.from_resistance(15), R.from_resistance(30))
-    assert sig.owner_color == 1
+    sums = row_signature(resistor6, seed, "1")
+    assert sums == (R.from_resistance(15), R.from_resistance(30))
+    assert seed.colors[resistor6.index("1")] == 1
 
 
 def test_signature_triangle_doubled_input(triangle3):
     part = parse_partition("1,2;3", triangle3.cells)
-    sig = row_signature(triangle3, part, "3")
-    assert sig.sums == (2, 1)
+    assert row_signature(triangle3, part, "3") == (2, 1)
 
 
 def test_signature_under_trivial_partition_is_the_row(triangle3):
     trivial = Partition.trivial(3)
-    sig = row_signature(triangle3, trivial, "3")
-    assert sig.sums == (1, 1, 1)
-    sig = row_signature(triangle3, trivial, "1")
-    assert sig.sums == (1, 0, 1)
+    assert row_signature(triangle3, trivial, "3") == (1, 1, 1)
+    assert row_signature(triangle3, trivial, "1") == (1, 0, 1)
 
 
 def test_signature_requires_type_compatible_partition(resistor6):
@@ -74,7 +71,7 @@ def test_chain_counterexample(chain3):
     assert (c, d) == ("2", "3")
     sig_c = row_signature(chain3, parse_partition("1;2,3", chain3.cells), c)
     sig_d = row_signature(chain3, parse_partition("1;2,3", chain3.cells), d)
-    assert sig_c.sums[color - 1] != sig_d.sums[color - 1]
+    assert sig_c[color - 1] != sig_d[color - 1]
 
 
 def test_counterexample_is_first_in_cell_order(resistor6):
@@ -166,27 +163,23 @@ def test_colorings_without_weak_references_are_answered_not_remembered(triangle3
 
 def test_quotient_triangle(triangle3):
     part = parse_partition("1,2;3", triangle3.cells)
-    qres = quotient(triangle3, part)
-    q = qres.quotient
+    q = quotient(triangle3, part)
     assert q.cells == ("1+2", "3")
     assert [[q.entry(a, b) for b in q.cells] for a in q.cells] == [[1, 1], [2, 1]]
-    assert _entrywise_relation_holds(triangle3, qres)
+    assert _entrywise_relation_holds(triangle3, part, q)
     # all-ones quotient rows: the entry from 1+2 into 3 should be 2
     ones = [(a, b, 1) for a in q.cells for b in q.cells]
     wrong = Network.build(q.cells, ["t", "t"], q.type_names, q.registry, ones)
-    other = QuotientResult(wrong, qres.relation, qres.color_cells)
-    assert not _entrywise_relation_holds(triangle3, other)
+    assert not _entrywise_relation_holds(triangle3, part, wrong)
 
 
 def test_quotient_of_trivial_partition_is_same_network(triangle3):
-    qres = quotient(triangle3, Partition.trivial(3))
-    assert qres.quotient == triangle3
+    assert quotient(triangle3, Partition.trivial(3)) == triangle3
 
 
 def test_quotient_two_type_example(resistor6):
     part = parse_partition("1,2;3;4;5,6", resistor6.cells)
-    qres = quotient(resistor6, part)
-    q = qres.quotient
+    q = quotient(resistor6, part)
     assert q.cells == ("1+2", "3", "4", "5+6")
     # distinct rows of the final refinement table, compressed
     expected = {
@@ -203,17 +196,15 @@ def test_quotient_two_type_example(resistor6):
                 assert got == R.identity
             else:
                 assert got == R.from_resistance(want)
-    assert _entrywise_relation_holds(resistor6, qres)
+    assert _entrywise_relation_holds(resistor6, part, q)
 
 
-def _entrywise_relation_holds(net, qres):
+def _entrywise_relation_holds(net, partition, q):
     """The definition: every (cell, color) sum equals its quotient entry."""
-    partition = qres.relation
-    q = qres.quotient
     for idx, k in enumerate(partition.colors):
-        sums = row_signature(net, partition, net.cells[idx]).sums
+        sums = row_signature(net, partition, net.cells[idx])
         for l, got in enumerate(sums):
-            expected = q.entry(qres.color_cells[k - 1], qres.color_cells[l])
+            expected = q.entry(q.cells[k - 1], q.cells[l])
             if not (expected == got or (expected is None and got is None)):
                 return False
     return True
@@ -232,9 +223,8 @@ def _rebuilt(q, edges):
 def test_quotient_relation_matches_entrywise_definition(corpus_networks):
     for net in corpus_networks():
         for part in brute_force_balanced(net):
-            qres = quotient(net, part)
-            assert _entrywise_relation_holds(net, qres)
-            q = qres.quotient
+            q = quotient(net, part)
+            assert _entrywise_relation_holds(net, part, q)
             edges = [(q.cells[c], q.cells[d], w) for c in range(q.n) for d, w in q.row_items(c)]
             if not edges:
                 continue
@@ -243,20 +233,18 @@ def test_quotient_relation_matches_entrywise_definition(corpus_networks):
             target, source, w = edges[-1]
             idempotent = q.spec_for(q.index(target), q.index(source)).combine(w, w) == w
             for wrong, holds in ((edges[:-1], False), (edges + edges[-1:], idempotent)):
-                other = QuotientResult(_rebuilt(q, wrong), qres.relation, qres.color_cells)
-                assert _entrywise_relation_holds(net, other) == holds
+                assert _entrywise_relation_holds(net, part, _rebuilt(q, wrong)) == holds
 
 
 def test_quotient_relation_rejects_wrong_quotient_at_full_rank(resistor6):
-    qres = quotient(resistor6, Partition.trivial(resistor6.n))
-    assert _entrywise_relation_holds(resistor6, qres)
-    q = qres.quotient
+    trivial = Partition.trivial(resistor6.n)
+    q = quotient(resistor6, trivial)
+    assert _entrywise_relation_holds(resistor6, trivial, q)
     edges = [(q.cells[c], q.cells[d], w) for c in range(q.n) for d, w in q.row_items(c)]
     # 30 ohms from cell 5 into cell 6 becomes 15 ohms; cell 5 gains an input from cell 3
     for extra in (("6", "5"), ("5", "3")):
         wrong = _rebuilt(q, edges + [(*extra, R.from_resistance(30))])
-        other = QuotientResult(wrong, qres.relation, qres.color_cells)
-        assert not _entrywise_relation_holds(resistor6, other)
+        assert not _entrywise_relation_holds(resistor6, trivial, wrong)
 
 
 def test_quotient_rejects_unbalanced(chain3):
@@ -268,20 +256,20 @@ def test_quotient_rejects_unbalanced(chain3):
 def test_transitivity_on_resistor_example(resistor6):
     first = parse_partition("1,2;3;4;5;6", resistor6.cells)
     step1 = quotient(resistor6, first)
-    second = parse_partition("1+2;3;4;5,6", step1.quotient.cells)
+    second = parse_partition("1+2;3;4;5,6", step1.cells)
     report = check_transitivity(resistor6, first, second)
     assert report.ok
     direct_top = quotient(resistor6, parse_partition("1,2;3;4;5,6", resistor6.cells))
-    assert report.direct == direct_top.quotient
+    assert report.direct == direct_top
 
 
 def test_transitivity_identity_second_step(resistor6):
     first = parse_partition("1,2;3;4;5,6", resistor6.cells)
     step1 = quotient(resistor6, first)
-    identity = Partition.trivial(step1.quotient.n)
+    identity = Partition.trivial(step1.n)
     report = check_transitivity(resistor6, first, identity)
     assert report.ok
-    assert report.direct == step1.quotient
+    assert report.direct == step1
 
 
 def test_transitivity_trivial_first_step(triangle3):
@@ -289,7 +277,7 @@ def test_transitivity_trivial_first_step(triangle3):
     second = parse_partition("1,2;3", triangle3.cells)
     report = check_transitivity(triangle3, first, second)
     assert report.ok
-    assert report.direct == quotient(triangle3, second).quotient
+    assert report.direct == quotient(triangle3, second)
 
 
 def test_transitivity_with_interleaved_classes():
@@ -302,7 +290,7 @@ def test_transitivity_with_interleaved_classes():
                         MonoidRegistry.uniform(NaturalAdd(), 1), edges)
     first = Partition.from_colors([1, 2, 1])  # classes {a,c} and {b} interleave
     step1 = quotient(net, first)
-    assert step1.quotient.cells == ("a+c", "b")
+    assert step1.cells == ("a+c", "b")
     second = Partition.single(2)
     report = check_transitivity(net, first, second)
     assert report.ok
@@ -322,7 +310,7 @@ def test_quotient_refuses_classes_whose_merged_ids_collide():
     assert str(err.value).startswith(
         "classes ['a', 'b'] and ['a+b'] would both be quotient cell 'a+b'"
     )
-    assert quotient(net, Partition.trivial(3)).quotient.cells == ("a", "b", "a+b")
+    assert quotient(net, Partition.trivial(3)).cells == ("a", "b", "a+b")
 
 
 def test_induced_partitions_stay_balanced_on_quotients():
@@ -334,12 +322,12 @@ def test_induced_partitions_stay_balanced_on_quotients():
         lattice = enumerate_balanced(net)
         elements = list(lattice.elements)
         for finer in elements:
-            qres = quotient(net, finer)
+            q = quotient(net, finer)
             for coarser in elements:
                 if finer == coarser or not is_finer(finer, coarser):
                     continue
                 induced = quotient_partition(finer, coarser)
-                assert is_balanced(qres.quotient, induced).balanced
+                assert is_balanced(q, induced).balanced
                 checked += 1
     assert checked > 0
 
@@ -352,9 +340,46 @@ def test_quotient_lattice_matches_coarser_elements():
     for net in corpus.corpus_networks() + corpus_noncancel.corpus_networks():
         lattice = enumerate_balanced(net)
         for anchor in lattice.elements:
-            sub = enumerate_balanced(quotient(net, anchor).quotient)
+            sub = enumerate_balanced(quotient(net, anchor))
             assert sub.complete
             lifted = {compose(anchor, q) for q in sub.elements}
             assert lifted == {p for p in lattice.elements if is_finer(anchor, p)}, (net, anchor)
             pairs += 1
     assert pairs == 258
+
+
+def _ring(n, *steps):
+    return [(str((i + k) % n), str(i)) for k in steps for i in range(n)]
+
+
+# (cell count, edges of type 1, edges of type 2), all on one cell type
+_EDGE_TYPE_PAIRS = [
+    (6, _ring(6, 1), _ring(6, -1)),  # two edge types running opposite ways round a ring
+    (6, _ring(6, 1), _ring(6, 3)),
+    (8, _ring(8, 1), _ring(8, 2, 4)),
+    (5, _ring(5, 1, 2, 3, 4), _ring(5, 1)),  # all-to-all under a directed ring
+]
+
+
+@pytest.mark.parametrize("index", range(len(_EDGE_TYPE_PAIRS)))
+def test_edge_types_become_one_product_weight(index):
+    """A network with two edge types is balanced exactly where the single-type
+    network weighted in NaturalAdd x NaturalAdd is: a coloring must balance
+    each edge type on its own, and the product compares the two counts
+    componentwise."""
+    n, first, second = _EDGE_TYPE_PAIRS[index]
+    cells = [str(i) for i in range(n)]
+
+    def build(spec, edges):
+        return Network.build(cells, ["t"] * n, ["t"], MonoidRegistry.uniform(spec, 1), edges)
+
+    add = NaturalAdd()
+    per_type = [set(enumerate_balanced(build(add, [(a, b, 1) for a, b in edges])).elements)
+                for edges in (first, second)]
+    product = build(ProductMonoid((add, add)),
+                    [(a, b, (1, 0)) for a, b in first] + [(a, b, (0, 1)) for a, b in second])
+    assert set(enumerate_balanced(product).elements) == per_type[0] & per_type[1]
+    if index == 0:
+        # forgetting the edge types adds the ring's reflections
+        merged = build(add, [(a, b, 1) for a, b in first + second])
+        assert set(enumerate_balanced(merged).elements) > per_type[0] & per_type[1]

@@ -160,7 +160,7 @@ def test_quotient_round_trips_through_every_command(runner, net_file, tmp_path):
     direct = quotient(
         make_resistor6(), parse_partition("1,2;3;4;5,6", make_resistor6().cells)
     )
-    assert qnet == direct.quotient
+    assert qnet == direct
 
     qpath = tmp_path / "q.json"
     qpath.write_text(result.stdout)
@@ -950,7 +950,7 @@ _PUBLIC_NAMES = [
     "DimensionMismatch", "FreeCommutative", "GFunc", "IndicatorOracle", "MonoidMismatch",
     "MonoidRegistry", "MonoidSpec", "NaturalAdd", "NaturalMul", "Network",
     "NotBalancedError", "Oracle", "OracleSpec", "Partition", "PartitionError", "PolyPoint",
-    "ProductMonoid", "QuotientResult", "ResistorParallel", "RowSignature", "SHORT",
+    "ProductMonoid", "ResistorParallel", "SHORT",
     "SchemaError", "SimulationDiverged", "SizeLimitError", "SynchroError", "Trajectory",
     "WithAnnihilator", "WitnessError", "admissible_eval", "balance", "cir", "cir_iteration",
     "coding", "common_refinement", "compose", "coupling_oracle", "dynamics",
@@ -964,7 +964,7 @@ _PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(_PUBLIC_NAMES) == 74
+    assert len(_PUBLIC_NAMES) == 72
     assert sorted(synchro.__all__) == _PUBLIC_NAMES
 
 

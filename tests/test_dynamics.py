@@ -899,7 +899,7 @@ class TestTrajectoryCsv:
 def _map_deviation_from_trajectories(net, part, oracle, reduced, steps):
     """Map-mode ``quotient_match`` rebuilt from ``simulate_map`` trajectories."""
     full = np.asarray(simulate_map(net, oracle, lift(part, reduced), steps).states)
-    red = np.asarray(simulate_map(quotient(net, part).quotient, oracle, reduced, steps).states)
+    red = np.asarray(simulate_map(quotient(net, part), oracle, reduced, steps).states)
     return float(np.max(np.abs(full - red[:, [c - 1 for c in part.colors]])))
 
 

@@ -72,6 +72,11 @@ class TestResistor:
         assert R.sum([third] * 3) == Fraction(2, 15)
         assert R.display(R.sum([third] * 3)) == "15/2"
 
+    def test_resistance_must_be_exact(self):
+        with pytest.raises(MonoidMismatch) as err:
+            R.from_resistance(0.5)
+        assert str(err.value) == "cannot interpret 0.5 as an exact rational"
+
     def test_display_round_trip(self):
         for raw in ["30", "15/2", "inf", "0"]:
             elem = R.element_from_json({"r": raw})
@@ -113,6 +118,14 @@ class TestFreeCommutative:
     def test_rejects_foreign_generators(self):
         with pytest.raises(MonoidMismatch):
             FREE.from_counts({"z": 1})
+
+    @pytest.mark.parametrize("value", [
+        [("a", 1)],  # a list, not a tuple
+        (("a", 1, 2),),  # an entry that is no (label, count) pair
+        (("b", 1), ("a", 1)),  # labels out of order
+    ])
+    def test_carrier_holds_only_sorted_label_count_tuples(self, value):
+        assert not FREE.contains(value)
 
     def test_open_alphabet(self):
         anything = FreeCommutative()

@@ -775,6 +775,11 @@ _ONE_PAIR = {
     ({k: v for k, v in _ONE_PAIR.items() if k != "edges"}, "missing top-level field 'edges'"),
     (dict(_ONE_PAIR, edges=[{"to": "a", "from": "b", "weight": {"n": 1}}]),
      "edges[0]: no monoid declared for pair ('t', 'u')"),
+    (dict(_ONE_PAIR, edges=[{"to": "a", "from": "zz", "weight": {"n": 1}}]),
+     "edges[0]: unknown source cell 'zz'"),
+    (dict(_ONE_PAIR, edges=[{"to": "a", "from": "a", "weight": {"r": "-5"}}],
+          monoids=[{"target_type": "t", "source_type": "t", "kind": "resistor_parallel"}]),
+     "edges[0].weight: bad resistance '-5': resistance must be nonnegative"),
     (dict(_ONE_PAIR, monoids=[{"target_type": "zz", "source_type": "t", "kind": "natural_add"}]),
      "monoids[0].target_type must name a type, got 'zz'"),
     (dict(_ONE_PAIR, monoids=[{"source_type": "t", "kind": "natural_add"}]),

@@ -142,6 +142,23 @@ class TestTextForm:
             parse_partition("1;;2", cells)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Partition(()), "partition needs at least one cell"),
+    (lambda: Partition.from_colors([]), "partition needs at least one cell"),
+    (lambda: Partition.from_classes([[0, 2]], 2), "cell index 2 out of range 0..1"),
+    (lambda: compose(P(1, 1, 2), P(1, 2, 3)), "color partition has 3 entries, expected rank 2"),
+    (lambda: common_refinement(P(1, 2), P(1, 2, 3)), "size mismatch: 2 vs 3 cells"),
+    (lambda: lift(P(1, 1, 2), [1.0]), "expected 2 reduced values, got 1"),
+    (lambda: project(P(1, 1, 2), [1.0, 1.0]), "expected 3 values, got 2"),
+    (lambda: format_partition(P(1, 2), ["a"]), "cell list does not match partition size"),
+], ids=["empty", "empty-colors", "class-index", "compose", "common-refinement", "lift",
+        "project", "format"])
+def test_size_and_range_checks_name_the_fault(call, message):
+    with pytest.raises(PartitionError) as err:
+        call()
+    assert str(err.value) == message
+
+
 @given(colorings)
 def test_less_or_equal_is_reflexive(a):
     assert is_finer(a, a)
