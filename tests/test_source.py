@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import synchro
-from synchro.cli import main
+from synchro.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(synchro.__file__).resolve().parent
@@ -66,7 +66,7 @@ def test_paper_to_code_table_names_resolve():
             for part in name.split("."):
                 obj = getattr(obj, part)
         for command in re.findall(r"`([^`]+)`", commands):
-            assert command in main.commands, (paper, command)
+            assert command in _COMMANDS.choices, (paper, command)
         named = re.findall(r"`([^`]+)`", checked_by)
         assert named and set(named) <= tests, (paper, set(named) - tests)
 
