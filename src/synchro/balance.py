@@ -1,7 +1,11 @@
 """Deciding balance and building quotient networks.
 
 A coloring is balanced when same-colored cells receive, color by color,
-equal parallel sums of incoming weights. Equality is decided on interned
+equal parallel sums of incoming weights. ``is_balanced`` compares each
+cell's sums with those of the first cell of its color, in cell order, and
+stops at the first mismatch: one differing pair already decides the
+verdict. A coloring with one cell per color has no pair to compare, so it
+is balanced without reading a row. Equality is decided on interned
 integer codes, so it is exact for every shipped monoid. The quotient of a
 network over a balanced coloring is the smaller network whose row for a
 color is the shared per-color sum vector of that color's cells.
@@ -9,7 +13,7 @@ color is the shared per-color sum vector of that color's cells.
 from __future__ import annotations
 
 from ._record import Record
-from .cir import _color_types, _sweep
+from .cir import _color_types
 from .coding import coded
 from .errors import NotBalancedError, SynchroError
 from .network import Network
@@ -49,15 +53,19 @@ _BALANCED = BalanceResult(balanced=True)
 def is_balanced(net: Network, partition: Partition) -> BalanceResult:
     """Decide balance; on failure report the first offending cell pair.
 
-    The counterexample is the first (in cell order) pair of same-colored
-    cells whose sum vectors differ, together with the 1-based color where
-    they first disagree.
+    One pass over the rows in cell order compares each row's per-color
+    sums with those of the first cell of its class, and stops at the first
+    mismatch: that cell and its class's first cell are the counterexample,
+    together with the 1-based color where their sums first disagree. Every
+    earlier row matched, so no pair earlier in cell order differs. A
+    coloring of rank |C| is balanced without reading a row, since each
+    class holds one cell and has no pair to compare.
 
     A balanced verdict is remembered in the network's coded view
     (``CodedNetwork.balanced``), weakly, so asking again about an equal
-    partition while one is still held skips the type check and the sweep.
+    partition while one is still held skips the type check and the pass.
     Equal partitions have equal colors and the network never changes, so
-    the answer is the one a sweep would give. Unbalanced verdicts are not
+    the answer is the one a pass would give. Unbalanced verdicts are not
     remembered, and an object that cannot be weakly referenced is answered
     but not remembered.
     """
@@ -66,22 +74,20 @@ def is_balanced(net: Network, partition: Partition) -> BalanceResult:
         return _BALANCED
     _color_types(net, partition)
     colors = partition.colors
-    new, new_rank = _sweep(view, colors)
-    if new_rank == partition.rank:  # the sweep split no class
-        try:
-            view.balanced.add(partition)
-        except TypeError:  # not weakly referenceable
-            pass
-        return _BALANCED
-    first: dict[int, int] = {}  # old color -> its first cell
-    for idx, old in enumerate(colors):  # some class split, so this loop breaks
-        c = first.setdefault(old, idx)
-        if new[c] != new[idx]:
-            break
-    sums_c = view.row_sums(colors, c)
-    sums_d = view.row_sums(colors, idx)
-    color = min(k for k in sums_c.keys() | sums_d.keys() if sums_c.get(k) != sums_d.get(k))
-    return BalanceResult(balanced=False, counterexample=(net.cells[c], net.cells[idx], color))
+    if partition.rank < view.n:
+        row_sums = view.row_sums
+        first: dict[int, tuple[int, dict]] = {}  # color -> (its first cell, that cell's sums)
+        for d, color in enumerate(colors):
+            sums = row_sums(colors, d)
+            c, sums_c = first.setdefault(color, (d, sums))
+            if sums != sums_c:
+                k = min(k for k in sums_c.keys() | sums.keys() if sums_c.get(k) != sums.get(k))
+                return BalanceResult(balanced=False, counterexample=(net.cells[c], net.cells[d], k))
+    try:
+        view.balanced.add(partition)
+    except TypeError:  # not weakly referenceable
+        pass
+    return _BALANCED
 
 
 def _require_balanced(net: Network, partition: Partition, message: str | None = None) -> None:

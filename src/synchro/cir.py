@@ -4,16 +4,20 @@ Starting from a seed coloring, each sweep splits every color class by the
 per-color parallel sums of its rows, keyed on (old color, sums) through a
 hash table. Ranks strictly increase until one confirming sweep leaves the
 coloring unchanged; the fixed point is balanced and is the coarsest
-balanced partition finer than the seed.
+balanced partition finer than the seed. A coloring of rank |C| is always
+such a fixed point: a sweep never merges classes, so it can only return
+the same cells one per color, in the same first-occurrence order.
 
 A row's key is its old color followed by the sorted (color, combined
 weight code) pairs of its nonzero slots, so one sweep costs |C| + |E|
 dictionary operations whatever the rank. Rows with at most two edges are
 keyed inline; longer rows go through ``row_sums``. New colors are
 numbered in first-occurrence row order, which makes every sweep's output
-canonical. ``cir`` records every sweep; ``top``, the meet and lattice
-enumeration run the converged-only loop on plain int lists and build one
-Partition at the end. Lattice enumeration also stops a seed as soon as a
+canonical. ``cir`` records every sweep, the confirming one included;
+``top``, the meet and lattice enumeration run the converged-only loop on
+plain int lists and build one Partition at the end. That loop skips the
+confirming sweep once a sweep reaches rank |C|, whose confirming sweep
+could only repeat it. Lattice enumeration also stops a seed as soon as a
 sweep lands on a balanced coloring it already knows, and abandons one
 once a sweep cuts its split class too finely (``synchro.lattice`` proves
 that no cover is lost).
@@ -124,10 +128,16 @@ def _converge(
 
     ``known`` holds canonical balanced colorings. Each is a fixed point of
     the sweep, so a sweep that lands on one has converged, and the
-    confirming sweep is skipped. ``split`` is a lattice seed's split class
-    and its smaller side: the run is abandoned, returning None, once a
-    sweep leaves a piece of that class smaller than the smaller side.
+    confirming sweep is skipped. It is skipped too after a sweep that
+    reaches rank |C|: the canonical discrete coloring is a fixed point of
+    the sweep as well. ``split`` is a lattice seed's split class and its
+    smaller side: the run is abandoned, returning None, once a sweep
+    leaves a piece of that class smaller than the smaller side. The
+    abandonment check comes before the discrete stop, as it came before
+    the confirming sweep, so every seed returns what it would have
+    returned after that sweep.
     """
+    n = view.n
     while True:
         new, new_rank = _sweep(view, colors)
         colors = tuple(new)
@@ -140,6 +150,8 @@ def _converge(
                 sizes[new[i]] = sizes.get(new[i], 0) + 1
             if min(sizes.values()) < smaller:
                 return None
+        if new_rank == n:
+            return colors
         rank = new_rank
 
 

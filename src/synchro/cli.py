@@ -86,8 +86,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help layout, with a help column wide enough for the command
+    names: argparse measures them without the indent it prints them at, so
+    names of eight letters went on lines of their own."""
+
+    def add_argument(self, action):
+        super().add_argument(action)
+        for subaction in self._iter_indented_subactions(action):
+            self._action_max_length = max(
+                self._action_max_length,
+                len(self._format_action_invocation(subaction)) + self._current_indent,
+            )
+
+
 def _parser(**settings) -> _Parser:
-    parser = _Parser(add_help=False, allow_abbrev=False, **settings)
+    parser = _Parser(add_help=False, allow_abbrev=False, formatter_class=_HelpFormatter,
+                     **settings)
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     return parser
 

@@ -255,7 +255,7 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     elements the walk screens every split and converges every survivor
     that only finds known ones or is abandoned. On the directed 16-ring
     with unit NaturalAdd weights, budget 4 still screens 21,887 splits and
-    converges 1,350 of them, with 3,444 sweeps in all.
+    converges 1,350 of them, with 3,443 sweeps in all.
     """
     if budget < 1:
         raise DimensionMismatch(f"budget must be at least 1, got {budget}")

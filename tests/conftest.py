@@ -3,15 +3,20 @@
 ``resistor6`` is the 6-cell two-type resistor network whose refinement
 trace is tabulated step by step; ``triangle3`` the 3-cell loop with unit
 additive weights and one doubled input; ``chain3`` the directed path whose
-only balanced coloring is the trivial one.
+only balanced coloring is the trivial one. ``work`` counts the rows read
+and the sweeps run while a test runs.
 
 Every hypothesis test draws its cases from a fixed seed, so each run,
 local or CI, tries the same examples.
 """
+import importlib
+import sys
+
 import pytest
 from hypothesis import settings
 
 from synchro import MonoidRegistry, NaturalAdd, Network, ResistorParallel
+from synchro.coding import CodedNetwork
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
@@ -48,12 +53,17 @@ def make_triangle3() -> Network:
     return Network.build(cells, ["t"] * 3, ["t"], registry, edges)
 
 
-def make_chain3() -> Network:
+def make_chain(n: int) -> Network:
+    """The directed path 1 -> 2 -> ... -> n with unit additive weights: each
+    sweep from the one-class coloring splits off one more cell."""
     registry = MonoidRegistry.uniform(NaturalAdd(), 1)
-    cells = ["1", "2", "3"]
-    return Network.build(
-        cells, ["t"] * 3, ["t"], registry, [("2", "1", 1), ("3", "2", 1)]
-    )
+    cells = [str(i + 1) for i in range(n)]
+    edges = [(cells[i + 1], cells[i], 1) for i in range(n - 1)]
+    return Network.build(cells, ["t"] * n, ["t"], registry, edges)
+
+
+def make_chain3() -> Network:
+    return make_chain(3)
 
 
 @pytest.fixture
@@ -69,3 +79,28 @@ def triangle3() -> Network:
 @pytest.fixture
 def chain3() -> Network:
     return make_chain3()
+
+
+@pytest.fixture
+def work(monkeypatch) -> dict[str, int]:
+    """Calls of ``CodedNetwork.row_sums`` (rows read one at a time) and of
+    ``synchro.cir._sweep`` (sweeps), counted from zero; the sweep is counted
+    in every synchro module that imported it."""
+    calls = {"row_sums": 0, "_sweep": 0}
+    real_row_sums = CodedNetwork.row_sums
+    # the package exports a function named ``cir``, which shadows the module
+    real_sweep = importlib.import_module("synchro.cir")._sweep
+
+    def counting_row_sums(*args):
+        calls["row_sums"] += 1
+        return real_row_sums(*args)
+
+    def counting_sweep(*args):
+        calls["_sweep"] += 1
+        return real_sweep(*args)
+
+    monkeypatch.setattr(CodedNetwork, "row_sums", counting_row_sums)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("synchro.") and getattr(module, "_sweep", None) is real_sweep:
+            monkeypatch.setattr(module, "_sweep", counting_sweep)
+    return calls

@@ -7,6 +7,7 @@ import pytest
 import corpus
 import corpus_noncancel
 from checks import brute_force_balanced, check_transitivity
+from conftest import make_chain
 from synchro import (
     Network,
     NotBalancedError,
@@ -30,6 +31,19 @@ from synchro import (
 from synchro.coding import coded
 
 R = ResistorParallel()
+
+
+def test_a_discrete_coloring_is_balanced_without_reading_a_row(resistor6, work):
+    assert is_balanced(resistor6, Partition.trivial(6)).balanced
+    assert work == {"row_sums": 0, "_sweep": 0}
+
+
+def test_the_first_differing_pair_ends_the_check(work):
+    # cell 1 of the chain has no input and cell 2 one, so the one-class
+    # coloring is decided by the first two rows; the other 98 go unread
+    result = is_balanced(make_chain(100), Partition.single(100))
+    assert result.counterexample == ("1", "2", 1)
+    assert work == {"row_sums": 2, "_sweep": 0}
 
 
 def test_signature_two_type_example(resistor6):

@@ -5,6 +5,7 @@ import pytest
 
 import corpus
 from checks import brute_force_balanced
+from conftest import make_chain
 from synchro import (
     Partition,
     PartitionError,
@@ -62,6 +63,19 @@ def test_balanced_seed_is_fixed_point(triangle3):
 def test_chain_refines_to_trivial(chain3):
     trace = cir(chain3, Partition.single(3))
     assert trace.converged == Partition.trivial(3)
+
+
+def test_top_stops_at_the_discrete_coloring(work):
+    # the chain's top is discrete; sweep k reaches rank k + 1, so rank 10
+    # comes at sweep 9 and no confirming sweep follows
+    assert top(make_chain(10)) == Partition.trivial(10)
+    assert work["_sweep"] == 9
+
+
+def test_cir_records_the_confirming_sweep_of_a_discrete_coloring(work):
+    trace = cir(make_chain(10), Partition.single(10))
+    assert [r for _, r in trace.iterations] == [*range(2, 11), 10]
+    assert work["_sweep"] == len(trace.iterations) == len(trace.ops) == 10
 
 
 def test_top_examples(resistor6, triangle3):

@@ -29,7 +29,7 @@ from synchro import (
     serialize_network,
     top,
 )
-from synchro.cli import main
+from synchro.cli import _COMMANDS, main
 from synchro.monoid import MAX_SPEC_DEPTH
 
 
@@ -625,6 +625,16 @@ def test_help_goes_to_stdout_and_a_bare_command_to_stderr():
     assert (result.exit_code, result.stderr) == (0, "")
     assert result.stdout.startswith("usage: synchro lattice ") and "--budget" in result.stdout
     assert invoke([]) == (2, "", help_.stdout)
+
+
+def test_help_puts_each_command_and_its_help_on_one_line(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    lines = {line.split()[0]: line for line in invoke(["--help"]).stdout.splitlines()
+             if line.startswith("    ") and not line.startswith("     ")}
+    assert list(lines) == list(_COMMANDS.choices)
+    for name, parser in _COMMANDS.choices.items():
+        text = lines[name][4 + len(name):].strip()
+        assert text and " ".join(parser.description.split()).startswith(text), lines[name]
 
 
 def test_domain_and_schema_errors_are_the_same_in_process(net_file, tmp_path):

@@ -288,13 +288,14 @@ def test_abandoned_seeds_halve_the_sweeps(steps, monkeypatch):
 
 
 # converges and sweeps of the walk (``top`` included) on unit NaturalAdd
-# rings, as first measured with the screen; converging every seed took
-# 2,148 / 3,018, 2,925 / 4,358, 33,057 / 36,525 and 34,171 / 37,788
+# rings, as measured with the screen and the stop at the discrete coloring;
+# before the screen, converging every seed took 2,148 / 3,018, 2,925 / 4,358,
+# 33,057 / 36,525 and 34,171 / 37,788
 WALK_WORK = {
-    (12, "directed"): (385, 1255),
-    (12, "bidirectional"): (756, 2189),
-    (16, "directed"): (2095, 5563),
-    (16, "bidirectional"): (1611, 5228),
+    (12, "directed"): (385, 1254),
+    (12, "bidirectional"): (756, 2188),
+    (16, "directed"): (2095, 5562),
+    (16, "bidirectional"): (1611, 5227),
 }
 
 
