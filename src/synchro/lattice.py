@@ -39,17 +39,21 @@ commutative monoid, again without subtracting weights:
    share a class after the first sweep exactly when their keys (side, sum
    from A, sum from K - A) are equal: the screen's pieces are the pieces
    of the first sweep, and they depend on K alone, not on the rest of p.
-2. So the screen drops exactly the seeds that the first sweep abandons,
+2. A row's key is a function of its pattern: its own side and the sides of
+   its sources in K, with its codes fixed. So the key the screen reads
+   from a table for that pattern is the key the merges would give, and
+   nothing is subtracted.
+3. So the screen drops exactly the seeds that the first sweep abandons,
    plus those whose first sweep lands on a known element with a piece
    below the smaller side. Such a seed only adds a known element to p's
    results, which cannot change the maximal results: each cover comes
-   from its seed of step 3, whose pieces are unions of cover-pieces, and
-   that seed passes the screen.
-3. The survivors reach ``_converge`` in ascending mask order, class by
+   from the seed of step 3 of the first proof, whose pieces are unions of
+   cover-pieces, and that seed passes the screen.
+4. The survivors reach ``_converge`` in ascending mask order, class by
    class, as every seed did before, and no dropped seed would have found
    a new element. The elements, their order, the covers and every
    partial lattice are unchanged.
-4. The masks of a class are screened in blocks of 2^6, so a walk stopped
+5. The masks of a class are screened in blocks of 2^6, so a walk stopped
    by its budget screens at most one block past its last seed.
 """
 from __future__ import annotations
@@ -108,14 +112,17 @@ def _split(parent, rank: int, cls: list[int], mask: int):
     part. The refinement these seeds feed ignores how colors are labelled.
     """
     seed = list(parent)
-    for pos, idx in enumerate(cls[1:]):
-        if mask >> pos & 1:
-            seed[idx] = rank + 1
+    bits = mask
+    while bits:  # bit i moves cls[i + 1]
+        bit = bits & -bits
+        bits ^= bit
+        seed[cls[bit.bit_length()]] = rank + 1
     split_off = mask.bit_count()
     return seed, rank + 1, cls, min(split_off, len(cls) - split_off)
 
 
 _BLOCK_BITS = 6  # the screen visits the masks of a class 2^6 at a time
+_TABLE_SOURCES = 6  # a row with more sources in its class gets no key table
 
 
 def _surviving_masks(view: CodedNetwork, cls: list[int]):
@@ -127,47 +134,89 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
     Gray-code order within blocks of 2^6, so each step moves one cell and
     rekeys only the rows it touches, without subtracting; each block's
     survivors are yielded before the next block is screened.
+
+    Each row keeps a pattern: bit 0 is its own side, bit j the side of its
+    j-th source in K, and a move flips the moved cell's bits in the rows it
+    touches. A row's key is a function of its pattern once its codes are
+    fixed, so a row with d <= 6 sources in K reads its key id from a table
+    of 2^(d + 1) entries, one table per sequence of codes; a pattern met for
+    the first time is keyed with merges and stored. A row with more sources
+    has no table, which would pass 2^7 entries: it rebuilds the sum of the
+    side its moved source left and merges that source into the other. Keys
+    are counted by id, with a histogram of those counts, and a mask
+    survives when no count lies in 1..smaller - 1.
     """
     k = len(cls)
     merge = view.merge
     pos = {c: i for i, c in enumerate(cls)}
     ins = []  # per row of K: its in-edges from K, as (position in K, code)
-    feeds: list[list[tuple[int, int]]] = [[] for _ in cls]  # per cell: (row of K it feeds, code)
-    keys = []  # per row of K: (side, sum from side 0, sum from side 1)
-    counts: dict[tuple[int, int, int], int] = {}  # rows per key
-    for r, c in enumerate(cls):
+    for c in cls:
         srcs, codes = view.rows[c]
         ins.append([(pos[s], w) for s, w in zip(srcs, codes) if s in pos])
-        total = 0
-        for s, w in ins[r]:
-            feeds[s].append((r, w))
-            total = merge(total, w) if total else w
-        keys.append((0, total, 0))
-        counts[keys[r]] = counts.get(keys[r], 0) + 1
+    ids: dict[tuple[int, int, int], int] = {}  # key (side, sum from side 0, sum from side 1) -> id
+    keys: list[tuple[int, int, int]] = []  # id -> key
+    counts: list[int] = []  # id -> rows holding the key
+
+    def key_id(key: tuple[int, int, int]) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+            counts.append(0)
+        return i
+
+    def pattern_key(r: int, pattern: int) -> int:  # the key id of row r under a pattern
+        sums = [0, 0]
+        for j, (_, w) in enumerate(ins[r], 1):
+            t = pattern >> j & 1
+            sums[t] = merge(sums[t], w) if sums[t] else w
+        return key_id((pattern & 1, *sums))
+
+    def moved_key(r: int, pattern: int, bits: int) -> int:  # the key id of row r after ``bits`` flipped
+        old = keys[key_of[r]]
+        j = bits.bit_length() - 1  # the moved source, or 0 if only the row's own cell moved
+        if not j:
+            return key_id((pattern & 1, *old[1:]))
+        t = pattern >> j & 1
+        rest = 0  # the sum from side 1 - t, rebuilt without the moved source
+        for s, v in ins[r]:
+            if side[s] != t:
+                rest = merge(rest, v) if rest else v
+        w = ins[r][j - 1][1]
+        got = merge(old[1 + t], w) if old[1 + t] else w
+        return key_id((pattern & 1, rest, got) if t else (pattern & 1, got, rest))
+
+    tables: dict[tuple[int, ...], list] = {}  # codes of a row -> key id per pattern, None until met
+    flips: list[list] = [[] for _ in cls]  # per cell: (row it touches, its bits there, table or None)
+    key_of = []  # per row of K: its key id
+    for r, row in enumerate(ins):
+        table = None
+        if len(row) <= _TABLE_SOURCES:
+            codes = tuple(w for _, w in row)
+            table = tables.get(codes)
+            if table is None:
+                table = tables[codes] = [None] * (2 << len(row))
+        own = 1
+        for j, (s, _) in enumerate(row, 1):
+            if s == r:  # a self-loop: moving r flips both bits
+                own |= 1 << j
+            else:
+                flips[s].append((r, 1 << j, table))
+        flips[r].append((r, own, table))
+        key = table and table[0]  # None unless the table already holds pattern 0
+        if key is None:
+            key = pattern_key(r, 0)
+            if table:
+                table[0] = key
+        key_of.append(key)
+        counts[key] += 1
+    hist = [0] * (k + 1)  # ids per count of rows; hist[0] is never read
+    for n in counts:
+        hist[n] += 1
+    pattern = [0] * k  # per row of K
     side = [0] * k  # 1 for the split-off cells
 
-    def recount(r: int, new: tuple[int, int, int]) -> None:
-        old = keys[r]
-        if new != old:
-            keys[r] = new
-            if counts[old] == 1:
-                del counts[old]
-            else:
-                counts[old] -= 1
-            counts[new] = counts.get(new, 0) + 1
-
-    def move(c: int) -> None:  # c changes side; rekey its row and the rows it feeds
-        t = side[c] = 1 - side[c]
-        recount(c, (t, *keys[c][1:]))
-        for r, w in feeds[c]:
-            rest = 0  # the sum from side 1 - t, rebuilt without c
-            for s, v in ins[r]:
-                if side[s] != t:
-                    rest = merge(rest, v) if rest else v
-            old = keys[r]
-            got = merge(old[1 + t], w) if old[1 + t] else w
-            recount(r, (old[0], rest, got) if t else (old[0], got, rest))
-
+    smaller_of = [min(s, k - s) for s in range(k + 1)]  # smaller side per count of split-off cells
     n_masks = 1 << (k - 1)
     block = min(n_masks, 1 << _BLOCK_BITS)
     current = 0
@@ -179,10 +228,29 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
             while moved:  # one cell within a block, more between blocks
                 bit = moved & -moved
                 moved ^= bit
-                move(bit.bit_length())
-            split_off = mask.bit_count()
-            smaller = min(split_off, k - split_off)
-            if smaller and len(counts) * smaller <= k and min(counts.values()) >= smaller:
+                c = bit.bit_length()
+                side[c] ^= 1
+                for r, bits, table in flips[c]:
+                    p = pattern[r] = pattern[r] ^ bits
+                    if table is None:
+                        new = moved_key(r, p, bits)
+                    else:
+                        new = table[p]
+                        if new is None:
+                            new = table[p] = pattern_key(r, p)
+                    old = key_of[r]
+                    if new != old:
+                        key_of[r] = new
+                        n = counts[old]
+                        counts[old] = n - 1
+                        hist[n] -= 1
+                        hist[n - 1] += 1
+                        n = counts[new]
+                        counts[new] = n + 1
+                        hist[n] -= 1
+                        hist[n + 1] += 1
+            smaller = smaller_of[mask.bit_count()]
+            if smaller and not any(hist[1:smaller]):
                 survivors.append(mask)
         yield from sorted(survivors)
 

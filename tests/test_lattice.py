@@ -30,7 +30,8 @@ from synchro import (
     top,
 )
 from synchro.cir import _converge
-from synchro.coding import coded
+from synchro.coding import CodedNetwork, coded
+from synchro.lattice import _split
 from test_reference import _split_seeds
 
 # the package exports a function named ``cir``, which shadows the module
@@ -311,6 +312,44 @@ def test_screen_leaves_few_seeds_to_converge(n, shape, monkeypatch):
     enumerate_balanced(ring(n, (1,) if shape == "directed" else (1, -1)))
     converges, sweeps = WALK_WORK[n, shape]
     assert calls["_converge"] <= converges and calls["_sweep"] <= sweeps
+
+
+def test_screen_keys_ring_rows_from_tables(monkeypatch):
+    # a ring row has at most two sources in its class, so the screen merges
+    # only to key a pattern it meets for the first time; rekeying the moved
+    # rows with merges at every step took 33,794 merges on this walk
+    merges, screening = 0, False
+    real_merge, real_screen = CodedNetwork.merge, lattice_module._surviving_masks
+
+    def counting_merge(self, a, b):
+        nonlocal merges
+        merges += screening
+        return real_merge(self, a, b)
+
+    def flagged_screen(view, cls):  # flags the merges made while the screen runs
+        nonlocal screening
+        masks = real_screen(view, cls)
+        while True:
+            screening = True
+            mask = next(masks, None)
+            screening = False
+            if mask is None:
+                return
+            yield mask
+
+    monkeypatch.setattr(CodedNetwork, "merge", counting_merge)
+    monkeypatch.setattr(lattice_module, "_surviving_masks", flagged_screen)
+    assert len(enumerate_balanced(ring(16, (1, -1))).elements) == 33
+    assert 0 < merges < 1000
+
+
+def test_split_moves_the_cells_of_the_set_bits():
+    parent, cls = (1, 2, 1, 3, 1, 1, 2), [0, 2, 4, 5]
+    for mask in range(1 << 3):
+        moved = {cls[i + 1] for i in range(3) if mask >> i & 1}
+        seed, rank, _, smaller = _split(parent, 3, cls, mask)
+        assert seed == [4 if c in moved else parent[c] for c in range(7)]
+        assert (rank, smaller) == (4, min(len(moved), 4 - len(moved)))
 
 
 def test_bidirectional_18_ring_lattice():

@@ -301,13 +301,47 @@ def first_sweep_survivors(view, parent):
     return kept
 
 
+def _all_to_all(n: int) -> Network:
+    return _one_type(NaturalAdd(), n, [(t, s, 1) for t in range(1, n + 1) for s in range(1, n + 1) if t != s])
+
+
+def _self_loop_ring() -> Network:
+    """10-ring: odd cells hear 2 from each neighbour, even cells 1 from each
+    and 2 from themselves. Moving an even cell flips its own side and a
+    source side of its row at once, and the self-loop sets its row's sums
+    apart from those of the odd rows."""
+    edges = []
+    for i in range(1, 11):
+        w = 2 if i % 2 else 1
+        edges += [(i, (i - 2) % 10 + 1, w), (i, i % 10 + 1, w)] + [(i, i, 2)] * (1 - i % 2)
+    return _one_type(NaturalAdd(), 10, edges)
+
+
+def _chorded_ring() -> Network:
+    """12-ring whose cells hear 8, 1, 2 or 4 sources, weighted to sum to 16.
+
+    Cell i hears i - 1, ..., i - d at 16 / d each for d = 1, 2 or 4, and
+    i, ..., i - 7, itself included, at 1 and 3 in turn for d = 8. The one
+    class of the top mixes rows with and without a key table.
+    """
+    edges = []
+    for i in range(1, 13):
+        d = (8, 1, 8, 2, 8, 4)[i % 6]
+        if d == 8:
+            edges += [(i, (i - 1 - off) % 12 + 1, 1 + 2 * (off % 2)) for off in range(8)]
+        else:
+            edges += [(i, (i - 1 - off) % 12 + 1, 16 // d) for off in range(1, d + 1)]
+    return _one_type(NaturalAdd(), 12, edges)
+
+
 SCREEN_FAMILIES = {
     **CORPORA,
     "cyclic3": cyclic3_networks,
     "rings": lambda: [_ring(shape, n) for n in range(8, 13) for shape in ("directed", "bidirectional")],
-    "all_to_all": lambda: [
-        _one_type(NaturalAdd(), 6, [(t, s, 1) for t in range(1, 7) for s in range(1, 7) if t != s])
-    ],
+    # rows of 5 sources in the class get a key table, rows of 7 do not
+    "all_to_all": lambda: [_all_to_all(6), _all_to_all(8)],
+    "self_loop_ring": lambda: [_self_loop_ring()],
+    "chorded_ring": lambda: [_chorded_ring()],
 }
 
 
