@@ -112,37 +112,13 @@ class Oracle:
 
     ``evaluate(type_i, x, inputs)`` receives the merged neighborhood as
     (source type, weight element, source state) triples and returns the
-    output of a cell of type ``type_i`` in state ``x``. Oracles with real
-    outputs form a vector space; + and scalar * build the sum and scaled
-    oracles pointwise.
+    output of a cell of type ``type_i`` in state ``x``.
     """
 
     __slots__ = ()  # so that the record oracles hold no __dict__
 
     def evaluate(self, type_i: int, x: float, inputs) -> float:
         raise NotImplementedError
-
-    def __add__(self, other: "Oracle") -> "Oracle":
-        return SumOracle((self, other))
-
-    def __mul__(self, alpha: float) -> "Oracle":
-        return ScaledOracle(float(alpha), self)
-
-    __rmul__ = __mul__
-
-
-class SumOracle(Record, Oracle):
-    __slots__ = ("parts",)
-
-    def evaluate(self, type_i, x, inputs):
-        return sum(p.evaluate(type_i, x, inputs) for p in self.parts)
-
-
-class ScaledOracle(Record, Oracle):
-    __slots__ = ("alpha", "inner")
-
-    def evaluate(self, type_i, x, inputs):
-        return self.alpha * self.inner.evaluate(type_i, x, inputs)
 
 
 class OracleSpec(Oracle):

@@ -286,9 +286,13 @@ def _lower_covers(results: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 class BalancedLattice(Record):
-    """All balanced partitions plus their covers, as (finer index, coarser index) pairs."""
+    """All balanced partitions plus their covers, as (finer index, coarser index) pairs.
 
-    __slots__ = ("elements", "covers", "top", "bottom", "complete")
+    ``elements`` ascend by rank, so ``elements[0]`` is the top; the last is
+    the discrete coloring when the walk is ``complete``.
+    """
+
+    __slots__ = ("elements", "covers", "complete")
 
     def __contains__(self, partition: Partition) -> bool:
         return partition in self.elements
@@ -328,10 +332,10 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     if budget < 1:
         raise DimensionMismatch(f"budget must be at least 1, got {budget}")
     view = coded(net)
-    maximal = top(net)
-    seen: set[tuple[int, ...]] = {maximal.colors}
+    maximal = top(net).colors
+    seen: set[tuple[int, ...]] = {maximal}
     below: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # element -> its seeds' results
-    frontier = [maximal.colors]
+    frontier = [maximal]
     screened: dict[tuple[int, ...], list[int]] = {}  # class -> masks that survive its screen
     complete = True
     while frontier and complete:
@@ -363,8 +367,6 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
     return BalancedLattice(
         elements=tuple(Partition._from_canonical(c) for c in order),
         covers=tuple(covers),
-        top=maximal,
-        bottom=Partition.trivial(net.n),
         complete=complete,
     )
 

@@ -115,10 +115,6 @@ class MonoidSpec:
     def element_from_json(self, obj):
         raise NotImplementedError
 
-    def sample(self, rng):
-        """A random carrier element drawn by ``rng``, for fuzzing the algebraic laws."""
-        raise NotImplementedError
-
     def default_kappa(self):
         """The natural additive weight map kappa: carrier -> extended reals.
 
@@ -199,7 +195,7 @@ class ResistorParallel(Record, MonoidSpec):
 
     def from_resistance(self, r):
         """Build an element from a resistance: Fraction/int/str or "inf"."""
-        if r == "inf" or r is None or r is math.inf:
+        if r == "inf":
             return Fraction(0)
         r = _as_fraction(r)
         if r < 0:
@@ -235,10 +231,6 @@ class ResistorParallel(Record, MonoidSpec):
         except (ValueError, ZeroDivisionError, MonoidMismatch, SizeLimitError) as exc:
             raise SchemaError(f"bad resistance {text!r}: {exc}") from exc
         return value
-
-    def sample(self, rng):
-        pool = ["inf", "inf", 10, 15, 20, 30, 60, Fraction(1, 3), Fraction(45, 2), 0]
-        return self.from_resistance(pool[rng.randrange(len(pool))])
 
     def default_kappa(self):
         def kappa(value):
@@ -282,9 +274,6 @@ class NaturalAdd(Record, _Natural):
     def _combine(self, a, b):
         return a + b
 
-    def sample(self, rng):
-        return rng.randrange(0, 9)
-
     def default_kappa(self):
         return _as_float
 
@@ -305,9 +294,6 @@ class NaturalMul(Record, _Natural):
     @property
     def annihilator(self):
         return 0
-
-    def sample(self, rng):
-        return rng.choice([0, 1, 1, 2, 2, 3, 5, 7])
 
     def default_kappa(self):
         def kappa(value):
@@ -386,14 +372,6 @@ class FreeCommutative(Record, MonoidSpec):
         except MonoidMismatch as exc:
             raise SchemaError(str(exc)) from exc
 
-    def sample(self, rng):
-        alphabet = self.generators or ("a", "b", "c")
-        counts = {}
-        for _ in range(rng.randrange(0, 4)):
-            label = alphabet[rng.randrange(len(alphabet))]
-            counts[label] = counts.get(label, 0) + 1
-        return self.from_counts(counts)
-
     def default_kappa(self):
         def kappa(value):
             return _as_float(sum(count for _, count in value))
@@ -454,9 +432,6 @@ class ProductMonoid(Record, MonoidSpec):
             )
         return tuple(p.element_from_json(v) for p, v in zip(self.parts, obj["tuple"]))
 
-    def sample(self, rng):
-        return tuple(p.sample(rng) for p in self.parts)
-
     def default_kappa(self):
         kappas = [p.default_kappa() for p in self.parts]
 
@@ -513,11 +488,6 @@ class WithAnnihilator(Record, MonoidSpec):
                 raise SchemaError(f'annihilator weight must be {{"annihilator": true}}, got {obj!r}')
             return ANNIHILATOR
         return self.inner.element_from_json(obj)
-
-    def sample(self, rng):
-        if rng.random() < 0.15:
-            return ANNIHILATOR
-        return self.inner.sample(rng)
 
     def default_kappa(self):
         inner_kappa = self.inner.default_kappa()

@@ -4,16 +4,21 @@ Nothing in ``synchro`` runs these; the tests hold the package to them:
 monoid law fuzzing, oracle self-consistency fuzzing, linearity of
 evaluation in the oracle, transitivity of quotients, and brute-force
 enumeration of balanced colorings over ``all_candidates``, every partition
-below the type partition. Random draws come from ``random.Random(0)``.
+below the type partition. Random draws come from ``random.Random(0)``;
+weights are drawn by ``sample_element`` and oracles are added and scaled
+by ``Combination``.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import NamedTuple
 
-from synchro import Network, Partition, SizeLimitError, admissible_eval, compose, quotient
+from synchro import (
+    ANNIHILATOR, Network, Oracle, Partition, SizeLimitError, admissible_eval, compose, quotient,
+)
 from synchro.cir import _sweep
 from synchro.coding import coded
 
@@ -22,6 +27,36 @@ LINEARITY_TOLERANCE = 1e-12
 
 
 # -- monoid laws -------------------------------------------------------------
+
+
+def sample_element(spec, rng):
+    """A random carrier element of a shipped ``spec``, drawn by ``rng``.
+
+    Product parts are drawn in order and a ``with_annihilator`` element is
+    the annihilator with probability 0.15, else an inner draw.
+    """
+    kind = spec.kind
+    if kind == "resistor_parallel":
+        pool = ["inf", "inf", 10, 15, 20, 30, 60, Fraction(1, 3), Fraction(45, 2), 0]
+        return spec.from_resistance(pool[rng.randrange(len(pool))])
+    if kind == "natural_add":
+        return rng.randrange(0, 9)
+    if kind == "natural_mul":
+        return rng.choice([0, 1, 1, 2, 2, 3, 5, 7])
+    if kind == "free_commutative":
+        alphabet = spec.generators or ("a", "b", "c")
+        counts = {}
+        for _ in range(rng.randrange(0, 4)):
+            label = alphabet[rng.randrange(len(alphabet))]
+            counts[label] = counts.get(label, 0) + 1
+        return spec.from_counts(counts)
+    if kind == "product":
+        return tuple(sample_element(p, rng) for p in spec.parts)
+    if kind == "with_annihilator":
+        if rng.random() < 0.15:
+            return ANNIHILATOR
+        return sample_element(spec.inner, rng)
+    raise TypeError(f"no sampler for {spec.describe()}; pass samples= instead")
 
 
 class LawViolation(NamedTuple):
@@ -44,7 +79,7 @@ class LawCheckReport(NamedTuple):
 def law_check(spec, samples=None, trials: int = 1000) -> LawCheckReport:
     """Fuzz associativity, commutativity, identity and absorption.
 
-    Operands come from ``samples`` or ``spec.sample``. Shipped specs must
+    Operands come from ``samples`` or ``sample_element``. Shipped specs must
     come back clean; a broken spec (e.g. subtraction as combine) gets its
     violation reported with the operands.
     """
@@ -53,7 +88,7 @@ def law_check(spec, samples=None, trials: int = 1000) -> LawCheckReport:
     def pick():
         if samples:
             return samples[rng.randrange(len(samples))]
-        return spec.sample(rng)
+        return sample_element(spec, rng)
 
     violations = []
     annihilator = spec.annihilator
@@ -131,7 +166,7 @@ def oracle_consistency_check(oracle, trials: int = 1000, pairs=None) -> Consiste
         states = [rng.uniform(-3, 3) for _ in range(rng.randint(1, 3))]
         raw = []
         for _ in range(rng.randint(1, 4)):
-            raw.append((j, spec.sample(rng), states[rng.randrange(len(states))]))
+            raw.append((j, sample_element(spec, rng), states[rng.randrange(len(states))]))
 
         merged: dict[float, object] = {}
         for _, w, y in raw:
@@ -165,6 +200,18 @@ def oracle_consistency_check(oracle, trials: int = 1000, pairs=None) -> Consiste
     return ConsistencyReport(trials, skipped, tuple(violations))
 
 
+class Combination(Oracle):
+    """The oracle ``sum(alpha * f)`` over its (alpha, f) ``terms``, pointwise."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, *terms):
+        self.terms = terms
+
+    def evaluate(self, type_i, x, inputs):
+        return sum(alpha * f.evaluate(type_i, x, inputs) for alpha, f in self.terms)
+
+
 class LinearityReport(NamedTuple):
     additive_deviation: float
     homogeneous_deviation: float
@@ -188,11 +235,11 @@ def linearity_check(net: Network, oracle_a, oracle_b) -> LinearityReport:
     for _ in range(20):
         x = [rng.uniform(-2, 2) for _ in range(net.n)]
         alpha = rng.uniform(-3, 3)
-        both = admissible_eval(net, oracle_a + oracle_b, x)
+        both = admissible_eval(net, Combination((1.0, oracle_a), (1.0, oracle_b)), x)
         fa = admissible_eval(net, oracle_a, x)
         fb = admissible_eval(net, oracle_b, x)
         additive.extend(abs(s - (p + q)) for s, p, q in zip(both, fa, fb))
-        scaled = admissible_eval(net, alpha * oracle_a, x)
+        scaled = admissible_eval(net, Combination((alpha, oracle_a)), x)
         homogeneous.extend(abs(s - alpha * p) for s, p in zip(scaled, fa))
     return LinearityReport(_worst(additive), _worst(homogeneous))
 

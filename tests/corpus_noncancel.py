@@ -11,6 +11,7 @@ cancels or subtracts weights would disagree with exact evaluation.
 from __future__ import annotations
 
 import corpus
+from checks import sample_element
 from synchro import NaturalAdd, NaturalMul, Network, ResistorParallel, WithAnnihilator
 
 CORPUS_SIZE = 40
@@ -23,7 +24,7 @@ def sample_weight(spec, rng):
     if rng.random() < 0.25:
         return spec.annihilator
     while True:
-        weight = spec.sample(rng)
+        weight = sample_element(spec, rng)
         if not spec.is_identity(weight):
             return weight
 

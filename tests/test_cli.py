@@ -1000,13 +1000,14 @@ def test_public_names_are_pinned():
     assert sorted(synchro.__all__) == _PUBLIC_NAMES
 
 
-# The reference checkers live in tests/checks.py; the package defines none of them.
+# The reference checkers and the weight and oracle fixtures they draw on live in
+# tests/checks.py; the package defines none of them.
 _CHECKER_NAMES = {
     "law_check", "LawViolation", "LawCheckReport", "oracle_consistency_check",
     "ConsistencyViolation", "ConsistencyReport", "_close", "linearity_check",
     "LinearityReport", "LINEARITY_TOLERANCE", "check_transitivity", "TransitivityReport",
     "brute_force_balanced", "_set_partitions", "BRUTE_FORCE_LIMIT", "all_candidates",
-    "quotient_relation_holds",
+    "quotient_relation_holds", "SumOracle", "ScaledOracle",
 }
 
 
@@ -1017,6 +1018,10 @@ def test_no_synchro_module_defines_a_checker():
         module = importlib.import_module(f"synchro.{name}")
         assert _CHECKER_NAMES.isdisjoint(vars(module)), name
     assert not hasattr(synchro.dynamics.OracleSpec, "weight_pairs")
+    specs = [v for v in vars(synchro.monoid).values() if isinstance(v, type)]
+    assert synchro.monoid.MonoidSpec in specs
+    assert [c.__name__ for c in specs if "sample" in vars(c)] == []
+    assert {"__add__", "__mul__", "__rmul__"}.isdisjoint(vars(synchro.dynamics.Oracle))
 
 
 def test_dynamics_exports_resolve_on_first_access():

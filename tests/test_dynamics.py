@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import corpus
 import corpus_noncancel
-from checks import linearity_check, oracle_consistency_check
+from checks import Combination, linearity_check, oracle_consistency_check
 from synchro import (
     Coupling,
     DimensionMismatch,
@@ -567,12 +567,12 @@ class TestLinearity:
         assert not report.ok
 
     def test_zero_scaling_kills_output(self, triangle3):
-        oracle = 0.0 * unit_oracle(triangle3)
+        oracle = Combination((0.0, unit_oracle(triangle3)))
         assert admissible_eval(triangle3, oracle, [1.0, 2.0, 3.0]) == [0.0, 0.0, 0.0]
 
     def test_sum_of_invariant_oracles_stays_invariant(self, triangle3):
         part = parse_partition("1,2;3", triangle3.cells)
-        combo = unit_oracle(triangle3) + linear_oracle(triangle3)
+        combo = Combination((1.0, unit_oracle(triangle3)), (1.0, linear_oracle(triangle3)))
         traj = simulate_map(triangle3, combo, [2.0, 2.0, 5.0], 10)
         for state in traj.states.tolist():
             assert state[0].hex() == state[1].hex()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import law_check
+from checks import law_check, sample_element
 from synchro import (
     ANNIHILATOR,
     SHORT,
@@ -76,6 +76,11 @@ class TestResistor:
         with pytest.raises(MonoidMismatch) as err:
             R.from_resistance(0.5)
         assert str(err.value) == "cannot interpret 0.5 as an exact rational"
+
+    @pytest.mark.parametrize("r", [None, math.inf, float("inf")], ids=["None", "math.inf", "float"])
+    def test_infinity_is_only_the_string_inf(self, r):
+        with pytest.raises(MonoidMismatch):
+            R.from_resistance(r)
 
     def test_display_round_trip(self):
         for raw in ["30", "15/2", "inf", "0"]:
@@ -185,12 +190,9 @@ class _Subtraction(MonoidSpec):
     def _combine(self, a, b):
         return a - b
 
-    def sample(self, rng):
-        return rng.randint(-5, 5)
-
 
 def test_law_check_reports_broken_spec():
-    report = law_check(_Subtraction(), trials=200)
+    report = law_check(_Subtraction(), samples=range(-5, 6), trials=200)
     assert not report.ok
     assert any(v.law == "commutativity" for v in report.violations)
 
@@ -334,7 +336,7 @@ _CODE_SPECS = ALL_SPECS + [
 @pytest.mark.parametrize("spec", _CODE_SPECS, ids=lambda s: s.describe())
 def test_codes_are_exactly_element_equality(spec):
     rng = random.Random(7)
-    samples = [spec.sample(rng) for _ in range(60)]
+    samples = [sample_element(spec, rng) for _ in range(60)]
     pool = CodedNetwork()
     codes = [pool.code(spec, v) for v in samples]
     for a, ca in zip(samples, codes):

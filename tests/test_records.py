@@ -73,12 +73,10 @@ def _records():
         (BalanceResult, dict(balanced=False, counterexample=("a", "b", 1))),
         (checks.TransitivityReport, dict(ok=True, via_two_steps=net, direct=net, composed=p)),
         (CirTrace, dict(iterations=((Partition((1, 2, 3)), 3),) * 2, ops=(5, 5))),
-        (BalancedLattice, dict(elements=(Partition.trivial(3), p), covers=((0, 1),), top=p,
-                               bottom=Partition.trivial(3), complete=True)),
+        (BalancedLattice, dict(elements=(p, Partition.trivial(3)), covers=((1, 0),),
+                               complete=True)),
         (dynamics.GFunc, dict(kind="scale", a=2.0, fn=None)),
         (dynamics.Coupling, dict(kind="diffusive", fn=None)),
-        (dynamics.SumOracle, dict(parts=(hit, hit))),
-        (dynamics.ScaledOracle, dict(alpha=0.5, inner=hit)),
         (dynamics.IndicatorOracle, dict(target_type=0, source_type=1, spec=WithAnnihilator(),
                                         target_state=1.0, target_sum=ANNIHILATOR)),
         (checks.ConsistencyViolation, dict(law="merge", type_pair=(0, 0),

@@ -203,7 +203,7 @@ def test_balance_and_lattice_match_reference(name):
         elements = sorted(balanced, key=lambda p: (p.rank, p.colors))
         assert list(lattice.elements) == elements
         assert list(lattice.covers) == ref_covers(elements)
-        assert lattice.top == top(net) == min(balanced, key=lambda p: p.rank)
+        assert lattice.elements[0] == top(net) == min(balanced, key=lambda p: p.rank)
 
 
 def _split_seeds(parent: tuple[int, ...]):
@@ -301,7 +301,8 @@ def first_sweep_survivors(view, parent):
     return kept
 
 
-def _all_to_all(n: int) -> Network:
+def all_to_all(n: int) -> Network:
+    """n cells, each hearing every other at unit NaturalAdd weight: every coloring is balanced."""
     return _one_type(NaturalAdd(), n, [(t, s, 1) for t in range(1, n + 1) for s in range(1, n + 1) if t != s])
 
 
@@ -339,7 +340,7 @@ SCREEN_FAMILIES = {
     "cyclic3": cyclic3_networks,
     "rings": lambda: [_ring(shape, n) for n in range(8, 13) for shape in ("directed", "bidirectional")],
     # rows of 5 sources in the class get a key table, rows of 7 do not
-    "all_to_all": lambda: [_all_to_all(6), _all_to_all(8)],
+    "all_to_all": lambda: [all_to_all(6), all_to_all(8)],
     "self_loop_ring": lambda: [_self_loop_ring()],
     "chorded_ring": lambda: [_chorded_ring()],
 }
