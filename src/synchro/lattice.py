@@ -40,9 +40,10 @@ commutative monoid, again without subtracting weights:
    from A, sum from K - A) are equal: the screen's pieces are the pieces
    of the first sweep, and they depend on K alone, not on the rest of p.
 2. A row's key is a function of its pattern: its own side and the sides of
-   its sources in K, with its codes fixed. So the key the screen reads
-   from a table for that pattern is the key the merges would give, and
-   nothing is subtracted.
+   its sources in K, with its codes fixed. So a stored key is a function
+   of the pattern and the codes, however it was computed: a row that reads
+   it from a table shared by rows with its codes gets the key the merges
+   would give, and nothing is subtracted.
 3. So the screen drops exactly the seeds that the first sweep abandons,
    plus those whose first sweep lands on a known element with a piece
    below the smaller side. Such a seed only adds a known element to p's
@@ -122,7 +123,7 @@ def _split(parent, rank: int, cls: list[int], mask: int):
 
 
 _BLOCK_BITS = 6  # the screen visits the masks of a class 2^6 at a time
-_TABLE_SOURCES = 6  # a row with more sources in its class gets no key table
+_TABLE_ENTRIES = 1 << 16  # the screen's key tables store at most this many patterns in all
 
 
 def _surviving_masks(view: CodedNetwork, cls: list[int]):
@@ -137,13 +138,13 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
 
     Each row keeps a pattern: bit 0 is its own side, bit j the side of its
     j-th source in K, and a move flips the moved cell's bits in the rows it
-    touches. A row's key is a function of its pattern once its codes are
-    fixed, so a row with d <= 6 sources in K reads its key id from a table
-    of 2^(d + 1) entries, one table per sequence of codes; a pattern met for
-    the first time is keyed with merges and stored. A row with more sources
-    has no table, which would pass 2^7 entries: it rebuilds the sum of the
-    side its moved source left and merges that source into the other. Keys
-    are counted by id, with a histogram of those counts, and a mask
+    touches. A stored key is a function of the pattern and the codes,
+    however it was computed, so the rows with one sequence of codes share a
+    table from pattern to key id. Pattern 0 holds the fold of the codes; a
+    pattern the table lacks is rekeyed from the row's previous key, by
+    merging the moved source into its new side and rebuilding the side it
+    left, and stored while the tables hold fewer than 2^16 patterns in all.
+    Keys are counted by id, with a histogram of those counts, and a mask
     survives when no count lies in 1..smaller - 1.
     """
     k = len(cls)
@@ -165,13 +166,6 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
             counts.append(0)
         return i
 
-    def pattern_key(r: int, pattern: int) -> int:  # the key id of row r under a pattern
-        sums = [0, 0]
-        for j, (_, w) in enumerate(ins[r], 1):
-            t = pattern >> j & 1
-            sums[t] = merge(sums[t], w) if sums[t] else w
-        return key_id((pattern & 1, *sums))
-
     def moved_key(r: int, pattern: int, bits: int) -> int:  # the key id of row r after ``bits`` flipped
         old = keys[key_of[r]]
         j = bits.bit_length() - 1  # the moved source, or 0 if only the row's own cell moved
@@ -186,16 +180,17 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
         got = merge(old[1 + t], w) if old[1 + t] else w
         return key_id((pattern & 1, rest, got) if t else (pattern & 1, got, rest))
 
-    tables: dict[tuple[int, ...], list] = {}  # codes of a row -> key id per pattern, None until met
-    flips: list[list] = [[] for _ in cls]  # per cell: (row it touches, its bits there, table or None)
+    tables: dict[tuple[int, ...], dict[int, int]] = {}  # codes of a row -> key id per stored pattern
+    flips: list[list] = [[] for _ in cls]  # per cell: (row it touches, its bits there, its table)
     key_of = []  # per row of K: its key id
     for r, row in enumerate(ins):
-        table = None
-        if len(row) <= _TABLE_SOURCES:
-            codes = tuple(w for _, w in row)
-            table = tables.get(codes)
-            if table is None:
-                table = tables[codes] = [None] * (2 << len(row))
+        codes = tuple(w for _, w in row)
+        table = tables.get(codes)
+        if table is None:
+            total = 0
+            for w in codes:
+                total = merge(total, w) if total else w
+            table = tables[codes] = {0: key_id((0, total, 0))}
         own = 1
         for j, (s, _) in enumerate(row, 1):
             if s == r:  # a self-loop: moving r flips both bits
@@ -203,13 +198,9 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
             else:
                 flips[s].append((r, 1 << j, table))
         flips[r].append((r, own, table))
-        key = table and table[0]  # None unless the table already holds pattern 0
-        if key is None:
-            key = pattern_key(r, 0)
-            if table:
-                table[0] = key
-        key_of.append(key)
-        counts[key] += 1
+        key_of.append(table[0])
+        counts[table[0]] += 1
+    stored = len(tables)  # patterns held by all tables
     hist = [0] * (k + 1)  # ids per count of rows; hist[0] is never read
     for n in counts:
         hist[n] += 1
@@ -232,12 +223,12 @@ def _surviving_masks(view: CodedNetwork, cls: list[int]):
                 side[c] ^= 1
                 for r, bits, table in flips[c]:
                     p = pattern[r] = pattern[r] ^ bits
-                    if table is None:
+                    new = table.get(p)
+                    if new is None:
                         new = moved_key(r, p, bits)
-                    else:
-                        new = table[p]
-                        if new is None:
-                            new = table[p] = pattern_key(r, p)
+                        if stored < _TABLE_ENTRIES:
+                            table[p] = new
+                            stored += 1
                     old = key_of[r]
                     if new != old:
                         key_of[r] = new

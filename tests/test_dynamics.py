@@ -50,6 +50,7 @@ from synchro.dynamics import (
     _power_stack,
     _rk4_operator,
     parse_oracle,
+    parse_oracle_json,
 )
 from synchro.partition import lift
 
@@ -567,8 +568,16 @@ class TestLinearity:
         assert not report.ok
 
     def test_zero_scaling_kills_output(self, triangle3):
-        oracle = Combination((0.0, unit_oracle(triangle3)))
-        assert admissible_eval(triangle3, oracle, [1.0, 2.0, 3.0]) == [0.0, 0.0, 0.0]
+        # kappa scaled by 0 times a negative state must give 0.0, not -0.0, in
+        # the evaluation and, bitwise, in the linear plan of simulate_map
+        oracle = parse_oracle_json(
+            {"kappa": [{"target_type": "t", "source_type": "t", "scale": 0}]}, triangle3
+        )
+        out = admissible_eval(triangle3, oracle, [-1.0, 2.0, -3.0])
+        assert [x.hex() for x in out] == [(0.0).hex()] * 3
+        traj = simulate_map(triangle3, oracle, [-1.0, 2.0, -3.0], 3)
+        for state in traj.states.tolist()[1:]:
+            assert [x.hex() for x in state] == [(0.0).hex()] * 3
 
     def test_sum_of_invariant_oracles_stays_invariant(self, triangle3):
         part = parse_partition("1,2;3", triangle3.cells)

@@ -32,7 +32,7 @@ from synchro import (
 from synchro.cir import _converge
 from synchro.coding import CodedNetwork, coded
 from synchro.lattice import _split
-from test_reference import _split_seeds, all_to_all
+from test_reference import _chorded_ring, _split_seeds, all_to_all
 
 # the package exports a function named ``cir``, which shadows the module
 cir_module = importlib.import_module("synchro.cir")
@@ -307,10 +307,8 @@ def test_screen_leaves_few_seeds_to_converge(n, shape, monkeypatch):
     assert calls["_converge"] <= converges and calls["_sweep"] <= sweeps
 
 
-def test_screen_keys_ring_rows_from_tables(monkeypatch):
-    # a ring row has at most two sources in its class, so the screen merges
-    # only to key a pattern it meets for the first time; rekeying the moved
-    # rows with merges at every step took 33,794 merges on this walk
+def screen_merges(monkeypatch, walk) -> int:
+    """The merges made while ``_surviving_masks`` runs during ``walk()``."""
     merges, screening = 0, False
     real_merge, real_screen = CodedNetwork.merge, lattice_module._surviving_masks
 
@@ -332,8 +330,29 @@ def test_screen_keys_ring_rows_from_tables(monkeypatch):
 
     monkeypatch.setattr(CodedNetwork, "merge", counting_merge)
     monkeypatch.setattr(lattice_module, "_surviving_masks", flagged_screen)
-    assert len(enumerate_balanced(ring(16, (1, -1))).elements) == 33
-    assert 0 < merges < 1000
+    walk()
+    return merges
+
+
+def test_screen_keys_ring_rows_from_tables(monkeypatch):
+    # a ring row has at most two sources in its class, so the screen merges
+    # only to key a pattern it meets for the first time; rekeying the moved
+    # rows with merges at every step took 33,794 merges on this walk
+    def walk():
+        assert len(enumerate_balanced(ring(16, (1, -1))).elements) == 33
+
+    assert 0 < screen_merges(monkeypatch, walk) < 1000
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: enumerate_balanced(_chorded_ring()),
+    lambda: enumerate_balanced(all_to_all(12), budget=200),
+], ids=["chorded_ring", "all_to_all_12"])
+def test_screen_keys_dense_rows_from_shared_tables(walk, monkeypatch):
+    # rows with one sequence of codes share a table, so a dense class merges
+    # only for the patterns it meets first; the chorded walk made 29,607
+    # merges and all_to_all(12) 14,488 when rows of over 6 sources had no table
+    assert 0 < screen_merges(monkeypatch, walk) < 5000
 
 
 def test_split_moves_the_cells_of_the_set_bits():

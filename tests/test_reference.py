@@ -38,6 +38,7 @@ from synchro import (
     is_finer,
     top,
 )
+import synchro.lattice as lattice_module
 from synchro.cir import _converge, _sweep
 from synchro.coding import coded
 from synchro.lattice import _lower_covers, _screened_seeds, _split
@@ -323,7 +324,7 @@ def _chorded_ring() -> Network:
 
     Cell i hears i - 1, ..., i - d at 16 / d each for d = 1, 2 or 4, and
     i, ..., i - 7, itself included, at 1 and 3 in turn for d = 8. The one
-    class of the top mixes rows with and without a key table.
+    class of the top mixes rows of 1, 2, 4 and 8 sources.
     """
     edges = []
     for i in range(1, 13):
@@ -335,14 +336,21 @@ def _chorded_ring() -> Network:
     return _one_type(NaturalAdd(), 12, edges)
 
 
+def _circulant() -> Network:
+    """9 cells; cell i hears i + s at weight s for s = 1..8, so every row has
+    8 sources in the top's one class and a sequence of codes of its own."""
+    return _one_type(NaturalAdd(), 9, [(i, (i - 1 + s) % 9 + 1, s) for i in range(1, 10) for s in range(1, 9)])
+
+
 SCREEN_FAMILIES = {
     **CORPORA,
     "cyclic3": cyclic3_networks,
     "rings": lambda: [_ring(shape, n) for n in range(8, 13) for shape in ("directed", "bidirectional")],
-    # rows of 5 sources in the class get a key table, rows of 7 do not
+    # every row of a class shares one table: 5 sources each, then 7
     "all_to_all": lambda: [all_to_all(6), all_to_all(8)],
     "self_loop_ring": lambda: [_self_loop_ring()],
     "chorded_ring": lambda: [_chorded_ring()],
+    "circulant": lambda: [_circulant()],
 }
 
 
@@ -355,3 +363,10 @@ def test_screen_keeps_exactly_the_seeds_that_survive_one_sweep(name):
         for element in enumerate_balanced(net).elements:
             expected = first_sweep_survivors(view, element.colors)
             assert list(_screened_seeds(view, element.colors, screened)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_FAMILIES))
+def test_screen_is_exact_when_tables_store_nothing_past_pattern_0(name, monkeypatch):
+    # with no room left in the tables, every pattern but 0 is rekeyed at every step
+    monkeypatch.setattr(lattice_module, "_TABLE_ENTRIES", 0)
+    test_screen_keeps_exactly_the_seeds_that_survive_one_sweep(name)
