@@ -13,20 +13,16 @@ weight code) pairs of its nonzero slots, so one sweep costs |C| + |E|
 dictionary operations whatever the rank. Rows with at most two edges are
 keyed inline; longer rows go through ``row_sums``. New colors are
 numbered in first-occurrence row order, which makes every sweep's output
-canonical. ``cir`` records every sweep, the confirming one included;
-``top``, the meet and lattice enumeration run the converged-only loop on
-plain int lists and build one Partition at the end. That loop skips the
-confirming sweep once a sweep reaches rank |C|, whose confirming sweep
-could only repeat it. Lattice enumeration also stops a seed as soon as a
-sweep lands on a balanced coloring it already knows, and abandons one
-once a sweep cuts its split class too finely (``synchro.lattice`` proves
-that no cover is lost).
+canonical. One loop, ``_sweeps``, runs the sweeps and yields every output,
+the confirming sweep's included: ``cir`` records them all,
+``cir_iteration`` takes the first, and ``_converge`` (for ``top`` and the
+meet) the last, or the first of rank |C|, whose confirming sweep could
+only repeat it.
 
 Every entry point that takes a coloring checks it in ``_color_types``.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence, Set
 from itertools import chain
 
 from ._record import Record
@@ -117,49 +113,32 @@ def _sweep(view: CodedNetwork, colors) -> tuple[list[int], int]:
     return new, len(table)
 
 
-def _converge(
-    view: CodedNetwork,
-    colors,
-    rank: int,
-    known: Set[tuple[int, ...]] = frozenset(),
-    split: tuple[Sequence[int], int] | None = None,
-) -> tuple[int, ...] | None:
-    """Sweep until the rank stops growing; the canonical fixed point.
-
-    ``known`` holds canonical balanced colorings. Each is a fixed point of
-    the sweep, so a sweep that lands on one has converged, and the
-    confirming sweep is skipped. It is skipped too after a sweep that
-    reaches rank |C|: the canonical discrete coloring is a fixed point of
-    the sweep as well. ``split`` is a lattice seed's split class and its
-    smaller side: the run is abandoned, returning None, once a sweep
-    leaves a piece of that class smaller than the smaller side. The
-    abandonment check comes before the discrete stop, as it came before
-    the confirming sweep, so every seed returns what it would have
-    returned after that sweep.
-    """
-    n = view.n
+def _sweeps(view: CodedNetwork, colors, rank: int):
+    """Each sweep's canonical output and its rank, from ``colors`` of rank
+    ``rank`` through the confirming sweep, which repeats the fixed point."""
     while True:
         new, new_rank = _sweep(view, colors)
         colors = tuple(new)
-        if new_rank == rank or colors in known:
-            return colors
-        if split is not None:
-            cells, smaller = split
-            sizes: dict[int, int] = {}
-            for i in cells:
-                sizes[new[i]] = sizes.get(new[i], 0) + 1
-            if min(sizes.values()) < smaller:
-                return None
-        if new_rank == n:
-            return colors
+        yield colors, new_rank
+        if new_rank == rank:
+            return
         rank = new_rank
+
+
+def _converge(view: CodedNetwork, colors, rank: int) -> tuple[int, ...]:
+    """The canonical fixed point of the sweep from ``colors``; a sweep of
+    rank |C| ends the run, as the discrete coloring is a fixed point too."""
+    for colors, rank in _sweeps(view, colors, rank):
+        if rank == view.n:
+            break
+    return colors
 
 
 def cir_iteration(net: Network, partition: Partition) -> Partition:
     """One refinement sweep; balanced inputs are fixed points."""
     _color_types(net, partition)
-    new, _ = _sweep(coded(net), partition.colors)
-    return Partition._from_canonical(tuple(new))
+    colors, _ = next(_sweeps(coded(net), partition.colors, partition.rank))
+    return Partition._from_canonical(colors)
 
 
 def cir(net: Network, seed: Partition) -> CirTrace:
@@ -170,16 +149,12 @@ def cir(net: Network, seed: Partition) -> CirTrace:
     """
     _color_types(net, seed)
     view = coded(net)
-    colors, rank = seed.colors, seed.rank
-    iterations: list[tuple[Partition, int]] = []
-    while True:
-        new, new_rank = _sweep(view, colors)
-        iterations.append((Partition._from_canonical(tuple(new)), new_rank))
-        if new_rank == rank:
-            break
-        colors, rank = new, new_rank
+    iterations = tuple(
+        (Partition._from_canonical(colors), rank)
+        for colors, rank in _sweeps(view, seed.colors, seed.rank)
+    )
     ops = (view.n + view.n_edges,) * len(iterations)
-    return CirTrace(iterations=tuple(iterations), ops=ops)
+    return CirTrace(iterations=iterations, ops=ops)
 
 
 def top(net: Network) -> Partition:

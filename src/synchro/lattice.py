@@ -30,7 +30,7 @@ weights:
    is found. The covers are still the maximal results, and the walk down
    the covers still reaches every element.
 
-Most seeds never reach ``_converge``: the walk screens them on their split
+Most seeds never reach ``_refine_seed``: the walk screens them on their split
 class alone (``_surviving_masks``), and the screen is exact for every
 commutative monoid, again without subtracting weights:
 
@@ -50,7 +50,7 @@ commutative monoid, again without subtracting weights:
    results, which cannot change the maximal results: each cover comes
    from the seed of step 3 of the first proof, whose pieces are unions of
    cover-pieces, and that seed passes the screen.
-4. The survivors reach ``_converge`` in ascending mask order, class by
+4. The survivors reach ``_refine_seed`` in ascending mask order, class by
    class, as every seed did before, and no dropped seed would have found
    a new element. The elements, their order, the covers and every
    partial lattice are unchanged.
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .balance import _require_balanced, is_balanced
-from .cir import _converge, top
+from .cir import _converge, _sweeps, top
 from .coding import CodedNetwork, coded
 from .errors import DimensionMismatch
 from .network import Network, _quote, _write_json
@@ -120,6 +120,28 @@ def _split(parent, rank: int, cls: list[int], mask: int):
         seed[cls[bit.bit_length()]] = rank + 1
     split_off = mask.bit_count()
     return seed, rank + 1, cls, min(split_off, len(cls) - split_off)
+
+
+def _refine_seed(view: CodedNetwork, seed, rank: int, known, cls: list[int], smaller: int):
+    """The fixed point of a ``_split`` seed, or None once it is abandoned.
+
+    Each sweep is checked in turn: one that lands on a ``known`` balanced
+    coloring has converged, one that leaves a piece of ``cls`` below the
+    smaller side abandons the seed, and one of rank |C| has converged. The
+    confirming sweep passes the second check: it repeats the previous
+    output, which passed it, or the seed, whose pieces are its two sides.
+    """
+    for colors, new_rank in _sweeps(view, seed, rank):
+        if colors in known:
+            break
+        sizes: dict[int, int] = {}
+        for i in cls:
+            sizes[colors[i]] = sizes.get(colors[i], 0) + 1
+        if min(sizes.values()) < smaller:
+            return None
+        if new_rank == view.n:
+            break
+    return colors
 
 
 _BLOCK_BITS = 6  # the screen visits the masks of a class 2^6 at a time
@@ -334,7 +356,7 @@ def enumerate_balanced(net: Network, budget: int = DEFAULT_BUDGET) -> BalancedLa
         for parent in frontier:
             results = set()
             for seed, rank, cls, smaller in _screened_seeds(view, parent, screened):
-                found = _converge(view, seed, rank, seen, (cls, smaller))
+                found = _refine_seed(view, seed, rank, seen, cls, smaller)
                 if found is None:
                     continue
                 results.add(found)

@@ -31,6 +31,7 @@ class Partition(Record):
     __slots__ = ("colors", "__weakref__")  # weakly held by the verdict memo
 
     def __init__(self, colors):
+        colors = tuple(colors)
         if not colors:
             raise PartitionError("partition needs at least one cell")
         if colors != _canonical(colors):

@@ -4,7 +4,9 @@ Nothing in ``synchro`` runs these; the tests hold the package to them:
 monoid law fuzzing, oracle self-consistency fuzzing, linearity of
 evaluation in the oracle, transitivity of quotients, and brute-force
 enumeration of balanced colorings over ``all_candidates``, every partition
-below the type partition. Random draws come from ``random.Random(0)``;
+below the type partition. Balance is decided there on carrier values
+(``ref_sums``, ``ref_counterexample``), never on the engine's weight
+codes. Random draws come from ``random.Random(0)``;
 weights are drawn by ``sample_element`` and oracles are added and scaled
 by ``Combination``.
 """
@@ -19,8 +21,6 @@ from typing import NamedTuple
 from synchro import (
     ANNIHILATOR, Network, Oracle, Partition, SizeLimitError, admissible_eval, compose, quotient,
 )
-from synchro.cir import _sweep
-from synchro.coding import coded
 
 BRUTE_FORCE_LIMIT = 12
 LINEARITY_TOLERANCE = 1e-12
@@ -292,12 +292,33 @@ def all_candidates(net: Network):
         yield Partition.from_classes([cls for block in combo for cls in block], net.n)
 
 
+def ref_sums(net: Network, colors, c: int) -> dict:
+    """Per-color parallel sums of row c as actual values; identity sums dropped."""
+    sums = {}
+    for d, w in net.row_items(c):
+        spec, acc = sums.get(colors[d], (net.spec_for(c, d), None))
+        sums[colors[d]] = (spec, w if acc is None else spec.combine(acc, w))
+    return {k: v for k, (spec, v) in sums.items() if not spec.is_identity(v)}
+
+
+def ref_counterexample(net: Network, colors):
+    """First cell whose sums differ from its class's first cell, with the first differing color."""
+    first = {}  # color -> (its first cell, that cell's sums)
+    for d in range(net.n):
+        sd = ref_sums(net, colors, d)
+        c, sc = first.setdefault(colors[d], (d, sd))
+        if sc != sd:
+            color = min(k for k in sc.keys() | sd.keys() if sc.get(k) != sd.get(k))
+            return net.cells[c], net.cells[d], color
+    return None
+
+
 def brute_force_balanced(net: Network) -> set[Partition]:
-    """The candidates of ``all_candidates`` that one sweep splits no class of;
-    refuses networks above ``BRUTE_FORCE_LIMIT`` cells."""
+    """The candidates of ``all_candidates`` whose classes hold rows of equal
+    per-color sums, compared as values (``ref_counterexample``); refuses
+    networks above ``BRUTE_FORCE_LIMIT`` cells."""
     if net.n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
             f"brute force enumeration limited to {BRUTE_FORCE_LIMIT} cells, network has {net.n}"
         )
-    view = coded(net)
-    return {p for p in all_candidates(net) if _sweep(view, p.colors)[1] == p.rank}
+    return {p for p in all_candidates(net) if ref_counterexample(net, p.colors) is None}

@@ -32,7 +32,7 @@ from synchro import (
 from synchro.cir import _converge
 from synchro.coding import CodedNetwork, coded
 from synchro.lattice import _split
-from test_reference import _chorded_ring, _split_seeds, all_to_all
+from test_reference import _chorded_ring, _one_type, _split_seeds, all_to_all
 
 # the package exports a function named ``cir``, which shadows the module
 cir_module = importlib.import_module("synchro.cir")
@@ -233,9 +233,9 @@ def test_converge_with_known_elements_matches_converge_without(name):
         known = {p.colors for p in enumerate_balanced(net).elements}
         for _ in range(6):
             seed = corpus.random_seed_partition(net, rng)
-            assert _converge(view, seed.colors, seed.rank, known) == _converge(
-                view, seed.colors, seed.rank
-            ) == cir(net, seed).converged.colors
+            assert lattice_module._refine_seed(
+                view, seed.colors, seed.rank, known, [0], 0
+            ) == _converge(view, seed.colors, seed.rank) == cir(net, seed).converged.colors
 
 
 def ring(n: int, steps) -> Network:
@@ -295,8 +295,8 @@ WALK_WORK = {
 
 @pytest.mark.parametrize("n, shape", sorted(WALK_WORK))
 def test_screen_leaves_few_seeds_to_converge(n, shape, monkeypatch):
-    calls = {"_converge": 0, "_sweep": 0}
-    for module, name in ((lattice_module, "_converge"), (cir_module, "_sweep")):
+    calls = {"_refine_seed": 0, "_sweep": 0}
+    for module, name in ((lattice_module, "_refine_seed"), (cir_module, "_sweep")):
         def counting(*args, real=getattr(module, name), name=name):
             calls[name] += 1
             return real(*args)
@@ -304,7 +304,7 @@ def test_screen_leaves_few_seeds_to_converge(n, shape, monkeypatch):
         monkeypatch.setattr(module, name, counting)
     enumerate_balanced(ring(n, (1,) if shape == "directed" else (1, -1)))
     converges, sweeps = WALK_WORK[n, shape]
-    assert calls["_converge"] <= converges and calls["_sweep"] <= sweeps
+    assert calls["_refine_seed"] <= converges and calls["_sweep"] <= sweeps
 
 
 def screen_merges(monkeypatch, walk) -> int:
@@ -374,16 +374,31 @@ def test_budget_stopped_walk_converges_the_same_seeds(monkeypatch):
     # seeds of the top, in order, and no others
     net = all_to_all(14)
     converged = []
-    real = lattice_module._converge
+    real = lattice_module._refine_seed
 
     def recording(view, seed, *args):
         converged.append(seed)
         return real(view, seed, *args)
 
-    monkeypatch.setattr(lattice_module, "_converge", recording)
+    monkeypatch.setattr(lattice_module, "_refine_seed", recording)
     assert not enumerate_balanced(net, budget=1000).complete
     expected = itertools.islice(_split_seeds(top(net).colors), 1000)
     assert converged == [seed for seed, *_ in expected]
+
+
+def test_seed_that_sweeps_to_the_discrete_coloring_is_still_abandoned():
+    # the top's seed that splits off cells 2 and 3 passes its first sweep
+    # (pieces 1,6 / 2,3 / 4,5, none below its smaller side 2), then sweeps to
+    # the discrete coloring, whose pieces are all below it: it is abandoned, so
+    # the discrete coloring is not among the four elements of budget 3
+    edges = [(1, 1), (1, 6), (2, 3), (2, 5), (3, 2), (3, 6),
+             (4, 6), (4, 2), (5, 5), (5, 3), (6, 1), (6, 5)]
+    net = _one_type(NaturalAdd(), 6, [(t, s, 1) for t, s in edges])
+    lattice = enumerate_balanced(net, budget=3)
+    assert not lattice.complete
+    assert [p.colors for p in lattice.elements] == [
+        (1, 1, 1, 1, 1, 1), (1, 1, 1, 2, 1, 1), (1, 2, 3, 3, 4, 5), (1, 2, 3, 4, 2, 5),
+    ]
 
 
 def test_exports(resistor6):

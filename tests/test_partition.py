@@ -36,8 +36,16 @@ class TestCanonicalForm:
         assert P(5, 5, 5).colors == (1, 1, 1)
 
     def test_rejects_non_canonical_direct_construction(self):
-        with pytest.raises(PartitionError):
+        with pytest.raises(PartitionError) as err:
             Partition((2, 1))
+        assert str(err.value) == (
+            "colors (2, 1) are not in first-occurrence canonical form; use Partition.from_colors"
+        )
+
+    @pytest.mark.parametrize("colors", [[1, 2, 1], range(1, 4)], ids=["list", "range"])
+    def test_accepts_any_canonical_sequence(self, colors):
+        part = Partition(colors)
+        assert part.colors == tuple(colors) and part == P(*colors)
 
     def test_from_classes(self):
         assert Partition.from_classes([[0, 1], [2]], 3).colors == (1, 1, 2)

@@ -1,6 +1,7 @@
 """Differential tests against an exact reference that never sees weight codes.
 
-The reference below combines actual carrier values with ``net.row_items``
+The reference (``ref_sums`` and ``ref_counterexample`` in checks.py, and
+``ref_sweep`` below) combines actual carrier values with ``net.row_items``
 and ``spec.combine``; the engine works on interned codes and a combine
 memo. Both run on the mixed-monoid corpus, on the non-cancellative one
 (absorbing elements: NaturalMul's 0, WithAnnihilator, SHORT), where equal
@@ -21,7 +22,7 @@ import pytest
 
 import corpus
 import corpus_noncancel
-from checks import all_candidates, brute_force_balanced
+from checks import all_candidates, brute_force_balanced, ref_counterexample, ref_sums
 from synchro import (
     ANNIHILATOR,
     MonoidRegistry,
@@ -44,31 +45,11 @@ from synchro.coding import coded
 from synchro.lattice import _lower_covers, _screened_seeds, _split
 
 
-def ref_sums(net, colors, c):
-    """Per-color parallel sums of row c as actual values; identity sums dropped."""
-    sums = {}
-    for d, w in net.row_items(c):
-        spec, acc = sums.get(colors[d], (net.spec_for(c, d), None))
-        sums[colors[d]] = (spec, w if acc is None else spec.combine(acc, w))
-    return {k: v for k, (spec, v) in sums.items() if not spec.is_identity(v)}
-
-
 def ref_sweep(net, colors):
     """Split classes by (old color, sums); colors numbered by first occurrence."""
     keys = [(colors[c], ref_sums(net, colors, c)) for c in range(net.n)]
     firsts = [key for i, key in enumerate(keys) if key not in keys[:i]]
     return tuple(firsts.index(key) + 1 for key in keys)
-
-
-def ref_counterexample(net, colors):
-    """First cell whose sums differ from its class's first cell, with the first differing color."""
-    for d in range(net.n):
-        c = colors.index(colors[d])
-        sc, sd = ref_sums(net, colors, c), ref_sums(net, colors, d)
-        if sc != sd:
-            color = min(k for k in sc.keys() | sd.keys() if sc.get(k) != sd.get(k))
-            return net.cells[c], net.cells[d], color
-    return None
 
 
 def ref_covers(elements):

@@ -1,6 +1,7 @@
 """The package source and the README stay in step with the code."""
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,39 @@ def test_readme_python_examples_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["q"].cells == ("1+2", "3")
+
+
+def _callers(tree: ast.Module, callee: str) -> list[str]:
+    """For each call of ``callee`` by name in ``tree``, the innermost function around it."""
+    callers = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == callee:
+                callers.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return callers
+
+
+def test_refinement_runs_one_sweep_loop():
+    # every sweep in the package comes from the one loop ``_sweeps``; the
+    # lattice walk's stops live beside their proofs, not in cir.py
+    callers = Counter(
+        (path.name, function)
+        for path in PACKAGE.glob("*.py")
+        for function in _callers(ast.parse(path.read_text(encoding="utf-8")), "_sweep")
+    )
+    assert callers == {("cir.py", "_sweeps"): 1}
+    cir_tree = ast.parse((PACKAGE / "cir.py").read_text(encoding="utf-8"))
+    for node in ast.walk(cir_tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            assert params.isdisjoint({"known", "split"}), node.name
