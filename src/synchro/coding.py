@@ -25,7 +25,9 @@ query decodes from the codes.
 The view also remembers which partitions ``balance.is_balanced`` has found
 balanced on it, in a weak set: a network never changes after it is built,
 so a verdict stays true, and an entry lives only while some caller still
-holds that partition. Pickles and copies leave the set out and start empty.
+holds that partition. Pickles and copies leave the set out and start it
+empty. They also leave out the out-rows, the rows each cell feeds, which
+refinement rounds build on first use.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import weakref
 
 class CodedNetwork:
     """Per-row source and weight-code tuples of the non-identity entries, plus the
-    intern pool, the combine memo and the balance-verdict memo."""
+    intern pool, the combine memo, the balance-verdict memo and the out-rows."""
 
     __slots__ = (
         "n",
@@ -45,6 +47,7 @@ class CodedNetwork:
         "values",
         "memo",
         "balanced",
+        "_outs",
     )
 
     def __init__(self):
@@ -57,14 +60,17 @@ class CodedNetwork:
         self.n = 0
         self.n_edges = 0
         self.balanced: weakref.WeakSet = weakref.WeakSet()  # partitions found balanced here
+        self._outs = None
 
     def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__ if name != "balanced"}
+        return {name: getattr(self, name) for name in self.__slots__
+                if name not in ("balanced", "_outs")}
 
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
         self.balanced = weakref.WeakSet()
+        self._outs = None
 
     def set_rows(self, rows: list[dict[int, int]]) -> None:
         """Store merged ``{source: code}`` rows; code-0 (identity) entries are dropped."""
@@ -78,6 +84,15 @@ class CodedNetwork:
             self.rows.append((tuple(srcs), codes))
         self.n = len(self.rows)
         self.n_edges = sum(len(srcs) for srcs, _ in self.rows)
+
+    def out_rows(self) -> list[list[int]]:
+        """Per cell, the rows it feeds, ascending; built on the first call."""
+        if self._outs is None:
+            self._outs = [[] for _ in self.rows]
+            for r, (srcs, _) in enumerate(self.rows):
+                for s in srcs:
+                    self._outs[s].append(r)
+        return self._outs
 
     def code(self, spec, value) -> int:
         """Intern a carrier value; identities of every monoid map to 0.

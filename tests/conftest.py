@@ -4,12 +4,14 @@
 trace is tabulated step by step; ``triangle3`` the 3-cell loop with unit
 additive weights and one doubled input; ``chain3`` the directed path whose
 only balanced coloring is the trivial one. ``work`` counts the rows read
-and the sweeps run while a test runs.
+and the sweeps run while a test runs; ``rounds`` makes every refinement
+go on in rounds after its first sweep.
 
 Every hypothesis test draws its cases from a fixed seed, so each run,
 local or CI, tries the same examples.
 """
 import importlib
+import math
 import sys
 
 import pytest
@@ -66,6 +68,17 @@ def make_chain3() -> Network:
     return make_chain(3)
 
 
+def make_bundle(n: int) -> Network:
+    """The unit chain of ``n`` cells, each chain cell also hearing every one
+    of ``n`` input-free cells of a second type: |C| = 2n, |E| = n² + n - 1."""
+    chain = [f"c{i}" for i in range(n)]
+    bundle = [f"b{i}" for i in range(n)]
+    edges = [(chain[i + 1], chain[i], 1) for i in range(n - 1)]
+    edges += [(c, b, 1) for c in chain for b in bundle]
+    return Network.build(chain + bundle, ["chain"] * n + ["bundle"] * n, ["chain", "bundle"],
+                         MonoidRegistry.uniform(NaturalAdd(), 2), edges)
+
+
 @pytest.fixture
 def resistor6() -> Network:
     return make_resistor6()
@@ -104,3 +117,22 @@ def work(monkeypatch) -> dict[str, int]:
         if name.startswith("synchro.") and getattr(module, "_sweep", None) is real_sweep:
             monkeypatch.setattr(module, "_sweep", counting_sweep)
     return calls
+
+
+@pytest.fixture
+def rounds(monkeypatch) -> dict:
+    """Switches off ``synchro.cir``'s size and doubling rules, so every
+    refinement run goes on in rounds after its first sweep. Returns the
+    coded networks that rounds ran on, by ``id``, as they run."""
+    cir_module = importlib.import_module("synchro.cir")
+    monkeypatch.setattr(cir_module, "_ROUNDS_MIN_CELLS", 0)
+    monkeypatch.setattr(cir_module, "_FULL_GROWTH", math.inf)
+    views = {}
+    real_rounds = cir_module._rounds
+
+    def recording_rounds(view, *args):
+        views[id(view)] = view
+        return real_rounds(view, *args)
+
+    monkeypatch.setattr(cir_module, "_rounds", recording_rounds)
+    return views

@@ -1,5 +1,6 @@
-"""Mutation checks: each mutant breaks one rule that an exactness proof or
-an early stop relies on, and the tests named beside it must catch it.
+"""Mutation checks: each mutant breaks one rule that an exactness proof, a
+work bound or an early stop relies on, and the tests named beside it must
+catch it.
 
 Run from anywhere with ``python tests/mutants.py``. It first runs every
 named test on the unchanged source, then, one mutant at a time, copies
@@ -86,6 +87,35 @@ MUTANTS = [
         "key = (colors[r], c1, w) if w else (colors[r],)",
         "key = (colors[r], c1, w)",
         ("tests/test_reference.py::test_every_sweep_matches_reference",),
+    ),
+    Mutant(
+        "_class_keys keys no clean row, so the clean rows stay with the group that keeps the id",
+        "src/synchro/cir.py",
+        "        clean_key = _row_key(view, ids, next(c for c in cells if c not in dirty))\n"
+        "        groups.setdefault(clean_key, [])\n",
+        "        pass\n",
+        ("tests/test_reference.py::test_every_sweep_matches_reference_in_rounds",),
+    ),
+    Mutant(
+        "_rounds reads a class's keys after earlier classes of the round have moved",
+        "src/synchro/cir.py",
+        "keyed = [(k, *_class_keys(view, ids, members[k], rows, dirty)) for k, rows in touched.items()]",
+        "keyed = ((k, *_class_keys(view, ids, members[k], rows, dirty)) for k, rows in touched.items())",
+        ("tests/test_reference.py::test_every_sweep_matches_reference_in_rounds",),
+    ),
+    Mutant(
+        "_rounds moves the group of the clean rows without dirtying the rows it feeds",
+        "src/synchro/cir.py",
+        "                moved += cells\n",
+        "                moved += cells if key != clean_key else []\n",
+        ("tests/test_reference.py::test_every_sweep_matches_reference_in_rounds",),
+    ),
+    Mutant(
+        "_rounds lets the first group of a class keep its id instead of the largest",
+        "src/synchro/cir.py",
+        "largest = max(size, key=size.get)",
+        "largest = next(iter(size))",
+        ("tests/test_cir.py::test_top_keys_few_rows_in_rounds",),
     ),
     Mutant(
         "is_balanced compares each row with the previous row of its class",

@@ -107,6 +107,14 @@ def test_criterion_1_golden_refinement_trace():
     _passed(1, f"golden trace reproduced exactly in {elapsed * 1e3:.2f} ms")
 
 
+def test_criterion_1_golden_refinement_trace_in_rounds(rounds, capsys):
+    """Criterion 1 with every sweep after the first run in rounds; its PASS
+    line is captured, so the criterion prints once."""
+    test_criterion_1_golden_refinement_trace()
+    capsys.readouterr()
+    assert len(rounds) == 1
+
+
 def test_criterion_2_golden_second_seed():
     net = make_resistor6()
     seed = parse_partition("1,2,5;3,4;6", net.cells)
@@ -264,8 +272,9 @@ def test_criterion_9_witness_soundness():
 def test_criterion_10_complexity_smoke():
     """The unit-weight directed chain refined from one color peels off one
     cell per sweep, the most sweeps the convergence bound allows; each
-    sweep must cost exactly |C| + |E| and the total must grow at most
-    cubically."""
+    sweep's ``ops`` must be exactly |C| + |E|, the cost of a full sweep of
+    the paper's algorithm and an upper bound on what the engine's rounds
+    do, and the total must grow at most cubically."""
     sizes = (64, 128, 256, 512, 1024)
     totals = []
     for n in sizes:
@@ -287,7 +296,9 @@ def test_bundle_family_makes_the_cubic_bound_tight():
     """The chain of criterion 10 where every chain cell also receives a unit
     edge from each of n input-free cells of a second type: |C| = 2n and
     |E| = n² + n - 1, and refining from the type partition still peels off
-    one chain cell per sweep, so n sweeps of |C| + |E| grow cubically in |C|."""
+    one chain cell per sweep, so the paper's algorithm, n full sweeps of
+    |C| + |E| as ``ops`` counts them, grows cubically in |C|. The engine's
+    rounds key far fewer rows (``test_top_keys_few_rows_in_rounds``)."""
     sizes = (16, 32, 64)
     totals = []
     for n in sizes:

@@ -1,11 +1,12 @@
 """Refinement traces and golden examples."""
+import importlib
 import random
 
 import pytest
 
 import corpus
 from checks import brute_force_balanced
-from conftest import make_chain
+from conftest import make_bundle, make_chain
 from synchro import (
     Partition,
     PartitionError,
@@ -21,6 +22,9 @@ from synchro import (
     top,
     unbalance_witness,
 )
+
+# the package exports a function named ``cir``, which shadows the module
+cir_module = importlib.import_module("synchro.cir")
 
 
 def test_two_type_resistor_trace(resistor6):
@@ -76,6 +80,34 @@ def test_cir_records_the_confirming_sweep_of_a_discrete_coloring(work):
     trace = cir(make_chain(10), Partition.single(10))
     assert [r for _, r in trace.iterations] == [*range(2, 11), 10]
     assert work["_sweep"] == len(trace.iterations) == len(trace.ops) == 10
+
+
+@pytest.mark.parametrize("build, rank", [
+    (lambda: make_chain(1024), 1024),
+    (lambda: make_bundle(64), 65),
+], ids=["chain_1024", "bundle_64"])
+def test_top_keys_few_rows_in_rounds(build, rank, monkeypatch):
+    # top peels one chain cell per sweep here; sweeping in full keys about
+    # |C|^2 / 2 rows, while a round keys the one row the peeled cell feeds
+    # and one clean row of its class
+    keyed = 0
+    real_sweep, real_row_key = cir_module._sweep, cir_module._row_key
+
+    def counting_sweep(view, colors):  # a full sweep keys every row
+        nonlocal keyed
+        keyed += view.n
+        return real_sweep(view, colors)
+
+    def counting_row_key(*args):
+        nonlocal keyed
+        keyed += 1
+        return real_row_key(*args)
+
+    monkeypatch.setattr(cir_module, "_sweep", counting_sweep)
+    monkeypatch.setattr(cir_module, "_row_key", counting_row_key)
+    net = build()
+    assert top(net).rank == rank
+    assert keyed < 4 * net.n
 
 
 def test_top_examples(resistor6, triangle3):

@@ -6,7 +6,9 @@ and ``spec.combine``; the engine works on interned codes and a combine
 memo. Both run on the mixed-monoid corpus, on the non-cancellative one
 (absorbing elements: NaturalMul's 0, WithAnnihilator, SHORT), where equal
 sums do not imply equal summands, and on small networks built around rows
-of exactly two edges, which the sweep keys without ``row_sums``.
+of exactly two edges, which the sweep keys without ``row_sums``. Every
+sweep is also checked on sparse random networks, whose runs are long, and
+each check runs again with refinement in rounds after the first sweep.
 
 The lattice walk, which abandons seeds early, is also checked against an
 unpruned walk that converges every seed, on those networks, on mod-3
@@ -34,9 +36,11 @@ from synchro import (
     ResistorParallel,
     WithAnnihilator,
     cir,
+    common_refinement,
     enumerate_balanced,
     is_balanced,
     is_finer,
+    meet,
     top,
 )
 import synchro.lattice as lattice_module
@@ -136,11 +140,31 @@ def two_edge_networks() -> list[Network]:
     ]
 
 
+def sparse_networks() -> list[Network]:
+    """Seeded random one-type networks of 12 to 30 cells, each cell hearing
+    one to three random cells at NaturalAdd weight 1 or 2.
+
+    Refined from one color they take several sweeps, and a later sweep
+    often splits a class that hears cells another split of the same sweep
+    moves, which rounds must key before either moves.
+    """
+    rng = random.Random(59)
+    nets = []
+    for _ in range(8):
+        n = rng.randint(12, 30)
+        nets.append(_one_type(NaturalAdd(), n, [
+            (t, rng.randint(1, n), rng.choice((1, 2)))
+            for t in range(1, n + 1) for _ in range(rng.randint(1, 3))
+        ]))
+    return nets
+
+
 CORPORA = {
     "mixed": corpus.corpus_networks,
     "noncancellative": corpus_noncancel.corpus_networks,
     "two_edge": two_edge_networks,
 }
+SWEEP_FAMILIES = {**CORPORA, "sparse": sparse_networks}
 
 
 def _ref_trace(net, colors):
@@ -151,16 +175,18 @@ def _ref_trace(net, colors):
     return sweeps
 
 
-@pytest.mark.parametrize("name", sorted(CORPORA))
+@pytest.mark.parametrize("name", sorted(SWEEP_FAMILIES))
 def test_every_sweep_matches_reference(name):
     rng = random.Random(41)
-    for net in CORPORA[name]():
+    for net in SWEEP_FAMILIES[name]():
         for _ in range(4):
             seed = corpus.random_seed_partition(net, rng)
             expected = _ref_trace(net, seed.colors)
             trace = cir(net, seed)
             assert [p.colors for p, _ in trace.iterations] == expected
             assert [r for _, r in trace.iterations] == [max(p) for p in expected]
+        expected = _ref_trace(net, net.type_partition().colors)
+        assert [p.colors for p, _ in cir(net, net.type_partition()).iterations] == expected
         assert top(net).colors == _ref_trace(net, net.type_partition().colors)[-1]
 
 
@@ -186,6 +212,47 @@ def test_balance_and_lattice_match_reference(name):
         assert list(lattice.elements) == elements
         assert list(lattice.covers) == ref_covers(elements)
         assert lattice.elements[0] == top(net) == min(balanced, key=lambda p: p.rank)
+
+
+# the same checks with every refinement run in rounds after its first sweep
+# (the ``rounds`` fixture), and checks that rounds ran
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FAMILIES))
+def test_every_sweep_matches_reference_in_rounds(name, rounds):
+    test_every_sweep_matches_reference(name)
+    assert 2 * len(rounds) > len(SWEEP_FAMILIES[name]())
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_balance_and_lattice_match_reference_in_rounds(name, rounds):
+    # the walk's seeds stop at their first sweep here, so rounds run where
+    # the top needs a second sweep, one below rank |C|: on 22 of 52 mixed
+    # networks, for one
+    test_balance_and_lattice_match_reference(name)
+    ran, second_sweeps = len(rounds), 0
+    nets = CORPORA[name]()
+    for net in nets:
+        seed = net.type_partition()
+        second_sweeps += seed.rank < cir(net, seed).iterations[0][1] < net.n
+    assert ran >= second_sweeps > len(nets) / 3
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_top_and_meet_in_rounds_match_cir(name, rounds):
+    # top and meet relabel only the last of their rounds
+    rng = random.Random(53)
+    nets = CORPORA[name]()
+    for net in nets:
+        view = coded(net)
+        assert top(net) == cir(net, net.type_partition()).converged
+        elements = enumerate_balanced(net).elements
+        for _ in range(4):
+            a, b = rng.choice(elements), rng.choice(elements)
+            assert meet(net, a, b) == cir(net, common_refinement(a, b)).converged
+            seed = corpus.random_seed_partition(net, rng)
+            assert _converge(view, seed.colors, seed.rank) == cir(net, seed).converged.colors
+    assert 2 * len(rounds) > len(nets)
 
 
 def _split_seeds(parent: tuple[int, ...]):
