@@ -15,6 +15,10 @@ Shipped kinds:
 * ``ProductMonoid`` -- componentwise direct product of other specs.
 * ``WithAnnihilator`` -- any spec extended with a fresh absorbing element.
 
+A spec of another monoid subclasses ``MonoidSpec``. It states a constant
+identity or annihilator as a class attribute, one that depends on its
+fields as a property, and its natural kappa as a method ``_kappa``.
+
 The convolution monoid of real functions is intentionally not shipped: its
 equality is undecidable, which would make balance checking meaningless.
 """
@@ -28,32 +32,23 @@ from ._record import Record
 from .errors import MonoidMismatch, SchemaError, SizeLimitError
 
 
-class _Short:
-    """The zero-ohm resistor: infinite conductance, absorbs any parallel."""
+class _Named:
+    """An element that is one module constant, printed, pickled and copied by its name."""
 
-    __slots__ = ()
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "SHORT"
+        return self.name
 
     def __reduce__(self):  # pickles and copies are the singleton itself
-        return "SHORT"
+        return self.name
 
 
-class _Annihilator:
-    """Fresh absorbing element adjoined by WithAnnihilator."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ANNIHILATOR"
-
-    def __reduce__(self):
-        return "ANNIHILATOR"
-
-
-SHORT = _Short()
-ANNIHILATOR = _Annihilator()
+SHORT = _Named("SHORT")  # the zero-ohm resistor: infinite conductance, absorbs any parallel
+ANNIHILATOR = _Named("ANNIHILATOR")  # the fresh absorbing element adjoined by WithAnnihilator
 
 
 class MonoidSpec:
@@ -66,10 +61,8 @@ class MonoidSpec:
 
     __slots__ = ()  # so that the shipped specs, slotted records, hold no __dict__
     kind: str = "abstract"
-
-    @property
-    def identity(self):
-        raise NotImplementedError
+    identity: object  # the neutral element, which is also the weight of no edge
+    annihilator = None  # the absorbing element, or None if this monoid has none
 
     def contains(self, value) -> bool:
         raise NotImplementedError
@@ -98,11 +91,6 @@ class MonoidSpec:
         self.check(value)
         return value == self.identity
 
-    @property
-    def annihilator(self):
-        """The absorbing element, or None if this monoid has none."""
-        return None
-
     def describe(self) -> str:
         return self.kind
 
@@ -120,9 +108,11 @@ class MonoidSpec:
 
         Satisfies kappa(a ∥ b) = kappa(a) + kappa(b) and kappa(identity) = 0,
         which is exactly what makes the homomorphism-coupled oracle family
-        admissible.
+        admissible. It returns ``self._kappa``, the method each spec
+        defines; products and annihilator extensions call their parts'
+        ``default_kappa``, so a spec may override it instead.
         """
-        raise NotImplementedError
+        return self._kappa
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -174,10 +164,8 @@ class ResistorParallel(Record, MonoidSpec):
 
     __slots__ = ()
     kind = "resistor_parallel"
-
-    @property
-    def identity(self):
-        return Fraction(0)  # zero conductance = infinite resistance = no edge
+    identity = Fraction(0)  # zero conductance = infinite resistance = no edge
+    annihilator = SHORT
 
     def contains(self, value):
         if value is SHORT:
@@ -188,10 +176,6 @@ class ResistorParallel(Record, MonoidSpec):
         if a is SHORT or b is SHORT:
             return SHORT
         return a + b
-
-    @property
-    def annihilator(self):
-        return SHORT
 
     def from_resistance(self, r):
         """Build an element from a resistance: Fraction/int/str or "inf"."""
@@ -232,13 +216,10 @@ class ResistorParallel(Record, MonoidSpec):
             raise SchemaError(f"bad resistance {text!r}: {exc}") from exc
         return value
 
-    def default_kappa(self):
-        def kappa(value):
-            if value is SHORT:
-                return math.inf
-            return _as_float(value)
-
-        return kappa
+    def _kappa(self, value):
+        if value is SHORT:
+            return math.inf
+        return _as_float(value)
 
 
 class _Natural(MonoidSpec):
@@ -266,16 +247,11 @@ class NaturalAdd(Record, _Natural):
 
     __slots__ = ()
     kind = "natural_add"
-
-    @property
-    def identity(self):
-        return 0
+    identity = 0
+    _kappa = staticmethod(_as_float)
 
     def _combine(self, a, b):
         return a + b
-
-    def default_kappa(self):
-        return _as_float
 
 
 class NaturalMul(Record, _Natural):
@@ -283,25 +259,16 @@ class NaturalMul(Record, _Natural):
 
     __slots__ = ()
     kind = "natural_mul"
-
-    @property
-    def identity(self):
-        return 1
+    identity = 1
+    annihilator = 0
 
     def _combine(self, a, b):
         return a * b
 
-    @property
-    def annihilator(self):
-        return 0
-
-    def default_kappa(self):
-        def kappa(value):
-            if value == 0:
-                return -math.inf
-            return math.log(value)
-
-        return kappa
+    def _kappa(self, value):
+        if value == 0:
+            return -math.inf
+        return math.log(value)
 
 
 class FreeCommutative(Record, MonoidSpec):
@@ -314,13 +281,10 @@ class FreeCommutative(Record, MonoidSpec):
 
     __slots__ = ("generators",)
     kind = "free_commutative"
+    identity = ()
 
     def __init__(self, generators=None):
         super().__init__(None if generators is None else tuple(sorted(set(generators))))
-
-    @property
-    def identity(self):
-        return ()
 
     def contains(self, value):
         if not isinstance(value, tuple):
@@ -372,11 +336,8 @@ class FreeCommutative(Record, MonoidSpec):
         except MonoidMismatch as exc:
             raise SchemaError(str(exc)) from exc
 
-    def default_kappa(self):
-        def kappa(value):
-            return _as_float(sum(count for _, count in value))
-
-        return kappa
+    def _kappa(self, value):
+        return _as_float(sum(count for _, count in value))
 
     def to_json(self):
         obj = {"kind": self.kind}
@@ -432,13 +393,8 @@ class ProductMonoid(Record, MonoidSpec):
             )
         return tuple(p.element_from_json(v) for p, v in zip(self.parts, obj["tuple"]))
 
-    def default_kappa(self):
-        kappas = [p.default_kappa() for p in self.parts]
-
-        def kappa(value):
-            return sum(k(v) for k, v in zip(kappas, value))
-
-        return kappa
+    def _kappa(self, value):
+        return sum(p.default_kappa()(v) for p, v in zip(self.parts, value))
 
     def to_json(self):
         return {"kind": self.kind, "parts": [p.to_json() for p in self.parts]}
@@ -449,6 +405,7 @@ class WithAnnihilator(Record, MonoidSpec):
 
     __slots__ = ("inner",)
     kind = "with_annihilator"
+    annihilator = ANNIHILATOR
 
     def __init__(self, inner=NaturalAdd()):
         super().__init__(inner)
@@ -464,10 +421,6 @@ class WithAnnihilator(Record, MonoidSpec):
         if a is ANNIHILATOR or b is ANNIHILATOR:
             return ANNIHILATOR
         return self.inner._combine(a, b)
-
-    @property
-    def annihilator(self):
-        return ANNIHILATOR
 
     def describe(self):
         return f"with_annihilator({self.inner.describe()})"
@@ -489,15 +442,10 @@ class WithAnnihilator(Record, MonoidSpec):
             return ANNIHILATOR
         return self.inner.element_from_json(obj)
 
-    def default_kappa(self):
-        inner_kappa = self.inner.default_kappa()
-
-        def kappa(value):
-            if value is ANNIHILATOR:
-                return math.inf
-            return inner_kappa(value)
-
-        return kappa
+    def _kappa(self, value):
+        if value is ANNIHILATOR:
+            return math.inf
+        return self.inner.default_kappa()(value)
 
     def to_json(self):
         return {"kind": self.kind, "inner": self.inner.to_json()}

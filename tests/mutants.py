@@ -1,6 +1,6 @@
 """Mutation checks: each mutant breaks one rule that an exactness proof, a
-work bound or an early stop relies on, and the tests named beside it must
-catch it.
+work bound, an early stop or a documented contract relies on, and the
+tests named beside it must catch it.
 
 Run from anywhere with ``python tests/mutants.py``. It first runs every
 named test on the unchanged source, then, one mutant at a time, copies
@@ -32,6 +32,9 @@ class Mutant(NamedTuple):
     replacement: str
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
+
+_SCREEN = "tests/test_reference.py::test_screen_keeps_exactly_the_seeds_that_survive_one_sweep"
+_RK4 = "tests/test_dynamics.py::TestSimulation"
 
 MUTANTS = [
     Mutant(
@@ -130,6 +133,104 @@ MUTANTS = [
         "if partition.rank < view.n:",
         "if partition.rank <= view.n:",
         ("tests/test_balance.py::test_a_discrete_coloring_is_balanced_without_reading_a_row",),
+    ),
+    Mutant(
+        "_surviving_masks yields a block's survivors unsorted",
+        "src/synchro/lattice.py",
+        "yield from sorted(survivors)",
+        "yield from survivors",
+        (f"{_SCREEN}[two_edge]",),
+    ),
+    Mutant(
+        "_surviving_masks lets a key held by smaller - 1 rows survive",
+        "src/synchro/lattice.py",
+        "if smaller and not any(hist[1:smaller]):",
+        "if smaller and not any(hist[1:smaller - 1]):",
+        (f"{_SCREEN}[two_edge]",),
+    ),
+    Mutant(
+        "moved_key drops the joined side's sum instead of merging the moved source into it",
+        "src/synchro/lattice.py",
+        "got = merge(old[1 + t], w) if old[1 + t] else w",
+        "got = w",
+        (f"{_SCREEN}[two_edge]",),
+    ),
+    Mutant(
+        "moved_key swaps the sums from the two sides",
+        "src/synchro/lattice.py",
+        "(pattern & 1, rest, got) if t else (pattern & 1, got, rest)",
+        "(pattern & 1, got, rest) if t else (pattern & 1, rest, got)",
+        (f"{_SCREEN}[two_edge]",),
+    ),
+    Mutant(
+        "_surviving_masks does not flip a self-loop's source bit when its cell moves",
+        "src/synchro/lattice.py",
+        "                own |= 1 << j\n",
+        "                pass\n",
+        (f"{_SCREEN}[self_loop_ring]",),
+    ),
+    Mutant(
+        "_surviving_masks leaves the moved cell's side as it was",
+        "src/synchro/lattice.py",
+        "                side[c] ^= 1\n",
+        "",
+        (f"{_SCREEN}[two_edge]",),
+    ),
+    Mutant(
+        "_surviving_masks drops the histogram update of the key a row leaves",
+        "src/synchro/lattice.py",
+        "                        hist[n - 1] += 1\n",
+        "",
+        (f"{_SCREEN}[mixed]",),
+    ),
+    Mutant(
+        "_surviving_masks moves only one cell at a block boundary",
+        "src/synchro/lattice.py",
+        "                moved ^= bit\n",
+        "                moved = 0\n",
+        (f"{_SCREEN}[two_edge]",),
+    ),
+    Mutant(
+        "join unions the cells of a class of its first input only",
+        "src/synchro/lattice.py",
+        "for part in (a, b):",
+        "for part in (a,):",
+        ("tests/test_lattice.py::test_join_merges_through_chains",),
+    ),
+    Mutant(
+        "_power_stack keeps a power that overflowed",
+        "src/synchro/dynamics.py",
+        "            if not np.isfinite(doubled).all():\n                break\n",
+        "",
+        (f"{_RK4}::test_zero_start_stays_zero_under_a_blowing_up_field",),
+    ),
+    Mutant(
+        "_integrate_rk4 starts each stacked block from the row after the one that ends the block before",
+        "src/synchro/dynamics.py",
+        "sources = out[: blocks * depth : depth]",
+        "sources = out[1 : blocks * depth + 1 : depth]",
+        (f"{_RK4}::test_fast_and_slow_ode_paths_agree",),
+    ),
+    Mutant(
+        "_integrate_rk4 runs the Horner stages of a step on A in reverse order",
+        "src/synchro/dynamics.py",
+        "stages = [vals * h for h in (dt / 4.0, dt / 3.0, dt / 2.0, dt)]",
+        "stages = [vals * h for h in (dt, dt / 2.0, dt / 3.0, dt / 4.0)]",
+        (f"{_RK4}::test_dense_propagator_above_the_stack_bound_steps_one_at_a_time",),
+    ),
+    Mutant(
+        "ProductMonoid._kappa calls its parts' _kappa, not the default_kappa they may override",
+        "src/synchro/monoid.py",
+        "return sum(p.default_kappa()(v) for p, v in zip(self.parts, value))",
+        "return sum(p._kappa(v) for p, v in zip(self.parts, value))",
+        ("tests/test_monoid.py::test_composite_specs_call_a_part_that_overrides_default_kappa",),
+    ),
+    Mutant(
+        "WithAnnihilator._kappa calls its inner spec's _kappa, not the default_kappa it may override",
+        "src/synchro/monoid.py",
+        "return self.inner.default_kappa()(value)",
+        "return self.inner._kappa(value)",
+        ("tests/test_monoid.py::test_composite_specs_call_a_part_that_overrides_default_kappa",),
     ),
 ]
 

@@ -1,5 +1,6 @@
 """Algebraic laws and the concrete weight monoids."""
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -352,3 +353,69 @@ def test_registry_equality_compares_specs_by_value():
     assert MonoidRegistry({(0, 0): NA}) != MonoidRegistry({(0, 0): NM})
     assert MonoidRegistry({(0, 0): FreeCommutative()}) != MonoidRegistry({(0, 0): FreeCommutative(("a",))})
     assert MonoidRegistry({(0, 0): NA}) != MonoidRegistry({(0, 1): NA})
+
+
+class _Doubled(MonoidSpec):
+    """Naturals under addition whose kappa, twice the count, comes only from ``default_kappa``."""
+
+    kind = "doubled"
+    identity = 0
+
+    def contains(self, value):
+        return isinstance(value, int) and value >= 0
+
+    def _combine(self, a, b):
+        return a + b
+
+    def default_kappa(self):
+        return lambda value: 2.0 * value
+
+
+_KAPPA_SPECS = _CODE_SPECS + [
+    ProductMonoid((PROD, WithAnnihilator(PROD))),
+    WithAnnihilator(ProductMonoid((R, NM))),
+    WithAnnihilator(WithAnnihilator(NaturalMul())),
+]
+# ``kappa_digest(_KAPPA_SPECS)`` as the closures that ``default_kappa`` once
+# built gave it: every natural kappa must keep each of its float values.
+_KAPPA_SHA256 = "cc0c8fe1a4e5c26b6517993b5a2533e3a2412b6f952af616a257f364829c11c2"
+
+
+def kappa_digest(specs) -> str:
+    """The sha256 of ``float.hex`` of each spec's natural kappa at its identity,
+    its annihilator and 40 ``sample_element`` draws at each of three seeds."""
+    digest = hashlib.sha256()
+    for spec in specs:
+        kappa = spec.default_kappa()
+        values = [spec.identity] + ([] if spec.annihilator is None else [spec.annihilator])
+        for seed in range(3):
+            rng = random.Random(seed)
+            values += [sample_element(spec, rng) for _ in range(40)]
+        digest.update(f"{spec.describe()}:{','.join(float.hex(kappa(v)) for v in values)};".encode())
+    return digest.hexdigest()
+
+
+def test_natural_kappas_match_their_recorded_digest():
+    assert kappa_digest(_KAPPA_SPECS) == _KAPPA_SHA256
+
+
+@pytest.mark.parametrize("spec", _KAPPA_SPECS, ids=lambda s: s.describe())
+def test_default_kappa_is_one_method_per_spec(spec):
+    assert spec.default_kappa() == spec.default_kappa()
+
+
+def test_constant_identities_are_shared():
+    assert ResistorParallel().identity is ResistorParallel().identity
+
+
+def test_absorbing_singletons_share_one_class_and_copy_as_themselves():
+    assert type(SHORT) is type(ANNIHILATOR)
+    assert (repr(SHORT), repr(ANNIHILATOR)) == ("SHORT", "ANNIHILATOR")
+    assert copy.copy(SHORT) is SHORT and copy.copy(ANNIHILATOR) is ANNIHILATOR
+
+
+def test_composite_specs_call_a_part_that_overrides_default_kappa():
+    part = _Doubled()
+    assert ProductMonoid((part, NA)).default_kappa()((3, 4)) == 10.0
+    kappa = WithAnnihilator(part).default_kappa()
+    assert (kappa(3), kappa(ANNIHILATOR)) == (6.0, math.inf)
